@@ -234,7 +234,7 @@ func (m *Machine) LookupLineBatchInto(cs []word.Content, out []word.PLID) {
 	defer sc.Release()
 	// Acquired at batch size: misses are the common case on fresh
 	// content, and growing a []Content by doubling would copy the
-	// 144-byte elements repeatedly.
+	// 80-byte elements repeatedly.
 	missIdx := poolIdx.GetCap(&sc, len(cs))
 	missCs := poolContents.GetCap(&sc, len(cs))
 	for i := range cs {

@@ -184,7 +184,12 @@ func TestWriteBatchAccountingPin(t *testing.T) {
 			for i := range ws {
 				ws[i] = rng.Uint64()
 			}
-			return BuildWords(m, ws, nil)
+			// Single-threaded: the bulk Builder shards a level's lookups
+			// across workers, and the order in which workers reach the
+			// store decides which way (or overflow slot) each line gets
+			// and what the row buffers see. Accounting is a pure function
+			// of a serialized op schedule, so twins must be built by one.
+			return BuildWordsSerial(m, ws, nil)
 		}
 		sa, sb := preload(ma), preload(mb)
 

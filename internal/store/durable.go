@@ -50,13 +50,17 @@ func (s *Store) ForEachLive(fn func(p word.PLID, c word.Content, rc uint64) bool
 	for st := 0; st < numStripes; st++ {
 		mu := &s.stripes[st].mu
 		mu.RLock()
-		for b := st; b < len(s.buckets); b += numStripes {
-			ways := s.buckets[b].ways
-			for w := range ways {
-				if !ways[w].used {
+		for b := uint64(st); b <= s.bucketMask; b += numStripes {
+			row, ok := s.bucketRow(b)
+			if !ok {
+				continue
+			}
+			for w := 0; w < s.cfg.DataWays; w++ {
+				ln := row.line(w)
+				if !ln.used() {
 					continue
 				}
-				if !fn(s.plidFor(uint64(b), w), ways[w].content, atomic.LoadUint64(&ways[w].rc)) {
+				if !fn(s.plidFor(b, w), ln.load(), atomic.LoadUint64(ln.rc())) {
 					mu.RUnlock()
 					return
 				}
@@ -66,11 +70,12 @@ func (s *Store) ForEachLive(fn func(p word.PLID, c word.Content, rc uint64) bool
 	}
 	s.ovMu.Lock()
 	defer s.ovMu.Unlock()
-	for i := range s.overflow {
-		if !s.overflow[i].used {
+	for i := uint32(0); i < s.ovSlots; i++ {
+		ln := s.overflowLine(i)
+		if !ln.used() {
 			continue
 		}
-		if !fn(s.overflowPLID(uint32(i)), s.overflow[i].content, s.overflow[i].rc) {
+		if !fn(s.overflowPLID(i), ln.load(), *ln.rc()) {
 			return
 		}
 	}
@@ -102,16 +107,15 @@ func (s *Store) InstallLine(p word.PLID, c word.Content, rc uint64) error {
 		if uint64(p) >= 1<<uint(s.PLIDBits()) {
 			return fmt.Errorf("store: install overflow PLID %#x out of range", uint64(p))
 		}
-		slot := uint64(p) - s.ovBase()
+		slot := uint64(p) - s.ovBase
 		s.ovMu.Lock()
 		defer s.ovMu.Unlock()
-		for uint64(len(s.overflow)) <= slot {
-			s.overflow = append(s.overflow, line{})
-		}
-		if s.overflow[slot].used {
+		s.growOverflow(uint32(slot) + 1)
+		ln := s.overflowLine(uint32(slot))
+		if ln.used() {
 			return fmt.Errorf("store: install into occupied overflow slot %d", slot)
 		}
-		s.overflow[slot] = line{used: true, sig: sig, rc: rc, inDRAM: true, content: c}
+		ln.store(&c, sig, rc, true)
 		if s.ovIndex == nil {
 			s.ovIndex = make(map[word.Content]uint32)
 		}
@@ -131,14 +135,12 @@ func (s *Store) InstallLine(p word.PLID, c word.Content, rc uint64) error {
 	mu := &s.stripes[stripeOf(bkt)].mu
 	mu.Lock()
 	defer mu.Unlock()
-	b := &s.buckets[bkt]
-	if b.ways == nil {
-		b.ways = make([]line, s.cfg.DataWays)
-	}
-	if b.ways[way].used {
+	row := s.bucketRowAlloc(bkt)
+	ln := row.line(way)
+	if ln.used() {
 		return fmt.Errorf("store: install into occupied PLID %#x", uint64(p))
 	}
-	b.ways[way] = line{used: true, sig: sig, rc: rc, inDRAM: true, content: c}
+	ln.store(&c, sig, rc, true)
 	s.liveLines.Add(1)
 	return nil
 }
@@ -150,9 +152,9 @@ func (s *Store) FinishRestore() {
 	s.ovMu.Lock()
 	defer s.ovMu.Unlock()
 	s.freeOv = s.freeOv[:0]
-	for i := range s.overflow {
-		if !s.overflow[i].used {
-			s.freeOv = append(s.freeOv, uint32(i))
+	for i := uint32(0); i < s.ovSlots; i++ {
+		if !s.overflowLine(i).used() {
+			s.freeOv = append(s.freeOv, i)
 		}
 	}
 }

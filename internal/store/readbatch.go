@@ -99,11 +99,11 @@ func (s *Store) ReadBatchInto(ps []word.PLID, out []word.Content) {
 		bad := word.Zero // first freed PLID found; the panic fires unlocked
 		for _, i := range group {
 			ln := s.lineAt(ps[i])
-			if !ln.used {
+			if !ln.used() {
 				bad = ps[i]
 				break
 			}
-			out[i] = ln.content
+			ln.loadInto(&out[i])
 		}
 		unlock()
 		if bad != word.Zero {

@@ -95,7 +95,7 @@ func (s *Store) rowOf(p word.PLID) uint64 {
 	if b, ok := s.BucketOf(p); ok {
 		return b
 	}
-	slot := uint64(p) - s.ovBase()
+	slot := uint64(p) - s.ovBase
 	rowSize := uint64(16) // overflow lines per row
 	return uint64(1)<<s.cfg.BucketBits + slot/rowSize
 }

@@ -30,6 +30,7 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -129,9 +130,13 @@ type statsShard struct {
 }
 
 // numStripes is the number of bucket lock stripes (power of two). A
-// bucket's stripe is bkt & (numStripes-1); stores with fewer buckets than
-// stripes simply leave some stripes idle.
-const numStripes = 64
+// bucket's stripe is bkt & (numStripes-1), and bkt >> stripeShift indexes
+// the bucket within its stripe; stores with fewer buckets than stripes
+// simply leave some stripes idle.
+const (
+	stripeShift = 6
+	numStripes  = 1 << stripeShift
+)
 
 type stripe struct {
 	mu sync.RWMutex
@@ -145,24 +150,6 @@ type stripe struct {
 
 // ovShard is the stats shard charged for overflow-area operations.
 const ovShard = numStripes
-
-// line is one memory line. Structural fields (used, sig, content, inDRAM)
-// are written only under the line's exclusive lock and may be read under
-// its shared lock. rc is accessed with atomics so the dedup-hit and
-// retain fast paths can adjust it under the shared lock: while any shared
-// lock is held, a used line cannot be freed (freeing needs the exclusive
-// lock), so an atomic increment of a live line's count is always safe.
-type line struct {
-	used    bool
-	sig     uint8
-	rc      uint64 // atomic
-	inDRAM  bool   // content has been written back to DRAM
-	content word.Content
-}
-
-type bucket struct {
-	ways []line
-}
 
 // rcEvent records one reference-count mutation to be reported through
 // OnRCTouch after every internal lock has been released.
@@ -178,12 +165,20 @@ type Store struct {
 	arity      int
 	bucketMask uint64
 	stripes    [numStripes]stripe
-	buckets    []bucket
 
-	ovMu     sync.Mutex // guards overflow, freeOv and ovIndex
-	ovUnlock func()     // ovMu.Unlock, bound once (see stripe)
-	overflow []line
-	freeOv   []uint32                // free slots in overflow
+	// Bucket storage (see rows.go): groups[g] holds the records of
+	// 1<<groupShift buckets of one stripe and stays nil until that stripe
+	// allocates into it.
+	geo        geom
+	groups     [][]uint64
+	groupShift uint
+	ovBase     uint64 // first overflow PLID value
+
+	ovMu     sync.Mutex              // guards overflow, ovSlots, freeOv and ovIndex
+	ovUnlock func()                  // ovMu.Unlock, bound once (see stripe)
+	overflow []uint64                // records; slot i is way i%DataWays of record i/DataWays
+	ovSlots  uint32                  // overflow slots handed out so far
+	freeOv   []uint32                // free slots below ovSlots
 	ovIndex  map[word.Content]uint32 // content -> overflow slot
 
 	liveLines atomic.Uint64
@@ -244,11 +239,19 @@ func New(cfg Config) *Store {
 		panic(err)
 	}
 	n := 1 << cfg.BucketBits
+	// A group takes consecutive buckets of one stripe, i.e. buckets that
+	// differ in the bits just above the stripe bits; a store with fewer
+	// than groupBuckets buckets per stripe has one group per stripe.
+	perStripe := max(n/numStripes, 1)
+	groupShift := uint(bits.TrailingZeros(uint(min(groupBuckets, perStripe))))
 	s := &Store{
 		cfg:        cfg,
 		arity:      cfg.LineBytes / 8,
 		bucketMask: uint64(n - 1),
-		buckets:    make([]bucket, n),
+		geo:        newGeom(cfg.DataWays, cfg.LineBytes/8),
+		groups:     make([][]uint64, numStripes*perStripe>>groupShift),
+		groupShift: groupShift,
+		ovBase:     1 << (cfg.BucketBits + wayFieldBits),
 	}
 	for i := range s.stripes {
 		mu := &s.stripes[i].mu
@@ -256,8 +259,8 @@ func New(cfg Config) *Store {
 		s.stripes[i].runlock = mu.RUnlock
 	}
 	s.ovUnlock = s.ovMu.Unlock
-	// Bucket way arrays are allocated lazily on first use: a 2^20-bucket
-	// store would otherwise commit ~1 GB up front.
+	// Bucket groups are allocated lazily on first use: a 2^20-bucket
+	// store of 16-byte lines would otherwise commit ~350 MB up front.
 	return s
 }
 
@@ -328,20 +331,17 @@ const overflowSlotBits = 10
 // [2^(BucketBits+4), 2^(BucketBits+4) * (1+2^overflowSlotBits)).
 func (s *Store) PLIDBits() int { return s.cfg.BucketBits + wayFieldBits + overflowSlotBits + 1 }
 
-// ovBase returns the first overflow PLID value.
-func (s *Store) ovBase() uint64 { return 1 << (s.cfg.BucketBits + wayFieldBits) }
-
 func (s *Store) plidFor(bkt uint64, way int) word.PLID {
 	return word.PLID(uint64(way+2)<<s.cfg.BucketBits | bkt)
 }
 
 func (s *Store) overflowPLID(slot uint32) word.PLID {
 	// Addition (not OR) keeps the mapping injective for every slot.
-	return word.PLID(s.ovBase() + uint64(slot))
+	return word.PLID(s.ovBase + uint64(slot))
 }
 
 func (s *Store) isOverflow(p word.PLID) bool {
-	return uint64(p) >= s.ovBase()
+	return uint64(p) >= s.ovBase
 }
 
 // BucketOf returns the hash bucket a PLID belongs to. Overflow PLIDs have
@@ -394,22 +394,61 @@ func (s *Store) rlockLine(p word.PLID) func() {
 	return st.runlock
 }
 
+// groupOf locates a bucket's record: the index of its group and of the
+// record within the group.
+func (s *Store) groupOf(bkt uint64) (group, rec int) {
+	k := bkt >> stripeShift // index within the stripe
+	return int(k>>s.groupShift<<stripeShift | bkt&(numStripes-1)), int(k & (1<<s.groupShift - 1))
+}
+
+// bucketRow returns the view of a bucket's record, reporting false when
+// the bucket's group has not been allocated yet. The caller holds the
+// bucket's stripe lock (shared or exclusive).
+func (s *Store) bucketRow(bkt uint64) (rowRef, bool) {
+	g, rec := s.groupOf(bkt)
+	if s.groups[g] == nil {
+		return rowRef{}, false
+	}
+	return s.geo.row(s.groups[g], rec), true
+}
+
+// bucketRowAlloc is bucketRow allocating a missing group; the caller holds
+// the stripe lock exclusively.
+func (s *Store) bucketRowAlloc(bkt uint64) rowRef {
+	g, rec := s.groupOf(bkt)
+	if s.groups[g] == nil {
+		s.groups[g] = make([]uint64, s.geo.recWords()<<s.groupShift)
+	}
+	return s.geo.row(s.groups[g], rec)
+}
+
+// overflowLine returns the view of an overflow slot below ovSlots. The
+// caller must hold ovMu.
+func (s *Store) overflowLine(slot uint32) lineRef {
+	ways := s.cfg.DataWays
+	return s.geo.row(s.overflow, int(slot)/ways).line(int(slot) % ways)
+}
+
 // lineAt resolves a PLID to its line slot. The caller must hold p's lock
 // (shared or exclusive).
-func (s *Store) lineAt(p word.PLID) *line {
+func (s *Store) lineAt(p word.PLID) lineRef {
 	if s.isOverflow(p) {
-		slot := uint64(p) - s.ovBase()
-		if slot >= uint64(len(s.overflow)) {
-			panic(fmt.Sprintf("store: bad overflow PLID %#x", uint64(p)))
+		slot := uint64(p) - s.ovBase
+		if slot >= uint64(s.ovSlots) {
+			badPLID(p)
 		}
-		return &s.overflow[slot]
+		return s.overflowLine(uint32(slot))
 	}
-	bkt := uint64(p) & s.bucketMask
+	row, ok := s.bucketRow(uint64(p) & s.bucketMask)
 	way := int(uint64(p)>>s.cfg.BucketBits) - 2
-	if way < 0 || way >= s.cfg.DataWays || s.buckets[bkt].ways == nil {
-		panic(fmt.Sprintf("store: bad PLID %#x (way %d)", uint64(p), way))
+	if uint(way) >= uint(s.cfg.DataWays) || !ok {
+		badPLID(p)
 	}
-	return &s.buckets[bkt].ways[way]
+	return row.line(way)
+}
+
+func badPLID(p word.PLID) {
+	panic(fmt.Sprintf("store: bad PLID %#x", uint64(p)))
 }
 
 // Lookup performs the DRAM lookup-by-content protocol of §3.1 and returns
@@ -440,14 +479,14 @@ func (s *Store) Lookup(c word.Content) (word.PLID, bool) {
 	// already resident and only need an rc increment, which the shared
 	// stripe lock plus an atomic add allow without excluding concurrent
 	// hits on the same (hot, because deduplicated) bucket.
-	if p, ok := s.lookupFast(bkt, st, c, sig); ok {
+	if p, ok := s.lookupFast(bkt, st, &c, sig); ok {
 		return p, true
 	}
 
 	var acc [statCount]uint64
 	mu := &s.stripes[st].mu
 	mu.Lock()
-	p, existed, ev := s.lookupLocked(bkt, c, sig, &acc)
+	p, existed, ev := s.lookupLocked(bkt, &c, sig, &acc)
 	mu.Unlock()
 	s.flush(st, &acc)
 	s.fire1(ev.p, ev.init)
@@ -538,7 +577,7 @@ func (s *Store) LookupBatchInto(cs []word.Content, plids []word.PLID, existed []
 		mu := &s.stripes[st].mu
 		mu.Lock()
 		for _, i := range group {
-			plids[i], existed[i], events[i] = s.lookupLocked(bkts[i], cs[i], sigs[i], &acc)
+			plids[i], existed[i], events[i] = s.lookupLocked(bkts[i], &cs[i], sigs[i], &acc)
 		}
 		mu.Unlock()
 		s.flush(st, &acc)
@@ -567,23 +606,23 @@ func (s *Store) flush(shard int, acc *[statCount]uint64) {
 // exclusive path — which re-runs the full protocol — never double-charges.
 // While the shared lock is held a used line cannot be freed, so the
 // atomic rc increment cannot resurrect a dead line.
-func (s *Store) lookupFast(bkt uint64, st int, c word.Content, sig uint8) (word.PLID, bool) {
+func (s *Store) lookupFast(bkt uint64, st int, c *word.Content, sig uint8) (word.PLID, bool) {
 	mu := &s.stripes[st].mu
 	mu.RLock()
-	b := &s.buckets[bkt]
-	if b.ways == nil {
+	row, ok := s.bucketRow(bkt)
+	if !ok {
 		mu.RUnlock()
 		return 0, false
 	}
 	reads := 0 // sig-matching candidates read, including the hit
-	for w := range b.ways {
-		ln := &b.ways[w]
-		if !ln.used || ln.sig != sig {
+	for w := 0; w < s.cfg.DataWays; w++ {
+		ln := row.line(w)
+		if !ln.used() || ln.sig() != sig {
 			continue
 		}
 		reads++
-		if ln.content == c {
-			atomic.AddUint64(&ln.rc, 1)
+		if ln.equal(c) {
+			atomic.AddUint64(ln.rc(), 1)
 			mu.RUnlock()
 			s.chargeHit(bkt, st, reads, reads-1)
 			p := s.plidFor(bkt, w)
@@ -594,11 +633,11 @@ func (s *Store) lookupFast(bkt uint64, st int, c word.Content, sig uint8) (word.
 	// Overflow probe, chained from the bucket row. Lock order matches the
 	// exclusive path: stripe (shared here) then overflow.
 	s.ovMu.Lock()
-	slot, ok := s.ovIndex[c]
+	slot, ok := s.ovIndex[*c]
 	var p word.PLID
 	if ok {
 		p = s.overflowPLID(slot)
-		s.overflow[slot].rc++
+		*s.overflowLine(slot).rc()++
 	}
 	s.ovMu.Unlock()
 	mu.RUnlock()
@@ -628,27 +667,24 @@ func (s *Store) chargeHit(bkt uint64, st, reads, falseSig int) {
 // into acc (the caller flushes it into the stripe's shard after
 // unlocking), and the lookup's row accesses coalesce into one touchN per
 // element. It returns the rc event to fire once the locks are gone.
-func (s *Store) lookupLocked(bkt uint64, c word.Content, sig uint8, acc *[statCount]uint64) (word.PLID, bool, rcEvent) {
-	b := &s.buckets[bkt]
-	if b.ways == nil {
-		b.ways = make([]line, s.cfg.DataWays)
-	}
+func (s *Store) lookupLocked(bkt uint64, c *word.Content, sig uint8, acc *[statCount]uint64) (word.PLID, bool, rcEvent) {
+	row := s.bucketRowAlloc(bkt)
 
 	// Step 2-3: read the signature line, compare signatures. This is the
 	// access that opens the bucket's DRAM row; the candidate reads,
 	// signature update and RC access below stay in the open row (§3.1).
 	touches := 1
 	acc[cSigReads]++
-	for w := range b.ways {
-		ln := &b.ways[w]
-		if !ln.used || ln.sig != sig {
+	for w := 0; w < s.cfg.DataWays; w++ {
+		ln := row.line(w)
+		if !ln.used() || ln.sig() != sig {
 			continue
 		}
 		// Step 4: candidate data line read and compare (open-row hit).
 		touches++
 		acc[cLookupReads]++
-		if ln.content == c {
-			atomic.AddUint64(&ln.rc, 1)
+		if ln.equal(c) {
+			atomic.AddUint64(ln.rc(), 1)
 			acc[cLookupHits]++
 			s.rows.touchN(bkt, touches)
 			p := s.plidFor(bkt, w)
@@ -660,9 +696,9 @@ func (s *Store) lookupLocked(bkt uint64, c word.Content, sig uint8, acc *[statCo
 	// chained from the bucket row; model it as one extra read in the
 	// bucket's open row. Lock order is always stripe → overflow.
 	s.ovMu.Lock()
-	if slot, ok := s.ovIndex[c]; ok {
+	if slot, ok := s.ovIndex[*c]; ok {
 		p := s.overflowPLID(slot)
-		s.overflow[slot].rc++
+		*s.overflowLine(slot).rc()++
 		s.ovMu.Unlock()
 		touches++
 		acc[cLookupReads]++
@@ -674,23 +710,21 @@ func (s *Store) lookupLocked(bkt uint64, c word.Content, sig uint8, acc *[statCo
 
 	// Step 6: allocate. Find an empty way via the signature line (already
 	// read); the signature update is one write back to the same DRAM row.
-	for w := range b.ways {
-		if !b.ways[w].used {
-			b.ways[w] = line{used: true, sig: sig, rc: 1, content: c}
-			touches++
-			acc[cSigWrites]++
-			acc[cAllocs]++
-			s.liveLines.Add(1)
-			s.rows.touchN(bkt, touches)
-			p := s.plidFor(bkt, w)
-			if s.journal != nil {
-				// Under the stripe lock: the same lock orders this PLID's
-				// free against its re-allocation, so the log records
-				// liveness transitions in application order.
-				s.journal.JournalAlloc(p, c)
-			}
-			return p, false, rcEvent{p, true}
+	if w := row.freeWay(); w >= 0 {
+		row.line(w).store(c, sig, 1, false)
+		touches++
+		acc[cSigWrites]++
+		acc[cAllocs]++
+		s.liveLines.Add(1)
+		s.rows.touchN(bkt, touches)
+		p := s.plidFor(bkt, w)
+		if s.journal != nil {
+			// Under the stripe lock: the same lock orders this PLID's
+			// free against its re-allocation, so the log records
+			// liveness transitions in application order.
+			s.journal.JournalAlloc(p, *c)
 		}
+		return p, false, rcEvent{p, true}
 	}
 	// Bucket full: spill to the overflow area.
 	s.rows.touchN(bkt, touches)
@@ -699,7 +733,7 @@ func (s *Store) lookupLocked(bkt uint64, c word.Content, sig uint8, acc *[statCo
 }
 
 // allocOverflow is called with the content's bucket stripe held.
-func (s *Store) allocOverflow(c word.Content, sig uint8) word.PLID {
+func (s *Store) allocOverflow(c *word.Content, sig uint8) word.PLID {
 	s.bump(ovShard, cOverflows)
 	s.bump(ovShard, cAllocs)
 	s.bump(ovShard, cSigWrites) // overflow pointer update in the bucket row
@@ -710,22 +744,31 @@ func (s *Store) allocOverflow(c word.Content, sig uint8) word.PLID {
 	if n := len(s.freeOv); n > 0 {
 		slot = s.freeOv[n-1]
 		s.freeOv = s.freeOv[:n-1]
-		s.overflow[slot] = line{used: true, sig: sig, rc: 1, content: c}
 	} else {
-		slot = uint32(len(s.overflow))
-		s.overflow = append(s.overflow, line{used: true, sig: sig, rc: 1, content: c})
+		slot = s.ovSlots
+		s.growOverflow(slot + 1)
 	}
+	s.overflowLine(slot).store(c, sig, 1, false)
 	if s.ovIndex == nil {
 		s.ovIndex = make(map[word.Content]uint32)
 	}
-	s.ovIndex[c] = slot
+	s.ovIndex[*c] = slot
 	p := s.overflowPLID(slot)
 	if s.journal != nil {
 		// Under ovMu, which orders an overflow slot's free against its
 		// reuse the same way a stripe lock does for bucket ways.
-		s.journal.JournalAlloc(p, c)
+		s.journal.JournalAlloc(p, *c)
 	}
 	return p
+}
+
+// growOverflow extends the overflow area to hold n slots; ovMu held.
+func (s *Store) growOverflow(n uint32) {
+	ways := s.cfg.DataWays
+	if need := (int(n) + ways - 1) / ways * s.geo.recWords(); need > len(s.overflow) {
+		s.overflow = append(s.overflow, make([]uint64, need-len(s.overflow))...)
+	}
+	s.ovSlots = max(s.ovSlots, n)
 }
 
 func (s *Store) retainChildren(c word.Content) {
@@ -751,7 +794,7 @@ func (s *Store) Read(p word.PLID) word.Content {
 	s.rows.touch(s.rowOf(p))
 	unlock := s.rlockLine(p)
 	ln := s.lineAt(p)
-	used, c := ln.used, ln.content
+	used, c := ln.used(), ln.load()
 	unlock()
 	if !used {
 		panic(fmt.Sprintf("store: read of freed PLID %#x", uint64(p)))
@@ -770,10 +813,10 @@ func (s *Store) Peek(p word.PLID) (word.Content, bool) {
 	unlock := s.rlockLine(p)
 	defer unlock()
 	ln := s.lineAt(p)
-	if !ln.used {
+	if !ln.used() {
 		return word.Content{}, false
 	}
-	return ln.content, true
+	return ln.load(), true
 }
 
 // RefCount returns the current reference count of a line (0 if freed).
@@ -784,10 +827,10 @@ func (s *Store) RefCount(p word.PLID) uint64 {
 	unlock := s.rlockLine(p)
 	defer unlock()
 	ln := s.lineAt(p)
-	if !ln.used {
+	if !ln.used() {
 		return 0
 	}
-	return atomic.LoadUint64(&ln.rc)
+	return atomic.LoadUint64(ln.rc())
 }
 
 // Retain adds one reference to p without touching DRAM counters; the
@@ -813,11 +856,11 @@ func (s *Store) RetainQuiet(p word.PLID) {
 	}
 	unlock := s.rlockLine(p)
 	ln := s.lineAt(p)
-	if !ln.used {
+	if !ln.used() {
 		unlock()
 		panic(fmt.Sprintf("store: retain of freed PLID %#x", uint64(p)))
 	}
-	atomic.AddUint64(&ln.rc, 1)
+	atomic.AddUint64(ln.rc(), 1)
 	unlock()
 }
 
@@ -833,13 +876,13 @@ func (s *Store) RetainIfContent(p word.PLID, c word.Content) bool {
 	}
 	unlock := s.rlockLine(p)
 	ln := s.lineAt(p)
-	if !ln.used || ln.content != c {
+	if !ln.used() || !ln.equal(&c) {
 		unlock()
 		return false
 	}
 	// used && content match under the shared lock means the line is live
 	// and cannot be freed until the lock drops, so the increment is safe.
-	atomic.AddUint64(&ln.rc, 1)
+	atomic.AddUint64(ln.rc(), 1)
 	unlock()
 	s.fire1(p, false)
 	return true
@@ -870,9 +913,13 @@ func (s *Store) Release(p word.PLID) []Freed {
 	if s.releaseFast(p) {
 		return nil
 	}
+	// The worklists start on the stack: a freed line queues at most arity
+	// children, and most releases free a handful of lines.
 	var freed []Freed
-	var events []rcEvent
-	work := []word.PLID{p}
+	var eventBuf [8]rcEvent
+	var workBuf [8]word.PLID
+	events := eventBuf[:0]
+	work := append(workBuf[:0], p)
 	for len(work) > 0 {
 		cur := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -881,15 +928,15 @@ func (s *Store) Release(p word.PLID) []Freed {
 		}
 		unlock := s.lockLine(cur)
 		ln := s.lineAt(cur)
-		if !ln.used {
+		if !ln.used() {
 			unlock()
 			panic(fmt.Sprintf("store: release of freed PLID %#x", uint64(cur)))
 		}
-		if atomic.LoadUint64(&ln.rc) == 0 {
+		if atomic.LoadUint64(ln.rc()) == 0 {
 			unlock()
 			panic(fmt.Sprintf("store: reference underflow on PLID %#x", uint64(cur)))
 		}
-		left := atomic.AddUint64(&ln.rc, ^uint64(0))
+		left := atomic.AddUint64(ln.rc(), ^uint64(0))
 		events = append(events, rcEvent{cur, false})
 		if left > 0 {
 			unlock()
@@ -900,29 +947,26 @@ func (s *Store) Release(p word.PLID) []Freed {
 		s.bump(sh, cDeallocOps)
 		s.bump(sh, cFrees)
 		s.liveLines.Add(^uint64(0))
-		for i := 0; i < int(ln.content.N); i++ {
-			switch ln.content.T[i] {
+		c := ln.load()
+		for i := 0; i < int(c.N); i++ {
+			switch c.T[i] {
 			case word.TagPLID:
-				work = append(work, word.PLID(ln.content.W[i]))
+				work = append(work, word.PLID(c.W[i]))
 			case word.TagCompact:
-				work = append(work, word.CompactPLID(ln.content.W[i], s.PLIDBits()))
+				work = append(work, word.CompactPLID(c.W[i], s.PLIDBits()))
 			}
 		}
-		hash := ln.content.Hash()
+		ln.clear()
 		if s.isOverflow(cur) {
-			slot := uint32(uint64(cur) - s.ovBase())
-			delete(s.ovIndex, s.overflow[slot].content)
-			s.overflow[slot] = line{}
-			s.freeOv = append(s.freeOv, slot)
-		} else {
-			*ln = line{}
+			delete(s.ovIndex, c)
+			s.freeOv = append(s.freeOv, uint32(uint64(cur)-s.ovBase))
 		}
 		if s.journal != nil {
 			// Still under the line's lock, matching JournalAlloc's order.
 			s.journal.JournalFree(cur)
 		}
 		unlock()
-		freed = append(freed, Freed{P: cur, H: hash})
+		freed = append(freed, Freed{P: cur, H: c.Hash()})
 	}
 	s.fire(events)
 	return freed
@@ -939,17 +983,17 @@ func (s *Store) Release(p word.PLID) []Freed {
 func (s *Store) releaseFast(p word.PLID) bool {
 	unlock := s.rlockLine(p)
 	ln := s.lineAt(p)
-	if !ln.used {
+	if !ln.used() {
 		unlock()
 		return false // slow path reports the underflow
 	}
 	for {
-		v := atomic.LoadUint64(&ln.rc)
+		v := atomic.LoadUint64(ln.rc())
 		if v < 2 {
 			unlock()
 			return false
 		}
-		if atomic.CompareAndSwapUint64(&ln.rc, v, v-1) {
+		if atomic.CompareAndSwapUint64(ln.rc(), v, v-1) {
 			unlock()
 			s.fire1(p, false)
 			return true
@@ -967,11 +1011,11 @@ func (s *Store) Writeback(p word.PLID) {
 	}
 	unlock := s.lockLine(p)
 	ln := s.lineAt(p)
-	if !ln.used || ln.inDRAM {
+	if !ln.used() || ln.inDRAM() {
 		unlock()
 		return
 	}
-	ln.inDRAM = true
+	ln.setInDRAM()
 	unlock()
 	s.rows.touch(s.rowOf(p))
 	s.bump(s.shardOf(p), cDataWrites)
@@ -1026,30 +1070,34 @@ func (s *Store) CheckConsistency(external map[word.PLID]uint64) error {
 			}
 		}
 	}
-	forEachLive := func(fn func(p word.PLID, ln *line)) {
-		for b := range s.buckets {
-			for w := range s.buckets[b].ways {
-				if s.buckets[b].ways[w].used {
-					fn(s.plidFor(uint64(b), w), &s.buckets[b].ways[w])
+	forEachLive := func(fn func(p word.PLID, ln lineRef)) {
+		for b := uint64(0); b <= s.bucketMask; b++ {
+			row, ok := s.bucketRow(b)
+			if !ok {
+				continue
+			}
+			for w := 0; w < s.cfg.DataWays; w++ {
+				if ln := row.line(w); ln.used() {
+					fn(s.plidFor(b, w), ln)
 				}
 			}
 		}
-		for i := range s.overflow {
-			if s.overflow[i].used {
-				fn(s.overflowPLID(uint32(i)), &s.overflow[i])
+		for i := uint32(0); i < s.ovSlots; i++ {
+			if ln := s.overflowLine(i); ln.used() {
+				fn(s.overflowPLID(i), ln)
 			}
 		}
 	}
-	forEachLive(func(_ word.PLID, ln *line) { addRefs(ln.content) })
+	forEachLive(func(_ word.PLID, ln lineRef) { addRefs(ln.load()) })
 	var err error
-	forEachLive(func(p word.PLID, ln *line) {
+	forEachLive(func(p word.PLID, ln lineRef) {
 		if err != nil {
 			return
 		}
 		want := indeg[p] + external[p]
-		if atomic.LoadUint64(&ln.rc) != want {
+		if rc := atomic.LoadUint64(ln.rc()); rc != want {
 			err = fmt.Errorf("store: PLID %#x rc=%d, want %d (internal %d + external %d)",
-				uint64(p), atomic.LoadUint64(&ln.rc), want, indeg[p], external[p])
+				uint64(p), rc, want, indeg[p], external[p])
 		}
 	})
 	if err != nil {
@@ -1057,7 +1105,7 @@ func (s *Store) CheckConsistency(external map[word.PLID]uint64) error {
 	}
 	// Every line a live line references must itself be live.
 	for p := range indeg {
-		if ln := s.lineAt(p); !ln.used {
+		if ln := s.lineAt(p); !ln.used() {
 			return fmt.Errorf("store: dangling reference to freed PLID %#x", uint64(p))
 		}
 	}
