@@ -71,6 +71,11 @@ type logWriter struct {
 	written int64
 
 	done chan struct{}
+	// kick cuts the flusher's window short once a Sync waiter is parked:
+	// the window exists to let appends pile up, and a parked waiter means
+	// the writer it would wait for is already waiting on it. One buffered
+	// token; a stale one costs a single early flush.
+	kick chan struct{}
 
 	// stats, all atomic
 	stAppends  atomic.Uint64
@@ -106,6 +111,7 @@ func newLogWriter(dir string, window time.Duration, segBytes int64, seq, startLS
 		rolledLSN:  startLSN - 1,
 		seq:        seq,
 		done:       make(chan struct{}),
+		kick:       make(chan struct{}, 1),
 	}
 	lw.cond = sync.NewCond(&lw.mu)
 	if err := lw.openSegment(seq, startLSN); err != nil {
@@ -197,6 +203,13 @@ func (lw *logWriter) Sync() error {
 	defer lw.mu.Unlock()
 	target := lw.nextLSN - 1
 	lw.cond.Broadcast()
+	if len(lw.buf) > 0 {
+		// Records not yet handed to the flusher: don't sit out its window.
+		select {
+		case lw.kick <- struct{}{}:
+		default:
+		}
+	}
 	for lw.durableLSN < target && lw.err == nil && !lw.closed {
 		lw.cond.Wait()
 	}
@@ -242,8 +255,15 @@ func (lw *logWriter) run() {
 		lw.mu.Unlock()
 		if lw.window > 0 {
 			// The bounded flush window: let concurrent appends pile into
-			// the buffer so one fsync commits them all.
-			time.Sleep(lw.window)
+			// the buffer so one fsync commits them all — until somebody
+			// waits in Sync. Concurrent writers still group: whatever
+			// arrives during one fsync shares the next.
+			timer := time.NewTimer(lw.window)
+			select {
+			case <-timer.C:
+			case <-lw.kick:
+				timer.Stop()
+			}
 		}
 		lw.flushOnce()
 		lw.mu.Lock()

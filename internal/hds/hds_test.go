@@ -228,6 +228,36 @@ func TestCounterConcurrentAdds(t *testing.T) {
 	}
 }
 
+// TestCounterIdenticalConcurrentDeltas: every worker adds the same delta to
+// the same counter from the same start line, so racing adds build
+// identical versions — the case a merge-update publish absorbs. None may
+// be lost.
+func TestCounterIdenticalConcurrentDeltas(t *testing.T) {
+	h := heap()
+	c := NewCounter(h)
+	const workers, each = 8, 200
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < each; i++ {
+				if _, err := c.Add(0, 1); err != nil {
+					t.Errorf("add: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := c.Value(0); got != workers*each {
+		t.Fatalf("counter = %d, want %d: identical deltas were absorbed", got, workers*each)
+	}
+}
+
 func TestQueueFIFO(t *testing.T) {
 	h := heap()
 	q := NewQueue(h)
@@ -302,6 +332,55 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 	wg.Wait()
 	if len(seen) != producers*items {
 		t.Fatalf("dequeued %d distinct items, want %d", len(seen), producers*items)
+	}
+}
+
+// TestQueueConcurrentEqualStrings: producers of equal strings (and of
+// empty ones, which store no root at all) racing for one tail write
+// identical changes; each enqueue must still land in a slot of its own.
+func TestQueueConcurrentEqualStrings(t *testing.T) {
+	h := heap()
+	q := NewQueue(h)
+	const producers, items = 8, 50
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			s := NewString(h, []byte("the same string"))
+			if p%2 == 1 {
+				s = NewString(h, nil)
+			}
+			<-start
+			for i := 0; i < items; i++ {
+				if err := q.Enqueue(s); err != nil {
+					t.Errorf("enqueue: %v", err)
+					return
+				}
+			}
+			s.Release(h)
+		}(p)
+	}
+	close(start)
+	wg.Wait()
+	if got := q.Len(); got != producers*items {
+		t.Fatalf("len = %d, want %d: equal enqueues were absorbed", got, producers*items)
+	}
+	count := make(map[string]int)
+	for {
+		s, ok, err := q.Dequeue()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		count[string(s.Bytes(h))]++
+		s.Release(h)
+	}
+	if count["the same string"] != producers*items/2 || count[""] != producers*items/2 || len(count) != 2 {
+		t.Fatalf("dequeued %v, want %d of each of two strings", count, producers*items/2)
 	}
 }
 

@@ -195,8 +195,12 @@ func (mp *Map) Len() uint64 {
 // hardware reference-count machinery).
 func (mp *Map) Release() error { return mp.h.SM.Delete(mp.vsid) }
 
-// Counter is a segment of 64-bit counters updated with merge-update, so
-// concurrent increments never retry and never lose updates (§3.4, §4.3).
+// Counter is a segment of 64-bit counters (§4.3). Add publishes with
+// plain CAS on a re-read value, not merge-update: an increment is a
+// delta, and under content-unique versions two identical concurrent
+// deltas build the same modified version, which a three-way merge takes
+// for one change already merged and absorbs (see package merge). CAS
+// serializes them; the loser re-reads and adds to the new value.
 type Counter struct {
 	h    *Heap
 	vsid word.VSID
@@ -204,25 +208,27 @@ type Counter struct {
 
 // NewCounter allocates a counter array.
 func NewCounter(h *Heap) *Counter {
-	v := h.SM.Create(segmap.Entry{
-		Seg:   segment.NewSparse(0),
-		Flags: segmap.FlagMergeUpdate,
-	})
+	v := h.SM.Create(segmap.Entry{Seg: segment.NewSparse(0)})
 	return &Counter{h: h, vsid: v}
 }
 
 // Add atomically adds delta to counter i and reports the updated value as
-// of this thread's commit (later merges may add more).
+// of this thread's commit (later adds may add more).
 func (c *Counter) Add(i uint64, delta uint64) (uint64, error) {
-	it, err := iterreg.Open(c.h.M, c.h.SM, c.vsid)
-	if err != nil {
-		return 0, err
-	}
-	cur, _ := it.Load(i)
-	it.Store(i, cur+delta, word.TagRaw)
-	_, err = it.CommitMerge(it.Size())
-	it.Close()
-	return cur + delta, err
+	var sum uint64
+	err := retryCAS(func() (bool, error) {
+		it, err := iterreg.Open(c.h.M, c.h.SM, c.vsid)
+		if err != nil {
+			return false, err
+		}
+		cur, _ := it.Load(i)
+		sum = cur + delta
+		it.Store(i, sum, word.TagRaw)
+		ok, err := it.TryCommit(it.Size())
+		it.Close()
+		return ok, err
+	})
+	return sum, err
 }
 
 // Value reads counter i.
@@ -240,10 +246,13 @@ func (c *Counter) Value(i uint64) uint64 {
 func (c *Counter) Release() error { return c.h.SM.Delete(c.vsid) }
 
 // Queue is a multi-producer multi-consumer queue of strings (§4.3):
-// head and tail counters plus a data region in one merge-update segment.
-// Concurrent enqueues race on the same slot, fail the PLID merge rule and
-// retry against the advanced tail; enqueues and dequeues of different
-// slots merge cleanly.
+// head and tail counters plus a data region in one segment. Both ends
+// publish with plain CAS on re-read counters, not merge-update: the
+// counters move by deltas, and two producers of equal strings at one tail
+// (or two consumers at one head) write identical changes, which a
+// three-way merge would accept as one — losing an element, or returning
+// one twice. CAS serializes them; the loser retries at the new tail or
+// head.
 type Queue struct {
 	h    *Heap
 	vsid word.VSID
@@ -257,10 +266,7 @@ const (
 
 // NewQueue allocates an empty queue.
 func NewQueue(h *Heap) *Queue {
-	v := h.SM.Create(segmap.Entry{
-		Seg:   segment.NewSparse(0),
-		Flags: segmap.FlagMergeUpdate,
-	})
+	v := h.SM.Create(segmap.Entry{Seg: segment.NewSparse(0)})
 	return &Queue{h: h, vsid: v}
 }
 
@@ -277,22 +283,14 @@ func (q *Queue) Enqueue(s String) error {
 		}
 		it.Store(qBase+2*tail+1, s.Len+1, word.TagRaw)
 		it.Store(qTail, tail+1, word.TagRaw)
-		ok, err := it.CommitMerge(0)
+		ok, err := it.TryCommit(0)
 		it.Close()
-		if err == merge.ErrConflict {
-			return false, nil // lost the slot race; retry at the new tail
-		}
-		return ok, err
+		return ok, err // !ok: lost the slot race; retry at the new tail
 	})
 }
 
 // Dequeue removes and returns the oldest element; ok is false when the
 // queue is empty. The caller receives ownership of the string reference.
-//
-// Dequeue publishes with plain CAS rather than merge-update: two
-// dequeuers of the same slot write *identical* changes (slot zeroed,
-// head+1), which a three-way merge would accept — returning one item
-// twice. CAS serializes them; the loser retries against the new head.
 func (q *Queue) Dequeue() (String, bool, error) {
 	var got String
 	var nonEmpty bool

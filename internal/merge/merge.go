@@ -16,11 +16,14 @@
 //
 //   - a raw data word merges by delta: cur + (mod − orig), which for the
 //     common cases degenerates to "take the changed side" and for counter
-//     segments produces the sum of concurrent increments. One caveat the
-//     paper's rule shares: two IDENTICAL concurrent deltas are
-//     indistinguishable from an already-merged state under content-unique
-//     versions (cur == mod takes mod, it cannot know a second increment
-//     happened), so exact counters need content-distinct increments;
+//     segments produces the sum of concurrent increments. The rule is
+//     sound for set semantics and only for them: under content-unique
+//     versions two IDENTICAL concurrent changes build the same modified
+//     version, cur == mod takes mod, and the second change is absorbed as
+//     already merged — right when both writers stored the same thing,
+//     wrong when each added the same delta. A caller whose update is a
+//     delta (a counter, a queue's head and tail) must therefore publish
+//     with plain CAS on a re-read value, as hds.Counter and hds.Queue do;
 //   - a PLID or VSID word must match the original or the modified value
 //     on the current side (two threads must not store distinct new
 //     references into the same field), otherwise the merge fails.

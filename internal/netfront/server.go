@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -686,8 +687,20 @@ func (s *Server) execCas(o *op) {
 	}
 }
 
+// goHeapBytes returns the bytes of live and not-yet-swept heap objects.
+// runtime/metrics reads it without stopping the world.
+func goHeapBytes() uint64 {
+	sample := [1]metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(sample[:])
+	if sample[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return sample[0].Value.Uint64()
+}
+
 // appendStats renders the stats command: protocol counters, aggregation
-// telemetry, core memory-system counters, segment-map conflict totals,
+// telemetry, core memory-system counters, host memory (bucket table and
+// Go heap), segment-map conflict totals,
 // per-namespace commit/conflict breakdown, and the scratch-pool leak
 // ledger.
 func (s *Server) appendStats(dst []byte) []byte {
@@ -712,6 +725,12 @@ func (s *Server) appendStats(dst []byte) []byte {
 	cs := s.store.Stats()
 	dst = appendStat(dst, "hicamp_dram_accesses", cs.DRAMAccesses())
 	dst = appendStat(dst, "hicamp_live_lines", s.store.Heap.M.LiveLines())
+	// What the process's resident set is made of: the simulated DRAM
+	// (outside the Go heap where the build maps it) and the live heap.
+	reserved, touched := s.store.Heap.M.TableBytes()
+	dst = appendStat(dst, "hicamp_table_reserved_bytes", reserved)
+	dst = appendStat(dst, "hicamp_table_touched_bytes", touched)
+	dst = appendStat(dst, "go_heap_bytes", goHeapBytes())
 
 	sm := s.store.MapStats().Total
 	dst = appendStat(dst, "segmap_commits", sm.Commits)

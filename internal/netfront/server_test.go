@@ -135,6 +135,13 @@ func TestLoopbackProtocol(t *testing.T) {
 			if st["cmd_set"] == 0 || st["get_hits"] == 0 {
 				t.Fatalf("stats missing counters: %v", st)
 			}
+			// Host memory, explained from inside: sets touched some of
+			// the bucket table, never more than all of it.
+			reserved, touched := st["hicamp_table_reserved_bytes"], st["hicamp_table_touched_bytes"]
+			if touched == 0 || touched > reserved || st["go_heap_bytes"] == 0 {
+				t.Fatalf("stats: table touched %d of %d reserved bytes, go heap %d",
+					touched, reserved, st["go_heap_bytes"])
+			}
 		})
 	}
 }

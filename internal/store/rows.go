@@ -28,11 +28,13 @@ import (
 // garbage collector never scans bucket storage.
 //
 // Records are carved from groups of groupBuckets buckets that all belong
-// to one lock stripe, allocated on first use: a group is nil until a
+// to one lock stripe, assigned on first use: a group is nil until a
 // lookup (or a restore) allocates into it under the stripe's exclusive
 // lock, and readers holding the shared lock treat a nil group as empty.
-// The overflow area is one more run of the same records, grown a record
-// at a time under the overflow lock.
+// Whether a group's words come out of one reservation outside the Go heap
+// or off the heap one group at a time is the build's choice (arena.go).
+// The overflow area is one more run of the same records, always on the
+// heap, grown a record at a time under the overflow lock.
 //
 // Signatures, bitmaps, tags and data are written under the row's exclusive
 // lock and read under its shared lock. Counts are accessed with atomics so

@@ -168,11 +168,14 @@ type Store struct {
 
 	// Bucket storage (see rows.go): groups[g] holds the records of
 	// 1<<groupShift buckets of one stripe and stays nil until that stripe
-	// allocates into it.
-	geo        geom
-	groups     [][]uint64
-	groupShift uint
-	ovBase     uint64 // first overflow PLID value
+	// allocates into it — out of table where the build reserves one, on
+	// the heap where table is nil (see arena.go).
+	geo           geom
+	groups        [][]uint64
+	groupShift    uint
+	table         *arena
+	groupsTouched atomic.Uint64
+	ovBase        uint64 // first overflow PLID value
 
 	ovMu     sync.Mutex              // guards overflow, ovSlots, freeOv and ovIndex
 	ovUnlock func()                  // ovMu.Unlock, bound once (see stripe)
@@ -253,15 +256,34 @@ func New(cfg Config) *Store {
 		groupShift: groupShift,
 		ovBase:     1 << (cfg.BucketBits + wayFieldBits),
 	}
+	s.table = reserveTable(len(s.groups) * s.groupStride() * 8)
 	for i := range s.stripes {
 		mu := &s.stripes[i].mu
 		s.stripes[i].unlock = mu.Unlock
 		s.stripes[i].runlock = mu.RUnlock
 	}
 	s.ovUnlock = s.ovMu.Unlock
-	// Bucket groups are allocated lazily on first use: a 2^20-bucket
-	// store of 16-byte lines would otherwise commit ~350 MB up front.
+	// The directory stays lazy on every build: a 2^20-bucket store of
+	// 16-byte lines would otherwise commit ~350 MB of heap up front, and
+	// ForEachLive and CheckConsistency skip what was never touched.
 	return s
+}
+
+// groupWords returns the length of one bucket group in words.
+func (s *Store) groupWords() int { return s.geo.recWords() << s.groupShift }
+
+// groupStride returns the distance between groups in the reservation: a
+// group rounded up to whole 64-byte host cache lines, which is how the
+// heap's size classes align it, so that a record's signature line never
+// straddles two of them.
+func (s *Store) groupStride() int { return (s.groupWords() + 7) &^ 7 }
+
+// TableBytes returns the host bytes of the whole bucket table and of the
+// groups touched so far. An untouched group costs the host nothing beyond
+// its directory entry.
+func (s *Store) TableBytes() (reserved, touched uint64) {
+	group := uint64(s.groupStride()) * 8
+	return uint64(len(s.groups)) * group, s.groupsTouched.Load() * group
 }
 
 // Config returns the configuration the store was built with.
@@ -417,7 +439,16 @@ func (s *Store) bucketRow(bkt uint64) (rowRef, bool) {
 func (s *Store) bucketRowAlloc(bkt uint64) rowRef {
 	g, rec := s.groupOf(bkt)
 	if s.groups[g] == nil {
-		s.groups[g] = make([]uint64, s.geo.recWords()<<s.groupShift)
+		// The count of groups touched doubles as the reservation's bump
+		// pointer: slices go out in first-touch order, so a sparsely used
+		// table touches no more host pages than its groups fill.
+		n := s.groupWords()
+		i := int(s.groupsTouched.Add(1)-1) * s.groupStride()
+		if s.table != nil {
+			s.groups[g] = s.table.words[i : i+n : i+n]
+		} else {
+			s.groups[g] = make([]uint64, n)
+		}
 	}
 	return s.geo.row(s.groups[g], rec)
 }
