@@ -135,9 +135,9 @@ func (m *Machine) LiveLines() uint64 { return m.store.LiveLines() }
 // FootprintBytes returns DRAM bytes held by live lines.
 func (m *Machine) FootprintBytes() uint64 { return m.store.FootprintBytes() }
 
-// TableBytes returns the host bytes of the store's whole bucket table and
-// of the part touched so far (see store.TableBytes).
-func (m *Machine) TableBytes() (reserved, touched uint64) { return m.store.TableBytes() }
+// TableStats reports the host footprint of the store's bucket table (see
+// store.TableStats).
+func (m *Machine) TableStats() store.TableStats { return m.store.TableStats() }
 
 // Stats returns a snapshot of all counters.
 func (m *Machine) Stats() Stats {

@@ -225,11 +225,17 @@ func TestDurableCheckpointTruncatesLog(t *testing.T) {
 	h, db := openHeap(t, opts)
 	mp := hds.NewMap(h)
 	db.Bind("kv:test", mp.VSID())
+	// Sync every 20 sets: each flush rolls to a fresh segment once the
+	// current one is full, so the log spans several segments whatever the
+	// background flusher got to run (at GOMAXPROCS=1 it may not run at all
+	// during the loop, and one final flush would leave only two).
 	for i := 0; i < 200; i++ {
 		set(t, h, mp, fmt.Sprintf("k%03d", i), fmt.Sprintf("v%03d", i))
-	}
-	if err := db.Sync(); err != nil {
-		t.Fatal(err)
+		if i%20 == 19 {
+			if err := db.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	segsBefore, _ := listSegments(dir)
 	if len(segsBefore) < 3 {

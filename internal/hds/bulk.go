@@ -172,6 +172,4 @@ func BytesManyInto(h *Heap, ss []String, flat []byte, out [][]byte) ([][]byte, [
 	return out, flat
 }
 
-// Bulk mutation is Apply (apply.go) with the default options; the old
-// SetMany/FromPairs/PutMany shims that merely forwarded there are gone
-// (shimguard_test.go at the repo root keeps call sites from returning).
+// Bulk mutation is Apply (apply.go) with the default options.

@@ -104,6 +104,36 @@ func TestCompareApplySameKeyConflicts(t *testing.T) {
 	}
 }
 
+// ChangedSince sees what the merge cannot: an interleaved write of the
+// very bytes a stale CompareApply would write. Disjoint writes leave the
+// key unchanged, and A→B→A reads as unchanged by construction.
+func TestChangedSince(t *testing.T) {
+	h := heap()
+	mp := NewMap(h)
+	setString(t, h, mp, "k", "v0")
+	setString(t, h, mp, "other", "v0")
+	seg, _, err := mp.SnapshotEntry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer segment.ReleaseSeg(h.M, seg)
+	k := NewString(h, []byte("k"))
+	defer k.Release(h)
+
+	setString(t, h, mp, "other", "v1")
+	if mp.ChangedSince(seg, k) {
+		t.Fatal("a write to another key changed k")
+	}
+	setString(t, h, mp, "k", "same")
+	if !mp.ChangedSince(seg, k) {
+		t.Fatal("a write to k left it unchanged")
+	}
+	setString(t, h, mp, "k", "v0")
+	if mp.ChangedSince(seg, k) {
+		t.Fatal("A→B→A: content-unique versions cannot tell it from no write")
+	}
+}
+
 // NoMerge is the strict compare-and-swap: any interleaved commit — even
 // to an unrelated key — fails the publish with ErrStale.
 func TestCompareApplyNoMergeStale(t *testing.T) {

@@ -87,6 +87,33 @@ func (mp *Map) Has(key String) bool {
 	return lenPlus != 0
 }
 
+// ChangedSince reports whether key's binding — its value root PLID and
+// length — in the map's current version differs from the one in orig, a
+// snapshot the caller pinned earlier. A compare-and-swap needs it before
+// CompareApply: the three-way merge treats a concurrent write of the very
+// bytes this batch writes as already merged (cur == mod), so it cannot
+// see that the key moved under orig. Versions are content-unique, so a
+// key written away and back (A→B→A) reads as unchanged. Like Has it
+// hands the caller nothing to release.
+func (mp *Map) ChangedSince(orig segment.Seg, key String) bool {
+	snap, err := iterreg.Open(mp.h.M, mp.h.SM, segmap.ReadOnlyRef(mp.vsid))
+	if err != nil {
+		return true
+	}
+	defer snap.Close()
+	then := iterreg.NewSegmentIterator(mp.h.M, orig)
+	defer then.Close()
+	slot := slotFor(key)
+	for _, w := range [...]uint64{slotValue, slotValLen} {
+		cv, ct := snap.Load(slot + w)
+		ov, ot := then.Load(slot + w)
+		if cv != ov || ct != ot {
+			return true
+		}
+	}
+	return false
+}
+
 // GetFrom reads through an already-open iterator (snapshot), the §4.4
 // client-thread pattern: reload once per request, then access directly.
 func GetFrom(h *Heap, it *iterreg.Iterator, key String) (String, bool) {

@@ -5,16 +5,12 @@ import (
 	"repro/internal/hds"
 )
 
-// The unified batch surface. The server's bulk entry points used to
-// disagree on key typing and result shape (SetMany took []string +
-// [][]byte, GetMany [][]byte returning parallel slices, DeleteMany
-// [][]byte); every batched verb now speaks one vocabulary: a Batch of
-// KV operations, routed per tenant namespace with positional results
-// written back in place. The string-map verbs (Write, Read) and the
-// blob verbs (BlobWrite, BlobRead) share the same grouping, so a batch
-// mixing tenants still costs one wave (or one gather) per namespace.
-// The old entry points survive one PR as deprecated wrappers in
-// compat.go.
+// The unified batch surface. Every batched verb speaks one vocabulary: a
+// Batch of KV operations, routed per tenant namespace with positional
+// results written back in place. The string-map verbs (Write, Read) and
+// the blob verbs (BlobWrite, BlobRead) share the same grouping, so a
+// batch mixing tenants still costs one wave (or one gather) per
+// namespace.
 
 // KV is one key's operation — and, for reads, its result — in a Batch.
 type KV struct {

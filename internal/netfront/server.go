@@ -644,26 +644,33 @@ func (s *Server) execNaive(o *op) {
 // the pinned snapshot the token names becomes CompareApply's base, so a
 // stale token whose staleness is only *disjoint* concurrent writes
 // rebases and stores, and only a concurrent write to the same key
-// answers EXISTS. Shared by the naive and batched paths.
+// answers EXISTS. That same-key check is made here, on the key's bound
+// value, before the merge: the merge absorbs a concurrent write of the
+// identical payload, so two clients cas-ing the same bytes on one
+// version would otherwise both store. Content-unique versions cannot
+// tell A→B→A from no write at all, so a key written away and back
+// between gets and cas still stores. Shared by the naive and batched
+// paths.
 func (s *Server) execCas(o *op) {
 	s.c.cmdCas.Add(1)
 	key := o.keys[0]
 	mp := s.store.NamespaceFor(key)
 	k := hds.NewString(s.store.Heap, key)
-	exists := mp.Has(k) // non-retaining probe: Get would hand us a value reference to release
-	k.Release(s.store.Heap)
-	if !exists {
+	defer k.Release(s.store.Heap)
+	if !mp.Has(k) { // non-retaining probe: Get would hand us a value reference to release
 		s.c.casNotFound.Add(1)
 		o.out = respNotFound
 		return
 	}
 	pin, ok := s.toks.Acquire(o.casTok)
-	if !ok || pin.mp != mp {
-		if ok {
-			segment.ReleaseSeg(s.store.Heap.M, pin.seg)
-		}
-		// Evicted or foreign token: the version it named is gone, so the
-		// conservative memcached answer is "the item changed".
+	if ok && (pin.mp != mp || mp.ChangedSince(pin.seg, k)) {
+		segment.ReleaseSeg(s.store.Heap.M, pin.seg)
+		ok = false
+	}
+	if !ok {
+		// Evicted or foreign token — the version it named is gone, so the
+		// conservative memcached answer is "the item changed" — or the
+		// key's binding moved since the token's snapshot.
 		s.c.casExists.Add(1)
 		o.out = respExists
 		return
@@ -727,9 +734,10 @@ func (s *Server) appendStats(dst []byte) []byte {
 	dst = appendStat(dst, "hicamp_live_lines", s.store.Heap.M.LiveLines())
 	// What the process's resident set is made of: the simulated DRAM
 	// (outside the Go heap where the build maps it) and the live heap.
-	reserved, touched := s.store.Heap.M.TableBytes()
-	dst = appendStat(dst, "hicamp_table_reserved_bytes", reserved)
-	dst = appendStat(dst, "hicamp_table_touched_bytes", touched)
+	ts := s.store.Heap.M.TableStats()
+	dst = appendStat(dst, "hicamp_table_reserved_bytes", ts.ReservedBytes)
+	dst = appendStat(dst, "hicamp_table_touched_bytes", ts.TouchedBytes)
+	dst = appendStat(dst, "hicamp_table_full_buckets", ts.FullBuckets)
 	dst = appendStat(dst, "go_heap_bytes", goHeapBytes())
 
 	sm := s.store.MapStats().Total

@@ -136,11 +136,15 @@ func TestLoopbackProtocol(t *testing.T) {
 				t.Fatalf("stats missing counters: %v", st)
 			}
 			// Host memory, explained from inside: sets touched some of
-			// the bucket table, never more than all of it.
+			// the bucket table, never more than all of it, and a handful
+			// of keys leaves every bucket at its small starting width.
 			reserved, touched := st["hicamp_table_reserved_bytes"], st["hicamp_table_touched_bytes"]
 			if touched == 0 || touched > reserved || st["go_heap_bytes"] == 0 {
 				t.Fatalf("stats: table touched %d of %d reserved bytes, go heap %d",
 					touched, reserved, st["go_heap_bytes"])
+			}
+			if full, ok := st["hicamp_table_full_buckets"]; !ok || full != 0 {
+				t.Fatalf("stats: hicamp_table_full_buckets = %d (present %v), want 0", full, ok)
 			}
 		})
 	}
@@ -221,6 +225,46 @@ func TestCasMergeRebase(t *testing.T) {
 			}
 			if r, _ := c.Cas("alive", []byte("b"), 1<<60); r != "EXISTS" {
 				t.Fatalf("garbage token cas = %q, want EXISTS", r)
+			}
+		})
+	}
+}
+
+// Two clients read the same key and both cas the SAME bytes with their
+// tokens: the first stores, the second lost the race and must answer
+// EXISTS — even though the three-way merge alone would absorb the
+// identical write (cur == mod) and report no conflict.
+func TestCasIdenticalPayloadLoses(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		opts Options
+	}{
+		{"aggregate", DefaultOptions()},
+		{"naive", Options{Aggregate: false}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			_, addr := startServer(t, mode.opts)
+			a := dialOrFatal(t, addr)
+			b := dialOrFatal(t, addr)
+			if err := a.Set("k", []byte("v0")); err != nil {
+				t.Fatal(err)
+			}
+			va, ok, err := a.Gets("k")
+			if err != nil || !ok {
+				t.Fatalf("gets a: %v %v", ok, err)
+			}
+			vb, ok, err := b.Gets("k")
+			if err != nil || !ok {
+				t.Fatalf("gets b: %v %v", ok, err)
+			}
+			if r, err := a.Cas("k", []byte("same"), va.Cas); err != nil || r != "STORED" {
+				t.Fatalf("first cas = %q %v, want STORED", r, err)
+			}
+			if r, err := b.Cas("k", []byte("same"), vb.Cas); err != nil || r != "EXISTS" {
+				t.Fatalf("second identical cas = %q %v, want EXISTS", r, err)
+			}
+			if got, _, _ := a.Get("k"); string(got) != "same" {
+				t.Fatalf("k = %q", got)
 			}
 		})
 	}

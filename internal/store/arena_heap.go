@@ -2,8 +2,8 @@
 
 package store
 
-// newArena reserves nothing: bucket groups are made on the Go heap one by
-// one as they are first touched. Under the race detector that is the
-// point — it cannot see a foreign mapping, and the table words are what
-// the store's concurrency tests exist to watch.
+// newArena reserves nothing: record chunks are made on the Go heap one by
+// one as the carve cursor first enters them. Under the race detector that
+// is the point — it cannot see a foreign mapping, and the table words are
+// what the store's concurrency tests exist to watch.
 func newArena(int) (words []uint64, release func()) { return nil, nil }

@@ -181,3 +181,141 @@ func TestConcurrentOverflowChurn(t *testing.T) {
 		t.Fatal("expected overflow traffic with 4 buckets x 1 way")
 	}
 }
+
+// Growth under concurrency: writers push a handful of buckets — two of
+// them sharing a stripe — past the small width, up to full width and into
+// overflow, while readers Read, batch-read, Retain and Release the lines
+// those buckets held before they grew. Run with -race -cpu=1,2,4.
+// Afterwards every line still reads its content, and CheckConsistency and
+// a ForEachLive count agree with what the test holds.
+func TestGrowthUnderConcurrentAccess(t *testing.T) {
+	s := New(Config{LineBytes: 16, BucketBits: 8, DataWays: 12})
+	bkts := []uint64{3, 3 + numStripes, 17, 42}
+	const perBucket = 16 // 12 ways, then 4 overflow lines each
+	cs := contentsFor(s, bkts, perBucket)
+
+	// The older lines: two per bucket, allocated before any growth.
+	var old []word.PLID
+	var oldContent []word.Content
+	for _, b := range bkts {
+		for _, c := range cs[b][:2] {
+			p, _ := s.Lookup(c)
+			old, oldContent = append(old, p), append(oldContent, c)
+		}
+	}
+
+	const writers, readers = 4, 4
+	start := make(chan struct{})
+	done := make(chan struct{})
+	newPLIDs := make([][]word.PLID, writers)
+	var wg, rg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			// Writer w takes every writers-th remaining content of every
+			// bucket, so all writers allocate into each bucket at once.
+			for i := 2 + w; i < perBucket; i += writers {
+				for _, b := range bkts {
+					c := cs[b][i]
+					p, existed := s.Lookup(c)
+					if existed {
+						panic(fmt.Sprintf("fresh content %v already resident", c))
+					}
+					if got := s.Read(p); got != c {
+						panic(fmt.Sprintf("PLID %#x reads %v, want %v", uint64(p), got, c))
+					}
+					newPLIDs[w] = append(newPLIDs[w], p)
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			<-start
+			out := make([]word.Content, len(old))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for i, p := range old {
+					if got := s.Read(p); got != oldContent[i] {
+						panic(fmt.Sprintf("old PLID %#x reads %v, want %v", uint64(p), got, oldContent[i]))
+					}
+					s.Retain(p)
+					if s.RefCount(p) < 2 {
+						panic("retained line lost its reference")
+					}
+					s.Release(p)
+				}
+				s.ReadBatchInto(old, out)
+				for i := range out {
+					if out[i] != oldContent[i] {
+						panic(fmt.Sprintf("batch read of %#x = %v, want %v", uint64(old[i]), out[i], oldContent[i]))
+					}
+				}
+			}
+		}(r)
+	}
+	close(start)
+	wg.Wait()
+	close(done)
+	rg.Wait()
+
+	held := make(map[word.PLID]uint64)
+	for i, p := range old {
+		held[p]++
+		if got := s.Read(p); got != oldContent[i] {
+			t.Fatalf("old PLID %#x reads %v, want %v", uint64(p), got, oldContent[i])
+		}
+	}
+	for _, ps := range newPLIDs {
+		for _, p := range ps {
+			held[p]++
+		}
+	}
+	if want := len(bkts) * perBucket; len(held) != want {
+		t.Fatalf("%d distinct PLIDs, want %d", len(held), want)
+	}
+	for _, b := range bkts {
+		for _, c := range cs[b] {
+			p, existed := s.Lookup(c)
+			if !existed || held[p] == 0 {
+				t.Fatalf("content %v resolves to %#x (existed %v), not a held PLID", c, uint64(p), existed)
+			}
+			s.Release(p)
+		}
+	}
+	if err := s.CheckConsistency(held); err != nil {
+		t.Fatal(err)
+	}
+	walked := 0
+	s.ForEachLive(func(p word.PLID, _ word.Content, rc uint64) bool {
+		if rc != held[p] {
+			t.Errorf("ForEachLive: %#x rc %d, want %d", uint64(p), rc, held[p])
+		}
+		walked++
+		return true
+	})
+	if walked != len(held) || s.LiveLines() != uint64(len(held)) {
+		t.Fatalf("ForEachLive visited %d lines, LiveLines %d, want %d", walked, s.LiveLines(), len(held))
+	}
+	ts := s.TableStats()
+	if ts.FullBuckets != uint64(len(bkts)) || s.StatsSnapshot().Overflows == 0 {
+		t.Fatalf("grew %d buckets with %d overflow allocations, want %d buckets and some overflow",
+			ts.FullBuckets, s.StatsSnapshot().Overflows, len(bkts))
+	}
+	for p, n := range held {
+		for ; n > 0; n-- {
+			s.Release(p)
+		}
+	}
+	if live := s.LiveLines(); live != 0 {
+		t.Fatalf("%d lines leaked", live)
+	}
+}

@@ -136,6 +136,9 @@ func (s *Store) InstallLine(p word.PLID, c word.Content, rc uint64) error {
 	mu.Lock()
 	defer mu.Unlock()
 	row := s.bucketRowAlloc(bkt)
+	if way >= row.g.ways() {
+		row = s.grow(bkt, row)
+	}
 	ln := row.line(way)
 	if ln.used() {
 		return fmt.Errorf("store: install into occupied PLID %#x", uint64(p))

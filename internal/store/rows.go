@@ -27,14 +27,27 @@ import (
 // in the record's first cache line. Nothing in a record is a pointer: the
 // garbage collector never scans bucket storage.
 //
-// Records are carved from groups of groupBuckets buckets that all belong
-// to one lock stripe, assigned on first use: a group is nil until a
-// lookup (or a restore) allocates into it under the stripe's exclusive
-// lock, and readers holding the shared lock treat a nil group as empty.
-// Whether a group's words come out of one reservation outside the Go heap
-// or off the heap one group at a time is the build's choice (arena.go).
-// The overflow area is one more run of the same records, always on the
-// heap, grown a record at a time under the overflow lock.
+// A record comes in two widths, laid out alike by newGeom: small, with
+// smallWays ways, and full, with DataWays. Most buckets never hold more
+// than four lines (hicampd's set_write ends with 92 % of its buckets at
+// four ways or fewer), so every bucket starts small — on first touch,
+// under its stripe's exclusive lock — and grows to full width when an
+// allocation (a lookup, or a restore naming a way past the small width)
+// finds no free way in it. Growth copies the signature line verbatim (its
+// layout does not depend on the width) and each used way's tags, data
+// and count into a fresh full record, repoints the bucket's directory
+// entry, and zeroes the small record onto its stripe's free list, where
+// the next bucket of that stripe to be touched takes it. Buckets never
+// shrink. Way indices never move, so PLIDs, the first-free-way choice,
+// scan order and every simulated counter are the same as if each bucket
+// had been full from the start: growth is host bookkeeping, not DRAM
+// traffic. Readers need no width check: a way at or beyond a record's
+// width reads as unused, because its used bit is never set.
+//
+// Where the records' words live — one reservation outside the Go heap or
+// heap chunks made on first use — is the build's choice (arena.go). The
+// overflow area is one more run of full records, always on the heap,
+// grown a record at a time under the overflow lock.
 //
 // Signatures, bitmaps, tags and data are written under the row's exclusive
 // lock and read under its shared lock. Counts are accessed with atomics so
@@ -43,11 +56,18 @@ import (
 // needs the exclusive lock), so an atomic increment of a live line's count
 // is always safe.
 
-// groupBuckets is the number of buckets allocated together. Four keeps a
-// sparsely used table as cheap per touched bucket as allocating buckets
-// one by one used to be (1.3 KB at 16-byte lines, 3.9 KB at 64), while a
-// densely used one pays one directory entry and one allocation per four.
-const groupBuckets = 4
+// smallWays is the width every bucket record starts at. Of the widths
+// tried on set_write, two widths {4, 12} left the least table touched:
+// {3, 12} and {5, 12} touched 6–11 % more, and {2, 4, 8, 12} stranded
+// freed narrow records for no gain.
+const smallWays = 4
+
+// Record widths, indexing Store.geos and stored in the low bit of a
+// directory handle.
+const (
+	small = 0
+	full  = 1
+)
 
 const (
 	tagOff      = 2  // first tag word; words 0-1 are the signature line
@@ -76,6 +96,11 @@ func (g geom) rcOff() int   { return int(g >> 20 & 0xFFF) }
 
 // recWords returns the record length in words.
 func (g geom) recWords() int { return g.rcOff() + g.ways() }
+
+// units returns the record's stride in whole 64-byte host lines: records
+// are carved on those boundaries so a signature line never straddles two
+// of them.
+func (g geom) units() uint32 { return uint32(g.recWords()+7) / 8 }
 
 // rowRef is a by-value view of one row record, lineRef of one line slot in
 // it (g additionally carries the way). The caller holds the row's lock
@@ -190,6 +215,18 @@ func (l lineRef) store(c *word.Content, sig uint8, rc uint64, inDRAM bool) {
 	l.rec[1] |= 1 << (usedShift + l.g.way())
 	if inDRAM {
 		l.setInDRAM()
+	}
+}
+
+// copyTo copies every used way of r into the empty, wider record to — the
+// body of a bucket's growth; exclusive lock required.
+func (r rowRef) copyTo(to rowRef) {
+	copy(to.rec[:tagOff], r.rec[:tagOff]) // signatures and bitmaps
+	for w := 0; w < r.g.ways(); w++ {
+		if ln := r.line(w); ln.used() {
+			c := ln.load()
+			to.line(w).store(&c, ln.sig(), *ln.rc(), ln.inDRAM())
+		}
 	}
 }
 

@@ -30,7 +30,6 @@ package store
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -145,7 +144,10 @@ type stripe struct {
 	// line-lock helpers run on every memory access.
 	unlock  func()
 	runlock func()
-	_       [64 - 40%64]byte // keep neighbouring stripe locks off one line
+	// free holds the handles of the stripe's zeroed small records that
+	// growth vacated (rows.go); guarded by mu.
+	free []uint32
+	// 64 bytes in all: neighbouring stripe locks never share a line.
 }
 
 // ovShard is the stats shard charged for overflow-area operations.
@@ -166,16 +168,17 @@ type Store struct {
 	bucketMask uint64
 	stripes    [numStripes]stripe
 
-	// Bucket storage (see rows.go): groups[g] holds the records of
-	// 1<<groupShift buckets of one stripe and stays nil until that stripe
-	// allocates into it — out of table where the build reserves one, on
-	// the heap where table is nil (see arena.go).
-	geo           geom
-	groups        [][]uint64
-	groupShift    uint
-	table         *arena
-	groupsTouched atomic.Uint64
-	ovBase        uint64 // first overflow PLID value
+	// Bucket storage (see rows.go and arena.go): dir[bkt] is the handle of
+	// the bucket's record, 0 until the bucket is first touched, written
+	// under the bucket's stripe lock held exclusively. Records are carved
+	// from chunks, out of table where the build reserves one and off the
+	// heap where table is nil.
+	geos       [2]geom // record geometry by width (small, full)
+	dir        []uint32
+	chunks     [][]uint64
+	chunkShift uint // log2 of a chunk's length in 64-byte units
+	table      *arena
+	ovBase     uint64 // first overflow PLID value
 
 	ovMu     sync.Mutex              // guards overflow, ovSlots, freeOv and ovIndex
 	ovUnlock func()                  // ovMu.Unlock, bound once (see stripe)
@@ -183,6 +186,12 @@ type Store struct {
 	ovSlots  uint32                  // overflow slots handed out so far
 	freeOv   []uint32                // free slots below ovSlots
 	ovIndex  map[word.Content]uint32 // content -> overflow slot
+
+	// Carving state (arena.go), kept off the lines the read paths load.
+	carveMu     sync.Mutex    // guards cursor and the creation of chunks
+	cursor      uint32        // next 64-byte unit to carve
+	carved      atomic.Uint64 // bytes carved (TableStats.TouchedBytes)
+	fullBuckets atomic.Uint64 // buckets grown to full width
 
 	liveLines atomic.Uint64
 	rows      rowTracker
@@ -242,48 +251,47 @@ func New(cfg Config) *Store {
 		panic(err)
 	}
 	n := 1 << cfg.BucketBits
-	// A group takes consecutive buckets of one stripe, i.e. buckets that
-	// differ in the bits just above the stripe bits; a store with fewer
-	// than groupBuckets buckets per stripe has one group per stripe.
-	perStripe := max(n/numStripes, 1)
-	groupShift := uint(bits.TrailingZeros(uint(min(groupBuckets, perStripe))))
+	arity := cfg.LineBytes / 8
 	s := &Store{
 		cfg:        cfg,
-		arity:      cfg.LineBytes / 8,
+		arity:      arity,
 		bucketMask: uint64(n - 1),
-		geo:        newGeom(cfg.DataWays, cfg.LineBytes/8),
-		groups:     make([][]uint64, numStripes*perStripe>>groupShift),
-		groupShift: groupShift,
+		geos:       [2]geom{newGeom(min(smallWays, cfg.DataWays), arity), newGeom(cfg.DataWays, arity)},
 		ovBase:     1 << (cfg.BucketBits + wayFieldBits),
 	}
-	s.table = reserveTable(len(s.groups) * s.groupStride() * 8)
+	s.initTable(n)
 	for i := range s.stripes {
 		mu := &s.stripes[i].mu
 		s.stripes[i].unlock = mu.Unlock
 		s.stripes[i].runlock = mu.RUnlock
 	}
 	s.ovUnlock = s.ovMu.Unlock
-	// The directory stays lazy on every build: a 2^20-bucket store of
-	// 16-byte lines would otherwise commit ~350 MB of heap up front, and
-	// ForEachLive and CheckConsistency skip what was never touched.
+	// The table stays lazy on every build: a 2^20-bucket store of 16-byte
+	// lines would otherwise commit ~350 MB up front, and ForEachLive and
+	// CheckConsistency skip what was never touched.
 	return s
 }
 
-// groupWords returns the length of one bucket group in words.
-func (s *Store) groupWords() int { return s.geo.recWords() << s.groupShift }
+// TableStats describes the host memory behind the bucket table.
+type TableStats struct {
+	// ReservedBytes is the whole table: room for one small and one full
+	// record per bucket, the most the buckets can ever carve.
+	ReservedBytes uint64
+	// TouchedBytes is what records have been carved so far, small records
+	// parked on free lists included. An untouched bucket costs the host
+	// nothing beyond its directory entry.
+	TouchedBytes uint64
+	// FullBuckets counts the buckets grown to full width.
+	FullBuckets uint64
+}
 
-// groupStride returns the distance between groups in the reservation: a
-// group rounded up to whole 64-byte host cache lines, which is how the
-// heap's size classes align it, so that a record's signature line never
-// straddles two of them.
-func (s *Store) groupStride() int { return (s.groupWords() + 7) &^ 7 }
-
-// TableBytes returns the host bytes of the whole bucket table and of the
-// groups touched so far. An untouched group costs the host nothing beyond
-// its directory entry.
-func (s *Store) TableBytes() (reserved, touched uint64) {
-	group := uint64(s.groupStride()) * 8
-	return uint64(len(s.groups)) * group, s.groupsTouched.Load() * group
+// TableStats reports the bucket table's host footprint.
+func (s *Store) TableStats() TableStats {
+	return TableStats{
+		ReservedBytes: uint64(len(s.chunks)) << s.chunkShift * 64,
+		TouchedBytes:  s.carved.Load(),
+		FullBuckets:   s.fullBuckets.Load(),
+	}
 }
 
 // Config returns the configuration the store was built with.
@@ -416,48 +424,55 @@ func (s *Store) rlockLine(p word.PLID) func() {
 	return st.runlock
 }
 
-// groupOf locates a bucket's record: the index of its group and of the
-// record within the group.
-func (s *Store) groupOf(bkt uint64) (group, rec int) {
-	k := bkt >> stripeShift // index within the stripe
-	return int(k>>s.groupShift<<stripeShift | bkt&(numStripes-1)), int(k & (1<<s.groupShift - 1))
-}
-
 // bucketRow returns the view of a bucket's record, reporting false when
-// the bucket's group has not been allocated yet. The caller holds the
-// bucket's stripe lock (shared or exclusive).
+// the bucket has never been touched. The caller holds the bucket's stripe
+// lock (shared or exclusive).
 func (s *Store) bucketRow(bkt uint64) (rowRef, bool) {
-	g, rec := s.groupOf(bkt)
-	if s.groups[g] == nil {
+	h := s.dir[bkt]
+	if h == 0 {
 		return rowRef{}, false
 	}
-	return s.geo.row(s.groups[g], rec), true
+	return s.record(h), true
 }
 
-// bucketRowAlloc is bucketRow allocating a missing group; the caller holds
-// the stripe lock exclusively.
+// bucketRowAlloc is bucketRow giving an untouched bucket a small record —
+// one its stripe's growth vacated if there is one, else a fresh one. The
+// caller holds the stripe lock exclusively.
 func (s *Store) bucketRowAlloc(bkt uint64) rowRef {
-	g, rec := s.groupOf(bkt)
-	if s.groups[g] == nil {
-		// The count of groups touched doubles as the reservation's bump
-		// pointer: slices go out in first-touch order, so a sparsely used
-		// table touches no more host pages than its groups fill.
-		n := s.groupWords()
-		i := int(s.groupsTouched.Add(1)-1) * s.groupStride()
-		if s.table != nil {
-			s.groups[g] = s.table.words[i : i+n : i+n]
+	h := s.dir[bkt]
+	if h == 0 {
+		st := &s.stripes[stripeOf(bkt)]
+		if n := len(st.free); n > 0 {
+			h, st.free = st.free[n-1], st.free[:n-1]
 		} else {
-			s.groups[g] = make([]uint64, n)
+			h = s.carve(small)
 		}
+		s.dir[bkt] = h
 	}
-	return s.geo.row(s.groups[g], rec)
+	return s.record(h)
+}
+
+// grow moves a bucket from its small record to a full-width one and
+// returns the new view (see rows.go). Host bookkeeping only: no DRAM
+// access is charged and no row is touched. The caller holds the stripe
+// lock exclusively.
+func (s *Store) grow(bkt uint64, row rowRef) rowRef {
+	h := s.carve(full)
+	wide := s.record(h)
+	row.copyTo(wide)
+	st := &s.stripes[stripeOf(bkt)]
+	st.free = append(st.free, s.dir[bkt])
+	s.dir[bkt] = h
+	clear(row.rec)
+	s.fullBuckets.Add(1)
+	return wide
 }
 
 // overflowLine returns the view of an overflow slot below ovSlots. The
 // caller must hold ovMu.
 func (s *Store) overflowLine(slot uint32) lineRef {
 	ways := s.cfg.DataWays
-	return s.geo.row(s.overflow, int(slot)/ways).line(int(slot) % ways)
+	return s.geos[full].row(s.overflow, int(slot)/ways).line(int(slot) % ways)
 }
 
 // lineAt resolves a PLID to its line slot. The caller must hold p's lock
@@ -741,7 +756,13 @@ func (s *Store) lookupLocked(bkt uint64, c *word.Content, sig uint8, acc *[statC
 
 	// Step 6: allocate. Find an empty way via the signature line (already
 	// read); the signature update is one write back to the same DRAM row.
-	if w := row.freeWay(); w >= 0 {
+	// A small record with no free way grows first: the full row has one.
+	w := row.freeWay()
+	if w < 0 && row.g.ways() < s.cfg.DataWays {
+		row = s.grow(bkt, row)
+		w = row.freeWay()
+	}
+	if w >= 0 {
 		row.line(w).store(c, sig, 1, false)
 		touches++
 		acc[cSigWrites]++
@@ -796,7 +817,7 @@ func (s *Store) allocOverflow(c *word.Content, sig uint8) word.PLID {
 // growOverflow extends the overflow area to hold n slots; ovMu held.
 func (s *Store) growOverflow(n uint32) {
 	ways := s.cfg.DataWays
-	if need := (int(n) + ways - 1) / ways * s.geo.recWords(); need > len(s.overflow) {
+	if need := (int(n) + ways - 1) / ways * s.geos[full].recWords(); need > len(s.overflow) {
 		s.overflow = append(s.overflow, make([]uint64, need-len(s.overflow))...)
 	}
 	s.ovSlots = max(s.ovSlots, n)
