@@ -44,9 +44,13 @@ func main() {
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "background checkpoint interval with -data-dir")
 	flag.Parse()
 
-	cfg := core.Config{
-		LineBytes: *lineBytes, BucketBits: 18, DataWays: 12,
-		CacheLines: (*cacheKB << 10) / *lineBytes, CacheWays: 16,
+	cfg := core.Config{LineBytes: *lineBytes, BucketBits: 18, DataWays: 12, CacheWays: 16}
+	if *lineBytes > 0 {
+		cfg.CacheLines = (*cacheKB << 10) / *lineBytes
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "hicampd: %v\n", err)
+		os.Exit(2)
 	}
 	opts := netfront.DefaultOptions()
 	opts.Aggregate = !*naive

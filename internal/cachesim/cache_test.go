@@ -1,6 +1,8 @@
 package cachesim
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/word"
@@ -86,11 +88,11 @@ func TestFlushDirty(t *testing.T) {
 	c.Insert(0, Entry{Key: dataKey(1), Dirty: true})
 	c.Insert(1, Entry{Key: dataKey(2)})
 	var flushed []uint64
-	c.FlushDirty(func(e Entry) { flushed = append(flushed, e.Key.ID) })
+	c.FlushDirty(func(k Key) { flushed = append(flushed, k.ID) })
 	if len(flushed) != 1 || flushed[0] != 1 {
 		t.Fatalf("flushed = %v, want [1]", flushed)
 	}
-	c.FlushDirty(func(e Entry) { t.Fatalf("entry %d still dirty", e.Key.ID) })
+	c.FlushDirty(func(k Key) { t.Fatalf("entry %d still dirty", k.ID) })
 }
 
 func TestBadGeometryPanics(t *testing.T) {
@@ -187,5 +189,114 @@ func TestWorkingSetFitsInL2(t *testing.T) {
 	}
 	if h.Stats.L2Hits == 0 {
 		t.Fatal("no L2 hits recorded")
+	}
+}
+
+// TestConcurrentSharedSets hammers two sets from several goroutines with
+// every probe and insert path plus invalidation. Every probe counts one
+// hit or one miss, no set ever holds more than its ways, and a hit always
+// reads back the content its key was inserted with (a key's content is a
+// pure function of its ID, so a torn or misplaced line shows up here).
+func TestConcurrentSharedSets(t *testing.T) {
+	const sets, ways, workers, rounds = 2, 4, 4, 3000
+	c := New(sets, ways)
+	probes := make([]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			var tl Tally
+			var got word.Content
+			for r := 0; r < rounds; r++ {
+				id := uint64(rng.Intn(3 * sets * ways))
+				set := int(id % sets)
+				want := seqContent(id, 2)
+				switch rng.Intn(7) {
+				case 0:
+					if c.ReadData(set, id, &got, &tl) && got != want {
+						t.Errorf("ReadData(%d) = %v, want %v", id, got, want)
+					}
+					probes[w]++
+				case 1:
+					if k, ok := c.LookupData(set, &want, &tl); ok && k != id {
+						t.Errorf("LookupData found key %d for the content of %d", k, id)
+					}
+					probes[w]++
+				case 2:
+					c.TouchRC(set, id, &tl)
+					probes[w]++
+				case 3:
+					if e, ok := c.Probe(set, Key{Kind: KindData, ID: id}, rng.Intn(2) == 0); ok && e.Content != want {
+						t.Errorf("Probe(%d) content = %v, want %v", id, e.Content, want)
+					}
+					probes[w]++
+				case 4, 5:
+					c.InsertData(set, id, &want, rng.Intn(2) == 0, &tl)
+				default:
+					c.Invalidate(set, Key{Kind: KindData, ID: id})
+				}
+				c.Publish(&tl)
+			}
+		}(w)
+	}
+	wg.Wait()
+	var total uint64
+	for _, p := range probes {
+		total += p
+	}
+	if st := c.StatsSnapshot(); st.Hits+st.Misses != total {
+		t.Fatalf("hits %d + misses %d != %d probes", st.Hits, st.Misses, total)
+	}
+	for s := range c.heads {
+		if n := c.heads[s].n; n > ways {
+			t.Fatalf("set %d holds %d lines in %d ways", s, n, ways)
+		}
+	}
+}
+
+// BenchmarkCachesimProbe is the package's layer benchmark: a hit/miss mix
+// of read probes (a miss fills the line), content probes and RC touches
+// over a 1024-set x 16-way LLC of 16-byte lines — hicampd's geometry —
+// with a key domain twice the capacity.
+func BenchmarkCachesimProbe(b *testing.B) {
+	const sets, ways = 1024, 16
+	c := New(sets, ways)
+	rng := rand.New(rand.NewSource(1))
+	type op struct {
+		kind, set int
+		id        uint64
+		cont      word.Content
+	}
+	ops := make([]op, 1<<14)
+	for i := range ops {
+		id := uint64(rng.Intn(2 * sets * ways))
+		ops[i] = op{kind: rng.Intn(3), set: int(id % sets), id: id, cont: seqContent(id, 2)}
+	}
+	var t Tally
+	var got word.Content
+	run := func(o *op) {
+		switch o.kind {
+		case 0:
+			if !c.ReadData(o.set, o.id, &got, &t) {
+				c.InsertData(o.set, o.id, &o.cont, false, &t)
+			}
+		case 1:
+			if _, ok := c.LookupData(o.set, &o.cont, &t); !ok {
+				c.InsertData(o.set, o.id, &o.cont, true, &t)
+			}
+		default:
+			c.TouchRC(o.set, o.id, &t)
+		}
+		c.Publish(&t)
+	}
+	for i := range ops { // fill the sets and the lazily made content storage
+		run(&ops[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(&ops[i&(len(ops)-1)])
 	}
 }

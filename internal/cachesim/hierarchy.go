@@ -107,37 +107,40 @@ func (h *Hierarchy) access(addr uint64, size int, write bool) {
 }
 
 func (h *Hierarchy) accessLine(lineAddr uint64, write bool) {
-	key := Key{Kind: KindAddr, ID: lineAddr}
+	k := pack(Key{Kind: KindAddr, ID: lineAddr})
+	var t1, t2 Tally
+	defer h.l1.Publish(&t1)
+	defer h.l2.Publish(&t2)
 	s1 := int(lineAddr & h.l1.SetMask())
-	if _, ok := h.l1.Probe(s1, key, write); ok {
+	if hit, _ := h.l1.probe(s1, k, write, nil, &t1); hit {
 		h.Stats.L1Hits++
 		return
 	}
 	h.Stats.L1Misses++
 
 	s2 := int(lineAddr & h.l2.SetMask())
-	if _, ok := h.l2.Probe(s2, key, false); ok {
+	if hit, _ := h.l2.probe(s2, k, false, nil, &t2); hit {
 		h.Stats.L2Hits++
 	} else {
 		h.Stats.L2Misses++
 		h.Stats.DRAMReads++
-		if victim, evicted := h.l2.Insert(s2, Entry{Key: key}); evicted && victim.Dirty {
+		if _, dirty, _ := h.l2.insert(s2, k, nil, false, &t2, nil); dirty {
 			h.Stats.DRAMWrites++
 		}
 	}
 	// Fill L1; a dirty L1 victim is written back into L2.
-	if victim, evicted := h.l1.Insert(s1, Entry{Key: key, Dirty: write}); evicted && victim.Dirty {
-		h.writebackToL2(victim.Key)
+	if victim, dirty, _ := h.l1.insert(s1, k, nil, write, &t1, nil); dirty {
+		h.writebackToL2(victim, &t2)
 	}
 }
 
-func (h *Hierarchy) writebackToL2(key Key) {
-	s2 := int(key.ID & h.l2.SetMask())
-	if _, ok := h.l2.Probe(s2, key, true); ok {
+func (h *Hierarchy) writebackToL2(k uint64, t *Tally) {
+	s2 := int(k & h.l2.SetMask()) // the kind bits lie above any set index
+	if hit, _ := h.l2.probe(s2, k, true, nil, t); hit {
 		return
 	}
 	// Victim missing from L2 (non-inclusive corner): allocate it dirty.
-	if victim, evicted := h.l2.Insert(s2, Entry{Key: key, Dirty: true}); evicted && victim.Dirty {
+	if _, dirty, _ := h.l2.insert(s2, k, nil, true, t, nil); dirty {
 		h.Stats.DRAMWrites++
 	}
 }
@@ -146,6 +149,8 @@ func (h *Hierarchy) writebackToL2(key Key) {
 // for dirty L2 lines (and for dirty L1 lines not resident in L2). Call at
 // the end of a measurement window.
 func (h *Hierarchy) Flush() {
-	h.l1.FlushDirty(func(e Entry) { h.writebackToL2(e.Key) })
-	h.l2.FlushDirty(func(Entry) { h.Stats.DRAMWrites++ })
+	var t Tally
+	h.l1.FlushDirty(func(k Key) { h.writebackToL2(pack(k), &t) })
+	h.l2.Publish(&t)
+	h.l2.FlushDirty(func(Key) { h.Stats.DRAMWrites++ })
 }

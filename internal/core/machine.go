@@ -23,7 +23,7 @@ var (
 	poolPLIDs    = pool.NewSlice[word.PLID]("core.plid")
 	poolContents = pool.NewSlice[word.Content]("core.content")
 	poolBools    = pool.NewSlice[bool]("core.bool")
-	poolSets     = pool.NewMap[int, struct{}]("core.pendingsets")
+	poolBits     = pool.NewSlice[uint64]("core.setbits")
 )
 
 // Config sizes a Machine.
@@ -91,28 +91,47 @@ type Machine struct {
 	durability Durability
 }
 
-// NewMachine builds a Machine. It panics on invalid configuration.
-func NewMachine(cfg Config) *Machine {
-	m := &Machine{
-		cfg: cfg,
-		store: store.New(store.Config{
-			LineBytes:  cfg.LineBytes,
-			BucketBits: cfg.BucketBits,
-			DataWays:   cfg.DataWays,
-		}),
+func (c Config) storeConfig() store.Config {
+	return store.Config{LineBytes: c.LineBytes, BucketBits: c.BucketBits, DataWays: c.DataWays}
+}
+
+// Validate reports what is wrong with the configuration, if anything: the
+// store's geometry, and an enabled cache's — its sets must be a power of
+// two, at most one per DRAM bucket (the LLC indexes by the bucket's low
+// hash bits), and its associativity at most cachesim.MaxWays.
+func (c Config) Validate() error {
+	if err := c.storeConfig().Validate(); err != nil {
+		return err
 	}
+	switch {
+	case c.CacheLines < 0:
+		return fmt.Errorf("core: cache lines %d negative", c.CacheLines)
+	case c.CacheLines == 0:
+		return nil
+	case c.CacheWays <= 0 || c.CacheWays > cachesim.MaxWays:
+		return fmt.Errorf("core: cache ways %d out of range [1,%d]", c.CacheWays, cachesim.MaxWays)
+	}
+	sets := c.CacheLines / c.CacheWays
+	if sets <= 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("core: cache geometry %d lines / %d ways yields %d sets, not a power of two",
+			c.CacheLines, c.CacheWays, sets)
+	}
+	if sets > 1<<c.BucketBits {
+		return fmt.Errorf("core: %d cache sets exceed %d DRAM buckets; hash-bit indexing would break",
+			sets, 1<<c.BucketBits)
+	}
+	return nil
+}
+
+// NewMachine builds a Machine. It panics with Validate's error on an
+// invalid configuration.
+func NewMachine(cfg Config) *Machine {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	m := &Machine{cfg: cfg, store: store.New(cfg.storeConfig())}
 	if cfg.CacheLines > 0 {
-		if cfg.CacheWays <= 0 {
-			panic("core: CacheWays must be positive when the cache is enabled")
-		}
 		sets := cfg.CacheLines / cfg.CacheWays
-		if sets <= 0 || sets&(sets-1) != 0 {
-			panic(fmt.Sprintf("core: cache geometry %d lines / %d ways yields %d sets",
-				cfg.CacheLines, cfg.CacheWays, sets))
-		}
-		if sets > 1<<cfg.BucketBits {
-			panic("core: cache sets exceed DRAM buckets; hash-bit indexing would break")
-		}
 		m.llc = cachesim.New(sets, cfg.CacheWays)
 		m.setMask = uint64(sets - 1)
 	}
@@ -168,14 +187,7 @@ func (m *Machine) FlushCache() {
 	if m.llc == nil {
 		return
 	}
-	m.llc.FlushDirty(func(e cachesim.Entry) {
-		switch e.Key.Kind {
-		case cachesim.KindData:
-			m.store.Writeback(word.PLID(e.Key.ID))
-		case cachesim.KindRC:
-			m.store.RCLineWrite()
-		}
-	})
+	m.llc.FlushDirty(m.writeBack)
 }
 
 // LookupLine implements word.Mem: lookup-by-content through the LLC.
@@ -184,31 +196,45 @@ func (m *Machine) LookupLine(c word.Content) word.PLID {
 	if c.IsZero() {
 		return word.Zero
 	}
-	if m.llc != nil {
-		set := int(c.Hash() & m.setMask)
-		if e, ok := m.llc.ProbeContent(set, c); ok {
-			p := word.PLID(e.Key.ID)
-			// A cached hit still bumps the count — but only if the line is
-			// still live with this content. A concurrent release may have
-			// freed it (the invalidation races the probe), in which case
-			// the authoritative DRAM lookup below settles it.
-			if m.store.RetainIfContent(p, c) {
-				return p
-			}
+	if m.llc == nil {
+		p, existed := m.store.Lookup(c)
+		if !existed {
+			m.store.Writeback(p)
 		}
+		return p
 	}
-	p, existed := m.store.Lookup(c)
-	// A fresh allocation stays dirty in the cache and reaches DRAM only
-	// on eviction (§3.1); an existing line is clean by construction — it
-	// can only have left the cache through a writeback.
-	m.fillData(p, c, !existed)
+	var t cachesim.Tally
+	set := int(c.Hash() & m.setMask)
+	p, ok := m.probeContent(set, &c, &t)
+	if !ok {
+		var existed bool
+		p, existed = m.store.Lookup(c)
+		// A fresh allocation stays dirty in the cache and reaches DRAM only
+		// on eviction (§3.1); an existing line is clean by construction — it
+		// can only have left the cache through a writeback.
+		m.fill(set, p, &c, !existed, &t)
+	}
+	m.llc.Publish(&t)
 	return p
+}
+
+// probeContent is the LLC content hit: it returns the cached line holding
+// *c with a reference acquired on it. A cached hit still bumps the count —
+// but only if the line is still live with this content. A concurrent
+// release may have freed it (the invalidation races the probe), in which
+// case the caller's authoritative DRAM lookup settles it.
+func (m *Machine) probeContent(set int, c *word.Content, t *cachesim.Tally) (word.PLID, bool) {
+	id, ok := m.llc.LookupData(set, c, t)
+	if ok && m.store.RetainIfContent(word.PLID(id), *c) {
+		return word.PLID(id), true
+	}
+	return word.Zero, false
 }
 
 // LookupLineBatch implements word.BatchMem: batched lookup-by-content
 // through the LLC. The LLC still observes every line individually — zero
 // contents resolve to Zero without touching the cache, and each remaining
-// content gets its own ProbeContent (per-line hit/miss accounting, exactly
+// content gets its own content probe (per-line hit/miss accounting, exactly
 // as LookupLine charges it). Only the residue that missed the cache is
 // forwarded to the store's batch lookup, which takes each bucket stripe
 // lock once per batch and coalesces the DRAM accounting; the resolved
@@ -224,7 +250,10 @@ func (m *Machine) LookupLineBatch(cs []word.Content) []word.PLID {
 // writing into a caller-supplied buffer of length len(cs). All internal
 // miss-residue scratch is pooled, so a steady-state batched lookup —
 // every content already resident, hitting the LLC or the store's dedup
-// path — allocates nothing.
+// path — allocates nothing, and the LLC's event counters are published
+// once per call. A line's cache set is a function of its content (its
+// bucket's low hash bits, or for an overflow line the hash itself), so
+// the set a miss probed is the set it is filled into.
 func (m *Machine) LookupLineBatchInto(cs []word.Content, out []word.PLID) {
 	if len(out) != len(cs) {
 		panic("core: LookupLineBatchInto buffer length mismatch")
@@ -240,34 +269,42 @@ func (m *Machine) LookupLineBatchInto(cs []word.Content, out []word.PLID) {
 	// content, and growing a []Content by doubling would copy the
 	// 80-byte elements repeatedly.
 	missIdx := poolIdx.GetCap(&sc, len(cs))
+	missSets := poolIdx.GetCap(&sc, len(cs))
 	missCs := poolContents.GetCap(&sc, len(cs))
+	var t cachesim.Tally
 	for i := range cs {
-		c := cs[i]
+		c := &cs[i]
 		if c.IsZero() {
 			continue // out[i] stays word.Zero
 		}
+		set := 0
 		if m.llc != nil {
-			set := int(c.Hash() & m.setMask)
-			if e, ok := m.llc.ProbeContent(set, c); ok {
-				p := word.PLID(e.Key.ID)
-				if m.store.RetainIfContent(p, c) {
-					out[i] = p
-					continue
-				}
+			set = int(c.Hash() & m.setMask)
+			if p, ok := m.probeContent(set, c, &t); ok {
+				out[i] = p
+				continue
 			}
 		}
 		missIdx = append(missIdx, i)
-		missCs = append(missCs, c)
+		missSets = append(missSets, set)
+		missCs = append(missCs, *c)
 	}
-	if len(missCs) == 0 {
-		return
+	if len(missCs) > 0 {
+		plids := poolPLIDs.Get(&sc, len(missCs))
+		existed := poolBools.Get(&sc, len(missCs))
+		m.store.LookupBatchInto(missCs, plids, existed)
+		for j, i := range missIdx {
+			out[i] = plids[j]
+			switch {
+			case m.llc != nil:
+				m.fill(missSets[j], plids[j], &missCs[j], !existed[j], &t)
+			case !existed[j]:
+				m.store.Writeback(plids[j])
+			}
+		}
 	}
-	plids := poolPLIDs.Get(&sc, len(missCs))
-	existed := poolBools.Get(&sc, len(missCs))
-	m.store.LookupBatchInto(missCs, plids, existed)
-	for j, i := range missIdx {
-		out[i] = plids[j]
-		m.fillData(plids[j], missCs[j], !existed[j])
+	if m.llc != nil {
+		m.llc.Publish(&t)
 	}
 }
 
@@ -279,21 +316,24 @@ func (m *Machine) ReadLine(p word.PLID) word.Content {
 	if p == word.Zero {
 		return word.NewContent(m.LineWords())
 	}
-	if m.llc != nil {
-		set := m.dataSet(p)
-		if e, ok := m.llc.Probe(set, cachesim.Key{Kind: cachesim.KindData, ID: uint64(p)}, false); ok {
-			return e.Content
-		}
+	if m.llc == nil {
+		return m.store.Read(p)
 	}
-	c := m.store.Read(p)
-	m.fillData(p, c, false)
+	var t cachesim.Tally
+	var c word.Content
+	set := m.dataSet(p)
+	if !m.llc.ReadData(set, uint64(p), &c, &t) {
+		c = m.store.Read(p)
+		m.fill(set, p, &c, false, &t)
+	}
+	m.llc.Publish(&t)
 	return c
 }
 
 // ReadLineBatch implements word.BatchReadMem: batched read-by-PLID
 // through the LLC, with accounting pinned identical to len(ps) serial
 // ReadLine calls. The LLC still observes every line individually — each
-// element gets its own Probe, charging the same per-line hit/miss the
+// element gets its own read probe, charging the same per-line hit/miss the
 // serial path charges — and only the residue that missed is forwarded to
 // the store's batch read, which takes each bucket stripe's reader lock
 // once per run and coalesces the DRAM accounting; the fetched lines are
@@ -313,27 +353,40 @@ func (m *Machine) ReadLineBatch(ps []word.PLID) []word.Content {
 	return out
 }
 
+// readRun is ReadLineBatchInto's pending miss run: batch positions,
+// PLIDs and cache sets of the lines still to fetch, and a bitset over the
+// sets with a fill pending.
+type readRun struct {
+	idx     []int
+	ps      []word.PLID
+	sets    []int
+	pending []uint64
+}
+
+func (r *readRun) isPending(set int) bool { return r.pending[set>>6]>>(set&63)&1 != 0 }
+
 // readFlush fetches the pending miss run through the store's batch read
 // and fills each line into the LLC. fetched is scratch of at least
-// len(miss) capacity; it returns with the runs emptied.
-func (m *Machine) readFlush(out []word.Content, missIdx []int, miss []word.PLID, fetched []word.Content, pendingSets map[int]struct{}) ([]int, []word.PLID) {
-	if len(miss) == 0 {
-		return missIdx, miss
+// len(r.ps) capacity; the run is emptied.
+func (m *Machine) readFlush(r *readRun, out, fetched []word.Content, t *cachesim.Tally) {
+	if len(r.ps) == 0 {
+		return
 	}
-	cs := fetched[:len(miss)]
-	m.store.ReadBatchInto(miss, cs)
-	for j, i := range missIdx {
+	cs := fetched[:len(r.ps)]
+	m.store.ReadBatchInto(r.ps, cs)
+	for j, i := range r.idx {
 		out[i] = cs[j]
-		m.fillData(miss[j], cs[j], false)
+		m.fill(r.sets[j], r.ps[j], &cs[j], false, t)
+		r.pending[r.sets[j]>>6] = 0
 	}
-	clear(pendingSets)
-	return missIdx[:0], miss[:0]
+	r.idx, r.ps, r.sets = r.idx[:0], r.ps[:0], r.sets[:0]
 }
 
 // ReadLineBatchInto implements word.BatchIntoMem: ReadLineBatch writing
 // into a caller-supplied buffer of length len(ps). The miss runs, fetch
-// buffer and pending-set map are pooled, so a steady-state wave read
-// allocates nothing.
+// buffer and pending-set bitset are pooled, so a steady-state wave read
+// allocates nothing, and the LLC's event counters are published once per
+// call.
 func (m *Machine) ReadLineBatchInto(ps []word.PLID, out []word.Content) {
 	if len(out) != len(ps) {
 		panic("core: ReadLineBatchInto buffer length mismatch")
@@ -348,28 +401,33 @@ func (m *Machine) ReadLineBatchInto(ps []word.PLID, out []word.Content) {
 	}
 	var sc pool.Scratch
 	defer sc.Release()
-	missIdx := poolIdx.GetCap(&sc, len(ps))
-	miss := poolPLIDs.GetCap(&sc, len(ps))
+	r := readRun{
+		idx:     poolIdx.GetCap(&sc, len(ps)),
+		ps:      poolPLIDs.GetCap(&sc, len(ps)),
+		sets:    poolIdx.GetCap(&sc, len(ps)),
+		pending: poolBits.GetZeroed(&sc, int(m.setMask>>6)+1),
+	}
 	fetched := poolContents.Get(&sc, len(ps))
-	pendingSets := poolSets.Get(&sc)
+	var t cachesim.Tally
 	for i, p := range ps {
 		if p == word.Zero {
 			out[i] = word.NewContent(m.LineWords())
 			continue
 		}
 		set := m.dataSet(p)
-		if _, pending := pendingSets[set]; pending {
-			missIdx, miss = m.readFlush(out, missIdx, miss, fetched, pendingSets)
+		if r.isPending(set) {
+			m.readFlush(&r, out, fetched, &t)
 		}
-		if e, ok := m.llc.Probe(set, cachesim.Key{Kind: cachesim.KindData, ID: uint64(p)}, false); ok {
-			out[i] = e.Content
+		if m.llc.ReadData(set, uint64(p), &out[i], &t) {
 			continue
 		}
-		missIdx = append(missIdx, i)
-		miss = append(miss, p)
-		pendingSets[set] = struct{}{}
+		r.idx = append(r.idx, i)
+		r.ps = append(r.ps, p)
+		r.sets = append(r.sets, set)
+		r.pending[set>>6] |= 1 << (set & 63)
 	}
-	m.readFlush(out, missIdx, miss, fetched, pendingSets)
+	m.readFlush(&r, out, fetched, &t)
+	m.llc.Publish(&t)
 }
 
 // Retain implements word.Mem.
@@ -405,13 +463,8 @@ func (m *Machine) Release(p word.PLID) {
 	}
 	for _, f := range freed {
 		// The line's content is gone, so its cache set is recovered from
-		// the content hash recorded at free time (overflow lines have no
-		// bucket in their PLID).
-		set := int(f.H & m.setMask)
-		if b, ok := m.store.BucketOf(f.P); ok {
-			set = int(b & m.setMask)
-		}
-		m.llc.Invalidate(set, cachesim.Key{Kind: cachesim.KindData, ID: uint64(f.P)})
+		// the content hash recorded at free time.
+		m.llc.Invalidate(int(f.H&m.setMask), cachesim.Key{Kind: cachesim.KindData, ID: uint64(f.P)})
 	}
 }
 
@@ -440,20 +493,12 @@ func (m *Machine) dataSet(p word.PLID) int {
 	return int(c.Hash() & m.setMask)
 }
 
-func (m *Machine) fillData(p word.PLID, c word.Content, dirty bool) {
-	if m.llc == nil {
-		if dirty {
-			m.store.Writeback(p)
-		}
-		return
+// fill installs line p with content *c in its LLC set (fresh allocations
+// dirty) and writes back the dirty line it evicts, if any.
+func (m *Machine) fill(set int, p word.PLID, c *word.Content, dirty bool, t *cachesim.Tally) {
+	if victim, vd := m.llc.InsertData(set, uint64(p), c, dirty, t); vd {
+		m.writeBack(victim)
 	}
-	set := m.dataSet(p)
-	victim, evicted := m.llc.Insert(set, cachesim.Entry{
-		Key:     cachesim.Key{Kind: cachesim.KindData, ID: uint64(p)},
-		Content: c,
-		Dirty:   dirty,
-	})
-	m.handleEviction(victim, evicted)
 }
 
 // rcTouch models one reference-count mutation: the RC line for the PLID's
@@ -477,25 +522,25 @@ func (m *Machine) rcTouch(p word.PLID, init bool) {
 	} else {
 		id = 1<<40 | uint64(p)>>4 // overflow RC rows
 	}
-	key := cachesim.Key{Kind: cachesim.KindRC, ID: id}
-	set := int(id & m.setMask)
-	if _, ok := m.llc.Probe(set, key, true); ok {
+	var t cachesim.Tally
+	hit, victim, dirty := m.llc.TouchRC(int(id&m.setMask), id, &t)
+	m.llc.Publish(&t)
+	if hit {
 		return
 	}
 	if !init {
 		m.store.RCLineRead()
 	}
-	victim, evicted := m.llc.Insert(set, cachesim.Entry{Key: key, Dirty: true})
-	m.handleEviction(victim, evicted)
+	if dirty {
+		m.writeBack(victim)
+	}
 }
 
-func (m *Machine) handleEviction(victim cachesim.Entry, evicted bool) {
-	if !evicted || !victim.Dirty {
-		return
-	}
-	switch victim.Key.Kind {
+// writeBack charges the DRAM write of a dirty line leaving the LLC.
+func (m *Machine) writeBack(k cachesim.Key) {
+	switch k.Kind {
 	case cachesim.KindData:
-		m.store.Writeback(word.PLID(victim.Key.ID))
+		m.store.Writeback(word.PLID(k.ID))
 	case cachesim.KindRC:
 		m.store.RCLineWrite()
 	}

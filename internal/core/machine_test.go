@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -211,6 +212,48 @@ func TestBadCacheGeometryPanics(t *testing.T) {
 		}
 	}()
 	NewMachine(cfg)
+}
+
+func TestConfigValidate(t *testing.T) {
+	good := TestConfig()
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		bad  bool
+	}{
+		{"test config", func(*Config) {}, false},
+		{"uncached", func(c *Config) { c.CacheLines, c.CacheWays = 0, 0 }, false},
+		{"default 64 B", func(c *Config) { *c = DefaultConfig(64) }, false},
+		{"24 B lines", func(c *Config) { c.LineBytes = 24 }, true},
+		{"zero line size", func(c *Config) { c.LineBytes = 0 }, true},
+		{"3 bucket bits", func(c *Config) { c.BucketBits = 3 }, true},
+		{"13 data ways", func(c *Config) { c.DataWays = 13 }, true},
+		{"negative cache", func(c *Config) { c.CacheLines = -16 }, true},
+		{"zero cache ways", func(c *Config) { c.CacheWays = 0 }, true},
+		{"65 cache ways", func(c *Config) { c.CacheLines, c.CacheWays = 65*4, 65 }, true},
+		{"400 sets", func(c *Config) { c.CacheLines, c.CacheWays = 6400, 16 }, true},
+		{"fewer lines than ways", func(c *Config) { c.CacheLines = 2 }, true},
+		{"more sets than buckets", func(c *Config) { c.CacheLines = 8 << c.BucketBits }, true},
+	} {
+		cfg := good
+		tc.edit(&cfg)
+		err := cfg.Validate()
+		if (err != nil) != tc.bad {
+			t.Errorf("%s: Validate() = %v, want error %v", tc.name, err, tc.bad)
+			continue
+		}
+		if err == nil {
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != err.Error() {
+					t.Errorf("%s: NewMachine panicked with %v, want %v", tc.name, r, err)
+				}
+			}()
+			NewMachine(cfg)
+		}()
+	}
 }
 
 func TestDefaultConfigGeometry(t *testing.T) {

@@ -732,6 +732,10 @@ func (s *Server) appendStats(dst []byte) []byte {
 	cs := s.store.Stats()
 	dst = appendStat(dst, "hicamp_dram_accesses", cs.DRAMAccesses())
 	dst = appendStat(dst, "hicamp_live_lines", s.store.Heap.M.LiveLines())
+	dst = appendStat(dst, "hicamp_llc_hits", cs.Cache.Hits)
+	dst = appendStat(dst, "hicamp_llc_misses", cs.Cache.Misses)
+	dst = appendStat(dst, "hicamp_llc_evictions", cs.Cache.Evictions)
+	dst = appendStat(dst, "hicamp_llc_dirty_evictions", cs.Cache.DirtyEvts)
 	// What the process's resident set is made of: the simulated DRAM
 	// (outside the Go heap where the build maps it) and the live heap.
 	ts := s.store.Heap.M.TableStats()

@@ -146,6 +146,18 @@ func TestLoopbackProtocol(t *testing.T) {
 			if full, ok := st["hicamp_table_full_buckets"]; !ok || full != 0 {
 				t.Fatalf("stats: hicamp_table_full_buckets = %d (present %v), want 0", full, ok)
 			}
+			// The simulated LLC: the gets above hit lines the sets just
+			// filled, and a 4096-line cache holding a few keys evicts
+			// nothing.
+			if st["hicamp_llc_hits"] == 0 || st["hicamp_llc_misses"] == 0 {
+				t.Fatalf("stats: LLC hits %d, misses %d; want both nonzero",
+					st["hicamp_llc_hits"], st["hicamp_llc_misses"])
+			}
+			for _, k := range []string{"hicamp_llc_evictions", "hicamp_llc_dirty_evictions"} {
+				if v, ok := st[k]; !ok || v != 0 {
+					t.Fatalf("stats: %s = %d (present %v), want 0", k, v, ok)
+				}
+			}
 		})
 	}
 }

@@ -53,7 +53,8 @@ func DefaultConfig() Config {
 	return Config{LineBytes: 16, BucketBits: 16, DataWays: 12}
 }
 
-func (c Config) validate() error {
+// Validate reports what is wrong with the configuration, if anything.
+func (c Config) Validate() error {
 	switch c.LineBytes {
 	case 16, 32, 64:
 	default:
@@ -247,7 +248,7 @@ func (s *Store) fire1(p word.PLID, init bool) {
 // New creates a store. It panics on an invalid configuration, which is a
 // programming error in the simulator setup, not a runtime condition.
 func New(cfg Config) *Store {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	n := 1 << cfg.BucketBits
