@@ -22,7 +22,7 @@ import (
 )
 
 var experimentOrder = []string{
-	"fig6", "table1", "chunking", "conflict", "contention", "netload", "durability", "fig7", "fig8", "table2", "fig9", "fig10",
+	"fig6", "table1", "chunking", "conflict", "contention", "durability", "fig7", "fig8", "table2", "fig9", "fig10",
 }
 
 var descriptions = map[string]string{
@@ -31,7 +31,6 @@ var descriptions = map[string]string{
 	"chunking":   "content-defined chunked ingest: shifted-corpus dedup, cold vs warm memo",
 	"conflict":   "sec 5.1.1 concurrent-update analysis + live mCAS contention",
 	"contention": "multi-writer merge-update: DRAM flat over size, throughput vs overlap",
-	"netload":    "loopback memcached front end: batch aggregation vs per-request dispatch",
 	"durability": "acked-write throughput, per-write fsync vs group commit; cold recovery vs checkpoint placement",
 	"fig7":       "SpMV off-chip access ratio over the matrix suite",
 	"fig8":       "per-matrix footprint, best HICAMP format vs CSR",
@@ -158,12 +157,6 @@ func run(id string, sc experiments.Scale) error {
 		tbl = t
 	case "contention":
 		t, _, err := experiments.RunContention(sc)
-		if err != nil {
-			return err
-		}
-		tbl = t
-	case "netload":
-		t, _, err := experiments.RunNetload(sc)
 		if err != nil {
 			return err
 		}

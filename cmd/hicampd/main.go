@@ -4,9 +4,8 @@
 // per-namespace commit/conflict counters, scratch-pool hit rates).
 // Requests from all connections aggregate into bounded flush windows —
 // one snapshot + gather wave per namespace for a window's reads, one
-// Apply wave commit for its writes — unless -naive selects per-request
-// dispatch. Keys with a "tenant/" prefix route to per-tenant namespaces
-// (own VSID, own commit/conflict domain).
+// Apply wave commit for its writes. Keys with a "tenant/" prefix route to
+// per-tenant namespaces (own VSID, own commit/conflict domain).
 //
 //	hicampd -addr :11211
 //	printf 'set greeting 0 0 5\r\nhello\r\nget greeting\r\nquit\r\n' | nc localhost 11211
@@ -36,9 +35,6 @@ func main() {
 	addr := flag.String("addr", ":11211", "listen address")
 	lineBytes := flag.Int("line-bytes", 16, "HICAMP line size in bytes (16/32/64)")
 	cacheKB := flag.Int("cache-kb", 256, "simulated LLC size in KB")
-	naive := flag.Bool("naive", false, "per-request dispatch instead of batch aggregation")
-	maxBatch := flag.Int("max-batch", 0, "ops per flush window (0 = default)")
-	flushWindow := flag.Duration("flush-window", 0, "max wait for window stragglers (0 = default)")
 	smoke := flag.Bool("smoke", false, "serve loopback, run the built-in workload, verify pool hygiene, exit")
 	dataDir := flag.String("data-dir", "", "durable data directory (empty = memory-only)")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "background checkpoint interval with -data-dir")
@@ -51,14 +47,6 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "hicampd: %v\n", err)
 		os.Exit(2)
-	}
-	opts := netfront.DefaultOptions()
-	opts.Aggregate = !*naive
-	if *maxBatch > 0 {
-		opts.MaxBatch = *maxBatch
-	}
-	if *flushWindow > 0 {
-		opts.FlushWindow = *flushWindow
 	}
 	store, err := kvstore.NewHicampServerOpts(cfg, kvstore.ServerOptions{
 		DataDir:         *dataDir,
@@ -73,7 +61,7 @@ func main() {
 		fmt.Printf("hicampd: recovered %d lines, %d roots in %s from %s\n",
 			ds.RecoveredLines, ds.RecoveredRoots, ds.RecoveryTime, *dataDir)
 	}
-	srv := netfront.NewServer(store, opts)
+	srv := netfront.NewServer(store, netfront.DefaultOptions())
 
 	if *smoke {
 		os.Exit(runSmoke(srv))

@@ -12,8 +12,9 @@
 // programming model (internal/hds), and the three application studies
 // (internal/kvstore, internal/spmv, internal/vmhost). Every table and
 // figure of the paper's evaluation regenerates through
-// internal/experiments and cmd/hicampbench; the benchmarks in this
-// package exercise the same paths under go test -bench.
+// internal/experiments and cmd/hicampbench; bench/ (its own module)
+// measures the served memcached path end to end. This package holds
+// only the repository-wide source guards (guard_test.go).
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // substitutions, and EXPERIMENTS.md for paper-vs-measured results.

@@ -14,9 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"repro/internal/segment"
-	"repro/internal/word"
 )
 
 // Corpus is a set of items (values to cache) plus their keys.
@@ -33,21 +30,6 @@ func (c *Corpus) TotalBytes() uint64 {
 		n += uint64(len(it))
 	}
 	return n
-}
-
-// BuildSegments loads every item of the corpus into m through one bulk
-// builder: the heavy cross-item redundancy these corpora model (shared
-// boilerplate, fragment pools) hits the builder's memo instead of issuing
-// per-line store lookups. Segments are returned in item order; the caller
-// owns one root reference each (segment.ReleaseSeg to drop).
-func (c *Corpus) BuildSegments(m word.Mem) []segment.Seg {
-	b := segment.NewBuilder(m, 0)
-	defer b.Close()
-	out := make([]segment.Seg, len(c.Items))
-	for i, it := range c.Items {
-		out[i] = b.BuildBytes(it)
-	}
-	return out
 }
 
 // htmlBoilerplate fragments shared across generated pages, mirroring the

@@ -97,9 +97,9 @@ func BenchmarkDurableIngest(b *testing.B) {
 }
 
 // BenchmarkRecoveryCold measures a cold restart: checkpoint + log tail
-// into a fresh machine, the metric behind the checkpoint-interval
-// tradeoff in BENCH_PR10.json. The replay is read-only, so one on-disk
-// state serves every iteration.
+// into a fresh machine, the metric behind the checkpoint-placement rows
+// of hicampbench -exp durability. The replay is read-only, so one
+// on-disk state serves every iteration.
 func BenchmarkRecoveryCold(b *testing.B) {
 	for _, keys := range []int{256, 2048} {
 		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {

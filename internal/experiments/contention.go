@@ -56,7 +56,7 @@ type OverlapRow struct {
 	DRAMPerKey   float64
 }
 
-// ContentionResult carries the raw sweep rows for benchjson and tests.
+// ContentionResult carries the raw sweep rows for tests.
 type ContentionResult struct {
 	Disjoint []DisjointRow
 	Overlap  []OverlapRow

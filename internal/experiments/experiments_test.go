@@ -83,41 +83,6 @@ func TestRunContentionShape(t *testing.T) {
 	}
 }
 
-func TestRunNetloadShape(t *testing.T) {
-	tbl, res, err := RunNetload(ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, rows := range map[string][]NetloadRow{
-		"multiget": res.MultiGet, "mixed_rw": res.MixedRW,
-	} {
-		if len(rows) != 2 {
-			t.Fatalf("%s: %d rows, want naive+pipelined", name, len(rows))
-		}
-		naive, pipe := rows[0], rows[1]
-		if naive.Mode != "naive" || pipe.Mode != "pipelined" {
-			t.Fatalf("%s: modes %q/%q", name, naive.Mode, pipe.Mode)
-		}
-		for _, r := range rows {
-			if r.Requests == 0 || r.RPS <= 0 || r.P99us <= 0 || r.DRAM == 0 {
-				t.Fatalf("%s %s: empty measurement %+v", name, r.Mode, r)
-			}
-		}
-		// Per-request dispatch never batches; aggregation must have
-		// coalesced ops across connections (windows > 0, >1 op each).
-		if naive.Batches != 0 {
-			t.Fatalf("%s: naive mode executed %d windows", name, naive.Batches)
-		}
-		if pipe.Batches == 0 || pipe.AvgBatch <= 1 {
-			t.Fatalf("%s: aggregation did not coalesce: %d windows, %.1f ops",
-				name, pipe.Batches, pipe.AvgBatch)
-		}
-	}
-	if !strings.Contains(tbl.Render(), "pipelined") {
-		t.Fatal("table missing pipelined rows")
-	}
-}
-
 func TestRunTable1Shape(t *testing.T) {
 	tbl, rows := RunTable1(ScaleTest)
 	if len(rows) != 7 {

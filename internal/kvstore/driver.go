@@ -112,50 +112,6 @@ func RunHicamp(cfg core.Config, w Workload) (store.Stats, *HicampServer, error) 
 	return srv.Stats().Store, srv, nil
 }
 
-// RunHicampMultiGet replays the trace like RunHicamp but coalesces runs
-// of consecutive GETs into batched Read calls of up to batch keys — the
-// memcached `get k1 k2 ...` request form — so the measured window
-// exercises the bulk read pipeline. Sets still run one at a time, in
-// trace order relative to the batches they interrupt.
-func RunHicampMultiGet(cfg core.Config, w Workload, batch int) (store.Stats, *HicampServer, error) {
-	if batch < 1 {
-		batch = 1
-	}
-	srv := NewHicampServer(cfg)
-	if err := srv.Write(corpusBatch(w.Corpus)); err != nil {
-		return store.Stats{}, nil, fmt.Errorf("preload: %w", err)
-	}
-	srv.Heap.M.FlushCache()
-	srv.Heap.M.ResetStats()
-	versions := make(map[int]int)
-	pending := make(Batch, 0, batch)
-	flush := func() {
-		if len(pending) > 0 {
-			srv.Read(pending)
-			pending = pending[:0]
-		}
-	}
-	for _, req := range w.Trace {
-		key := []byte(w.Corpus.Keys[req.Key])
-		if req.Get {
-			pending = pending.Get(key)
-			if len(pending) == batch {
-				flush()
-			}
-			continue
-		}
-		flush()
-		versions[req.Key]++
-		val := mutateItem(w.Corpus.Items[req.Key], versions[req.Key])
-		if err := srv.Set(key, val); err != nil {
-			return store.Stats{}, nil, err
-		}
-	}
-	flush()
-	srv.Heap.M.FlushCache()
-	return srv.Stats().Store, srv, nil
-}
-
 // RunFig6 produces one Figure 6 column pair.
 func RunFig6(lineBytes int, w Workload) (Fig6Result, error) {
 	res := Fig6Result{LineBytes: lineBytes, Requests: len(w.Trace)}

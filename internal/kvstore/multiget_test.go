@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 )
 
 func TestHicampReadMatchesGet(t *testing.T) {
@@ -40,28 +41,33 @@ func TestHicampReadMatchesGet(t *testing.T) {
 	}
 }
 
-// TestRunHicampMultiGetMatchesSerialResults checks the batched driver
-// serves the same trace with the same end state and strictly no more
-// DRAM accesses than the serial driver.
-func TestRunHicampMultiGetMatchesSerialResults(t *testing.T) {
-	w := NewWorkload(60, 400, 256, 7)
-	cfg := core.TestConfig()
-	serial, srvS, err := RunHicamp(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, srvB, err := RunHicampMultiGet(cfg, w, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, key := range w.Corpus.Keys {
-		a, okA := srvS.Get([]byte(key))
-		b, okB := srvB.Get([]byte(key))
-		if okA != okB || !bytes.Equal(a, b) {
-			t.Fatalf("key %d: end states differ", i)
+// BenchmarkBulkMultiGet times one batched Read of a 512-key power-law
+// GET batch, the memcached multi-key get shape.
+func BenchmarkBulkMultiGet(b *testing.B) {
+	const items, batchKeys = 256, 512
+	c := datagen.HTMLCorpus("bench-bulk-mget", items, 512, 21)
+	trace := datagen.RequestTrace(items, 3*batchKeys, 10, 33)
+	keys := make([][]byte, 0, batchKeys)
+	for _, r := range trace {
+		if r.Get {
+			keys = append(keys, []byte(c.Keys[r.Key]))
+			if len(keys) == batchKeys {
+				break
+			}
 		}
 	}
-	if batched.Total() > serial.Total() {
-		t.Fatalf("multi-get driver used more DRAM: %d > %d", batched.Total(), serial.Total())
-	}
+	b.Run("bulk", func(b *testing.B) {
+		srv := NewHicampServer(core.TestConfig())
+		if err := srv.Write(corpusBatch(c)); err != nil {
+			b.Fatal(err)
+		}
+		rd := make(Batch, len(keys))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := range keys {
+				rd[j] = KV{Key: keys[j]}
+			}
+			srv.Read(rd)
+		}
+	})
 }

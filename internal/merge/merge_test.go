@@ -383,3 +383,39 @@ func TestMergeLeavesNoLeaks(t *testing.T) {
 	}
 	segment.ReleaseSeg(m, final.Seg)
 }
+
+// BenchmarkMergeWaveRebase times the wave rebase engine on a full-depth
+// triple: mod and cur update adjacent words of the same 32 leaf lines of
+// a 16384-word segment, so neither side can resolve by sub-DAG skipping
+// near the root.
+func BenchmarkMergeWaveRebase(b *testing.B) {
+	const n, k = 16384, 32
+	m := core.NewMachine(core.DefaultConfig(64))
+	ws := make([]uint64, n)
+	for i := range ws {
+		ws[i] = uint64(i%509) + 1
+	}
+	orig := segment.BuildWords(m, ws, nil)
+	ups := func(off int) []segment.Update {
+		out := make([]segment.Update, k)
+		for i := range out {
+			out[i] = segment.Update{
+				Idx: uint64((n/k)*i + off),
+				W:   uint64(i + off + 5000),
+				T:   word.TagRaw,
+			}
+		}
+		return out
+	}
+	mod, _ := segment.WriteBatch(m, orig, ups(0))
+	cur, _ := segment.WriteBatch(m, orig, ups(1))
+	b.Run("wave", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			got, err := Merge(m, orig, mod, cur, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			segment.ReleaseSeg(m, got)
+		}
+	})
+}

@@ -18,15 +18,9 @@ import (
 	"repro/internal/segment"
 )
 
-// Options configure one Server. The zero value is NOT usable; start from
-// DefaultOptions.
+// Options configure one Server. A zero field takes its DefaultOptions
+// value.
 type Options struct {
-	// Aggregate turns on cross-connection batch aggregation: in-flight
-	// commands from every connection coalesce into per-window wave
-	// operations (batch.go). Off, every command dispatches individually
-	// as it arrives — the naive per-request baseline the netload
-	// benchmark contrasts against.
-	Aggregate bool
 	// MaxBatch caps the commands one flush window aggregates.
 	MaxBatch int
 	// FlushWindow is how long a non-full window waits for more in-flight
@@ -41,10 +35,9 @@ type Options struct {
 	ReadBuf, WriteBuf int
 }
 
-// DefaultOptions is the aggregating configuration.
+// DefaultOptions is the served configuration.
 func DefaultOptions() Options {
 	return Options{
-		Aggregate:      true,
 		MaxBatch:       128,
 		FlushWindow:    150 * time.Microsecond,
 		PendingPerConn: 256,
@@ -108,8 +101,8 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer wraps store. With opts.Aggregate the dispatcher goroutine
-// starts immediately; Close stops it.
+// NewServer wraps store. The dispatcher goroutine starts immediately;
+// Close stops it.
 func NewServer(store *kvstore.HicampServer, opts Options) *Server {
 	def := DefaultOptions()
 	if opts.MaxBatch <= 0 {
@@ -133,10 +126,8 @@ func NewServer(store *kvstore.HicampServer, opts Options) *Server {
 		toks:  newTokenRegistry(store.Heap, opts.MaxTokens),
 		conns: make(map[net.Conn]struct{}),
 	}
-	if opts.Aggregate {
-		s.disp = newDispatcher(s)
-		go s.disp.run()
-	}
+	s.disp = newDispatcher(s)
+	go s.disp.run()
 	return s
 }
 
@@ -224,10 +215,8 @@ func (s *Server) Close() error {
 		nc.Close()
 	}
 	s.wg.Wait()
-	if s.disp != nil {
-		close(s.disp.ch)
-		<-s.disp.done
-	}
+	close(s.disp.ch)
+	<-s.disp.done
 	s.toks.Close()
 	return nil
 }
@@ -416,20 +405,14 @@ func (c *conn) immediate(build func(dst []byte) []byte, sizeHint int) {
 	c.pending <- o
 }
 
-// submit routes one parsed op. Aggregating servers enforce per-connection
-// ordering with a class barrier: a run of same-class commands pipelines
-// freely into the shared window (reads commute with reads, buffered
-// writes commute with writes), but switching class waits for the
-// previous run to execute — so a pipelined get issued after a set on the
-// same connection always sees that set, while cross-connection order
-// stays unconstrained, exactly memcached's contract. Naive servers
-// execute inline, which orders trivially.
+// submit hands one parsed op to the dispatcher. Per-connection ordering
+// is a class barrier: a run of same-class commands pipelines freely into
+// the shared window (reads commute with reads, buffered writes commute
+// with writes), but switching class waits for the previous run to
+// execute — so a pipelined get issued after a set on the same connection
+// always sees that set, while cross-connection order stays
+// unconstrained, exactly memcached's contract.
 func (c *conn) submit(o *op, last *uint8) {
-	if c.s.disp == nil {
-		c.s.execNaive(o)
-		c.pending <- o
-		return
-	}
 	if *last != classNone && *last != o.class {
 		c.inflight.Wait()
 	}
@@ -544,102 +527,6 @@ func (c *conn) readLoop() {
 	}
 }
 
-// execNaive is per-request dispatch: every command runs its own store
-// operation(s) the moment it is parsed — one snapshot open and one map
-// descent per key, one wave commit per mutation. This is the baseline
-// the aggregation loop is measured against.
-func (s *Server) execNaive(o *op) {
-	switch o.class {
-	case classRead:
-		s.c.cmdGet.Add(uint64(len(o.keys)))
-		dst := o.grab(64 * (len(o.keys) + 1))
-		// Even per-request dispatch keeps the protocol's snapshot
-		// contract: a multi-key get/gets/mget whose keys share one
-		// namespace reads every key from ONE pinned root (and that root
-		// is the cas token for gets/mget). Only a cross-namespace gets
-		// degrades to per-key point reads with a dead token.
-		mp := s.store.NamespaceFor(o.keys[0])
-		uniform := true
-		for _, key := range o.keys[1:] {
-			if s.store.NamespaceFor(key) != mp {
-				uniform = false
-				break
-			}
-		}
-		if uniform {
-			seg, size, err := mp.SnapshotEntry()
-			if err != nil {
-				// A failed snapshot open is a server fault, not an all-miss:
-				// surface it to the client and the counters.
-				s.c.snapshotErrors.Add(1)
-				o.out = appendErrorResponse(dst, err)
-				o.ready <- struct{}{}
-				return
-			}
-			ks := hds.NewStrings(s.store.Heap, o.keys)
-			vals, found := mp.GetManyAt(seg, ks)
-			for i := range ks {
-				ks[i].Release(s.store.Heap)
-			}
-			bss := hds.BytesMany(s.store.Heap, vals)
-			var tok uint64
-			if o.withCas {
-				tok = s.toks.Register(mp, seg, size)
-			} else {
-				segment.ReleaseSeg(s.store.Heap.M, seg)
-			}
-			for i, key := range o.keys {
-				if !found[i] {
-					s.c.getMisses.Add(1)
-					continue
-				}
-				s.c.getHits.Add(1)
-				vals[i].Release(s.store.Heap)
-				flags, payload := unframe(bss[i])
-				dst = AppendValue(dst, key, flags, payload, tok, o.withCas)
-			}
-		} else {
-			for _, key := range o.keys {
-				v, ok := s.store.Get(key)
-				if !ok {
-					s.c.getMisses.Add(1)
-					continue
-				}
-				s.c.getHits.Add(1)
-				flags, payload := unframe(v)
-				dst = AppendValue(dst, key, flags, payload, 0, o.withCas)
-			}
-		}
-		o.out = append(dst, respEnd...)
-
-	case classWrite:
-		if o.verb == OpDelete {
-			s.c.cmdDelete.Add(1)
-			key := o.keys[0]
-			if _, ok := s.store.Get(key); !ok {
-				s.c.deleteMisses.Add(1)
-				o.out = respNotFound
-			} else if err := s.store.Delete(key); err != nil {
-				o.out = appendErrorResponse(o.grab(64), err)
-			} else {
-				s.c.deleteHits.Add(1)
-				o.out = respDeleted
-			}
-			break
-		}
-		s.c.cmdSet.Add(1)
-		if err := s.store.Set(o.keys[0], o.val.S); err != nil {
-			o.out = appendErrorResponse(o.grab(64), err)
-		} else {
-			o.out = respStored
-		}
-
-	case classCas:
-		s.execCas(o)
-	}
-	o.ready <- struct{}{}
-}
-
 // execCas runs one compare-and-swap through the merge-rebase publish:
 // the pinned snapshot the token names becomes CompareApply's base, so a
 // stale token whose staleness is only *disjoint* concurrent writes
@@ -649,8 +536,7 @@ func (s *Server) execNaive(o *op) {
 // identical payload, so two clients cas-ing the same bytes on one
 // version would otherwise both store. Content-unique versions cannot
 // tell A→B→A from no write at all, so a key written away and back
-// between gets and cas still stores. Shared by the naive and batched
-// paths.
+// between gets and cas still stores.
 func (s *Server) execCas(o *op) {
 	s.c.cmdCas.Add(1)
 	key := o.keys[0]

@@ -40,126 +40,118 @@ func dialOrFatal(t testing.TB, addr string) *Client {
 	return c
 }
 
-// Both serving modes must speak identical protocol; only the dispatch
-// strategy differs.
+// The memcached text protocol end to end over the window-aggregation
+// path.
 func TestLoopbackProtocol(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{
-		{"aggregate", DefaultOptions()},
-		{"naive", Options{Aggregate: false}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			_, addr := startServer(t, mode.opts)
-			c := dialOrFatal(t, addr)
+	t.Run("aggregate", func(t *testing.T) {
+		_, addr := startServer(t, DefaultOptions())
+		c := dialOrFatal(t, addr)
 
-			// Miss, then store/fetch with flags round-trip.
-			if _, ok, err := c.Get("nope"); err != nil || ok {
-				t.Fatalf("miss: ok=%v err=%v", ok, err)
-			}
-			if err := c.SendSet("k1", 42, []byte("hello"), false); err != nil {
-				t.Fatal(err)
-			}
-			c.Flush()
-			if r, _ := c.ReadReply(); r != "STORED" {
-				t.Fatalf("set: %s", r)
-			}
-			if err := c.SendGet(false, "k1"); err != nil {
-				t.Fatal(err)
-			}
-			c.Flush()
-			vs, err := c.ReadValues()
-			if err != nil || len(vs) != 1 {
-				t.Fatalf("get: %v %v", vs, err)
-			}
-			if vs[0].Key != "k1" || vs[0].Flags != 42 || string(vs[0].Data) != "hello" {
-				t.Fatalf("get = %+v", vs[0])
-			}
+		// Miss, then store/fetch with flags round-trip.
+		if _, ok, err := c.Get("nope"); err != nil || ok {
+			t.Fatalf("miss: ok=%v err=%v", ok, err)
+		}
+		if err := c.SendSet("k1", 42, []byte("hello"), false); err != nil {
+			t.Fatal(err)
+		}
+		c.Flush()
+		if r, _ := c.ReadReply(); r != "STORED" {
+			t.Fatalf("set: %s", r)
+		}
+		if err := c.SendGet(false, "k1"); err != nil {
+			t.Fatal(err)
+		}
+		c.Flush()
+		vs, err := c.ReadValues()
+		if err != nil || len(vs) != 1 {
+			t.Fatalf("get: %v %v", vs, err)
+		}
+		if vs[0].Key != "k1" || vs[0].Flags != 42 || string(vs[0].Data) != "hello" {
+			t.Fatalf("get = %+v", vs[0])
+		}
 
-			// noreply set is executed but unacknowledged.
-			if err := c.SendSet("quiet", 0, []byte("q"), true); err != nil {
-				t.Fatal(err)
-			}
-			// Multi-key get straight after: pipelined on the same
-			// connection, so it must observe the noreply set (class
-			// barrier) and keep request key order in the response.
-			c.SendGet(false, "k1", "quiet", "nope")
-			c.Flush()
-			vs, err = c.ReadValues()
-			if err != nil || len(vs) != 2 {
-				t.Fatalf("multiget: %v %v", vs, err)
-			}
-			if vs[0].Key != "k1" || vs[1].Key != "quiet" || string(vs[1].Data) != "q" {
-				t.Fatalf("multiget = %+v", vs)
-			}
+		// noreply set is executed but unacknowledged.
+		if err := c.SendSet("quiet", 0, []byte("q"), true); err != nil {
+			t.Fatal(err)
+		}
+		// Multi-key get straight after: pipelined on the same
+		// connection, so it must observe the noreply set (class
+		// barrier) and keep request key order in the response.
+		c.SendGet(false, "k1", "quiet", "nope")
+		c.Flush()
+		vs, err = c.ReadValues()
+		if err != nil || len(vs) != 2 {
+			t.Fatalf("multiget: %v %v", vs, err)
+		}
+		if vs[0].Key != "k1" || vs[1].Key != "quiet" || string(vs[1].Data) != "q" {
+			t.Fatalf("multiget = %+v", vs)
+		}
 
-			// Namespaced keys route to tenant maps transparently.
-			if err := c.Set("acme/nk", []byte("nv")); err != nil {
-				t.Fatal(err)
-			}
-			if v, ok, _ := c.Get("acme/nk"); !ok || string(v) != "nv" {
-				t.Fatalf("tenant get = %q %v", v, ok)
-			}
+		// Namespaced keys route to tenant maps transparently.
+		if err := c.Set("acme/nk", []byte("nv")); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok, _ := c.Get("acme/nk"); !ok || string(v) != "nv" {
+			t.Fatalf("tenant get = %q %v", v, ok)
+		}
 
-			// Delete semantics.
-			if ok, _ := c.Delete("k1"); !ok {
-				t.Fatal("delete k1: want DELETED")
-			}
-			if ok, _ := c.Delete("k1"); ok {
-				t.Fatal("delete k1 again: want NOT_FOUND")
-			}
-			if _, ok, _ := c.Get("k1"); ok {
-				t.Fatal("k1 survived delete")
-			}
+		// Delete semantics.
+		if ok, _ := c.Delete("k1"); !ok {
+			t.Fatal("delete k1: want DELETED")
+		}
+		if ok, _ := c.Delete("k1"); ok {
+			t.Fatal("delete k1 again: want NOT_FOUND")
+		}
+		if _, ok, _ := c.Get("k1"); ok {
+			t.Fatal("k1 survived delete")
+		}
 
-			// Errors keep the connection usable.
-			c.bw.WriteString("bogus\r\n")
-			c.Flush()
-			if r, _ := c.ReadReply(); r != "ERROR" {
-				t.Fatalf("bogus: %s", r)
-			}
-			c.bw.WriteString("get \x01bad\r\n")
-			c.Flush()
-			if r, _ := c.ReadReply(); r != "CLIENT_ERROR bad key" {
-				t.Fatalf("bad key: %s", r)
-			}
+		// Errors keep the connection usable.
+		c.bw.WriteString("bogus\r\n")
+		c.Flush()
+		if r, _ := c.ReadReply(); r != "ERROR" {
+			t.Fatalf("bogus: %s", r)
+		}
+		c.bw.WriteString("get \x01bad\r\n")
+		c.Flush()
+		if r, _ := c.ReadReply(); r != "CLIENT_ERROR bad key" {
+			t.Fatalf("bad key: %s", r)
+		}
 
-			if v, err := c.Version(); err != nil || v == "" {
-				t.Fatalf("version: %q %v", v, err)
+		if v, err := c.Version(); err != nil || v == "" {
+			t.Fatalf("version: %q %v", v, err)
+		}
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st["cmd_set"] == 0 || st["get_hits"] == 0 {
+			t.Fatalf("stats missing counters: %v", st)
+		}
+		// Host memory, explained from inside: sets touched some of
+		// the bucket table, never more than all of it, and a handful
+		// of keys leaves every bucket at its small starting width.
+		reserved, touched := st["hicamp_table_reserved_bytes"], st["hicamp_table_touched_bytes"]
+		if touched == 0 || touched > reserved || st["go_heap_bytes"] == 0 {
+			t.Fatalf("stats: table touched %d of %d reserved bytes, go heap %d",
+				touched, reserved, st["go_heap_bytes"])
+		}
+		if full, ok := st["hicamp_table_full_buckets"]; !ok || full != 0 {
+			t.Fatalf("stats: hicamp_table_full_buckets = %d (present %v), want 0", full, ok)
+		}
+		// The simulated LLC: the gets above hit lines the sets just
+		// filled, and a 4096-line cache holding a few keys evicts
+		// nothing.
+		if st["hicamp_llc_hits"] == 0 || st["hicamp_llc_misses"] == 0 {
+			t.Fatalf("stats: LLC hits %d, misses %d; want both nonzero",
+				st["hicamp_llc_hits"], st["hicamp_llc_misses"])
+		}
+		for _, k := range []string{"hicamp_llc_evictions", "hicamp_llc_dirty_evictions"} {
+			if v, ok := st[k]; !ok || v != 0 {
+				t.Fatalf("stats: %s = %d (present %v), want 0", k, v, ok)
 			}
-			st, err := c.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st["cmd_set"] == 0 || st["get_hits"] == 0 {
-				t.Fatalf("stats missing counters: %v", st)
-			}
-			// Host memory, explained from inside: sets touched some of
-			// the bucket table, never more than all of it, and a handful
-			// of keys leaves every bucket at its small starting width.
-			reserved, touched := st["hicamp_table_reserved_bytes"], st["hicamp_table_touched_bytes"]
-			if touched == 0 || touched > reserved || st["go_heap_bytes"] == 0 {
-				t.Fatalf("stats: table touched %d of %d reserved bytes, go heap %d",
-					touched, reserved, st["go_heap_bytes"])
-			}
-			if full, ok := st["hicamp_table_full_buckets"]; !ok || full != 0 {
-				t.Fatalf("stats: hicamp_table_full_buckets = %d (present %v), want 0", full, ok)
-			}
-			// The simulated LLC: the gets above hit lines the sets just
-			// filled, and a 4096-line cache holding a few keys evicts
-			// nothing.
-			if st["hicamp_llc_hits"] == 0 || st["hicamp_llc_misses"] == 0 {
-				t.Fatalf("stats: LLC hits %d, misses %d; want both nonzero",
-					st["hicamp_llc_hits"], st["hicamp_llc_misses"])
-			}
-			for _, k := range []string{"hicamp_llc_evictions", "hicamp_llc_dirty_evictions"} {
-				if v, ok := st[k]; !ok || v != 0 {
-					t.Fatalf("stats: %s = %d (present %v), want 0", k, v, ok)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // The acceptance pin: a cas whose token (pinned snapshot) went stale to
@@ -167,79 +159,71 @@ func TestLoopbackProtocol(t *testing.T) {
 // three-way merge — while a concurrent write to the same key answers
 // EXISTS, and a vanished key answers NOT_FOUND.
 func TestCasMergeRebase(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{
-		{"aggregate", DefaultOptions()},
-		{"naive", Options{Aggregate: false}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			_, addr := startServer(t, mode.opts)
-			c := dialOrFatal(t, addr)
-			other := dialOrFatal(t, addr)
+	t.Run("aggregate", func(t *testing.T) {
+		_, addr := startServer(t, DefaultOptions())
+		c := dialOrFatal(t, addr)
+		other := dialOrFatal(t, addr)
 
-			for _, k := range []string{"mine", "theirs", "gone"} {
-				if err := c.Set(k, []byte(k+"-v0")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			v, ok, err := c.Gets("mine")
-			if err != nil || !ok || v.Cas == 0 {
-				t.Fatalf("gets: %+v %v %v", v, ok, err)
-			}
-
-			// Another connection moves the map under the token: writes to
-			// DIFFERENT keys.
-			if err := other.Set("theirs", []byte("theirs-v1")); err != nil {
+		for _, k := range []string{"mine", "theirs", "gone"} {
+			if err := c.Set(k, []byte(k+"-v0")); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := other.Delete("gone"); err != nil {
-				t.Fatal(err)
-			}
+		}
+		v, ok, err := c.Gets("mine")
+		if err != nil || !ok || v.Cas == 0 {
+			t.Fatalf("gets: %+v %v %v", v, ok, err)
+		}
 
-			// Stale token + disjoint interleaved writes: merge-rebase
-			// publishes instead of failing.
-			if r, err := c.Cas("mine", []byte("mine-v1"), v.Cas); err != nil || r != "STORED" {
-				t.Fatalf("disjoint stale cas = %q %v, want STORED", r, err)
-			}
-			if got, _, _ := c.Get("mine"); string(got) != "mine-v1" {
-				t.Fatalf("mine = %q", got)
-			}
-			if got, _, _ := c.Get("theirs"); string(got) != "theirs-v1" {
-				t.Fatalf("theirs = %q (interleaved write lost)", got)
-			}
+		// Another connection moves the map under the token: writes to
+		// DIFFERENT keys.
+		if err := other.Set("theirs", []byte("theirs-v1")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := other.Delete("gone"); err != nil {
+			t.Fatal(err)
+		}
 
-			// Same-key interleaved write: true conflict, EXISTS.
-			v2, _, _ := c.Gets("mine")
-			if err := other.Set("mine", []byte("mine-v2")); err != nil {
-				t.Fatal(err)
-			}
-			if r, _ := c.Cas("mine", []byte("mine-v2-mine"), v2.Cas); r != "EXISTS" {
-				t.Fatalf("same-key stale cas = %q, want EXISTS", r)
-			}
-			if got, _, _ := c.Get("mine"); string(got) != "mine-v2" {
-				t.Fatalf("mine = %q (conflicting cas landed)", got)
-			}
+		// Stale token + disjoint interleaved writes: merge-rebase
+		// publishes instead of failing.
+		if r, err := c.Cas("mine", []byte("mine-v1"), v.Cas); err != nil || r != "STORED" {
+			t.Fatalf("disjoint stale cas = %q %v, want STORED", r, err)
+		}
+		if got, _, _ := c.Get("mine"); string(got) != "mine-v1" {
+			t.Fatalf("mine = %q", got)
+		}
+		if got, _, _ := c.Get("theirs"); string(got) != "theirs-v1" {
+			t.Fatalf("theirs = %q (interleaved write lost)", got)
+		}
 
-			// Missing key: NOT_FOUND regardless of token.
-			v3, _, _ := c.Gets("theirs")
-			if _, err := other.Delete("theirs"); err != nil {
-				t.Fatal(err)
-			}
-			if r, _ := c.Cas("theirs", []byte("x"), v3.Cas); r != "NOT_FOUND" {
-				t.Fatalf("cas on deleted key = %q, want NOT_FOUND", r)
-			}
+		// Same-key interleaved write: true conflict, EXISTS.
+		v2, _, _ := c.Gets("mine")
+		if err := other.Set("mine", []byte("mine-v2")); err != nil {
+			t.Fatal(err)
+		}
+		if r, _ := c.Cas("mine", []byte("mine-v2-mine"), v2.Cas); r != "EXISTS" {
+			t.Fatalf("same-key stale cas = %q, want EXISTS", r)
+		}
+		if got, _, _ := c.Get("mine"); string(got) != "mine-v2" {
+			t.Fatalf("mine = %q (conflicting cas landed)", got)
+		}
 
-			// Garbage token on a live key: EXISTS.
-			if err := c.Set("alive", []byte("a")); err != nil {
-				t.Fatal(err)
-			}
-			if r, _ := c.Cas("alive", []byte("b"), 1<<60); r != "EXISTS" {
-				t.Fatalf("garbage token cas = %q, want EXISTS", r)
-			}
-		})
-	}
+		// Missing key: NOT_FOUND regardless of token.
+		v3, _, _ := c.Gets("theirs")
+		if _, err := other.Delete("theirs"); err != nil {
+			t.Fatal(err)
+		}
+		if r, _ := c.Cas("theirs", []byte("x"), v3.Cas); r != "NOT_FOUND" {
+			t.Fatalf("cas on deleted key = %q, want NOT_FOUND", r)
+		}
+
+		// Garbage token on a live key: EXISTS.
+		if err := c.Set("alive", []byte("a")); err != nil {
+			t.Fatal(err)
+		}
+		if r, _ := c.Cas("alive", []byte("b"), 1<<60); r != "EXISTS" {
+			t.Fatalf("garbage token cas = %q, want EXISTS", r)
+		}
+	})
 }
 
 // Two clients read the same key and both cas the SAME bytes with their
@@ -247,39 +231,31 @@ func TestCasMergeRebase(t *testing.T) {
 // EXISTS — even though the three-way merge alone would absorb the
 // identical write (cur == mod) and report no conflict.
 func TestCasIdenticalPayloadLoses(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{
-		{"aggregate", DefaultOptions()},
-		{"naive", Options{Aggregate: false}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			_, addr := startServer(t, mode.opts)
-			a := dialOrFatal(t, addr)
-			b := dialOrFatal(t, addr)
-			if err := a.Set("k", []byte("v0")); err != nil {
-				t.Fatal(err)
-			}
-			va, ok, err := a.Gets("k")
-			if err != nil || !ok {
-				t.Fatalf("gets a: %v %v", ok, err)
-			}
-			vb, ok, err := b.Gets("k")
-			if err != nil || !ok {
-				t.Fatalf("gets b: %v %v", ok, err)
-			}
-			if r, err := a.Cas("k", []byte("same"), va.Cas); err != nil || r != "STORED" {
-				t.Fatalf("first cas = %q %v, want STORED", r, err)
-			}
-			if r, err := b.Cas("k", []byte("same"), vb.Cas); err != nil || r != "EXISTS" {
-				t.Fatalf("second identical cas = %q %v, want EXISTS", r, err)
-			}
-			if got, _, _ := a.Get("k"); string(got) != "same" {
-				t.Fatalf("k = %q", got)
-			}
-		})
-	}
+	t.Run("aggregate", func(t *testing.T) {
+		_, addr := startServer(t, DefaultOptions())
+		a := dialOrFatal(t, addr)
+		b := dialOrFatal(t, addr)
+		if err := a.Set("k", []byte("v0")); err != nil {
+			t.Fatal(err)
+		}
+		va, ok, err := a.Gets("k")
+		if err != nil || !ok {
+			t.Fatalf("gets a: %v %v", ok, err)
+		}
+		vb, ok, err := b.Gets("k")
+		if err != nil || !ok {
+			t.Fatalf("gets b: %v %v", ok, err)
+		}
+		if r, err := a.Cas("k", []byte("same"), va.Cas); err != nil || r != "STORED" {
+			t.Fatalf("first cas = %q %v, want STORED", r, err)
+		}
+		if r, err := b.Cas("k", []byte("same"), vb.Cas); err != nil || r != "EXISTS" {
+			t.Fatalf("second identical cas = %q %v, want EXISTS", r, err)
+		}
+		if got, _, _ := a.Get("k"); string(got) != "same" {
+			t.Fatalf("k = %q", got)
+		}
+	})
 }
 
 // Pipelined loopback stress under the race detector: concurrent
@@ -289,7 +265,6 @@ func TestCasIdenticalPayloadLoses(t *testing.T) {
 // -race -cpu=1,4 in CI.
 func TestStressSnapshotConsistentMGet(t *testing.T) {
 	s, addr := startServer(t, Options{
-		Aggregate:   true,
 		MaxBatch:    64,
 		FlushWindow: 100 * time.Microsecond,
 	})
@@ -438,7 +413,7 @@ func TestShutdownPoolLeakPin(t *testing.T) {
 // every value's lines. A leaked reference per cas would pin ~30 dead
 // 512-byte values — thousands of lines — forever.
 func TestCasDoesNotLeakValueRefs(t *testing.T) {
-	s, addr := startServer(t, Options{Aggregate: false})
+	s, addr := startServer(t, DefaultOptions())
 	heap := s.Store().Heap
 	base := heap.M.LiveLines()
 	c := dialOrFatal(t, addr)

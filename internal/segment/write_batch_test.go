@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -266,5 +267,43 @@ func TestWriteBatchAccountingPin(t *testing.T) {
 				t.Fatalf("arity %d: %d lines leaked", arity, live)
 			}
 		}
+	}
+}
+
+// BenchmarkWriteBatch times the wave-ordered bulk writer, which groups
+// sibling updates per DAG level and canonicalizes each level in one
+// batch lookup, on random update sets over a 65536-word segment.
+func BenchmarkWriteBatch(b *testing.B) {
+	const words = 65536
+	mkWords := func(n int, seed uint64) []uint64 {
+		ws := make([]uint64, n)
+		x := seed*2654435761 + 1
+		for i := range ws {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			ws[i] = x
+		}
+		return ws
+	}
+	mkUps := func(n int, seed uint64) []Update {
+		rs := mkWords(2*n, seed)
+		ups := make([]Update, n)
+		for i := range ups {
+			ups[i] = Update{Idx: rs[2*i] % words, W: rs[2*i+1] | 1}
+		}
+		return ups
+	}
+	for _, n := range []int{256, 4096} {
+		b.Run(fmt.Sprintf("wave/updates%d", n), func(b *testing.B) {
+			m := core.NewMachine(core.DefaultConfig(16))
+			s := BuildWords(m, mkWords(words, 5), nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next, _ := WriteBatch(m, s, mkUps(n, uint64(i)+1))
+				ReleaseSeg(m, s)
+				s = next
+			}
+		})
 	}
 }
