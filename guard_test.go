@@ -13,10 +13,6 @@ import (
 // in a fixed file set or in every .go file of the tree minus one exempt
 // directory. This file quotes the patterns, so no walk reads it.
 //
-//   - word.Caps is the single capability probe for the optional Mem fast
-//     paths. Every consumer takes a word.MemCaps at construction time;
-//     ad-hoc type asserts of the optional interfaces scattered through
-//     call sites are the failure mode locked out.
 //   - The wave engines' scratch discipline (DESIGN.md "Scratch pooling"):
 //     the wave-engine files use only the allocation-free forms of the
 //     compact/inline decoders (DecodeCompactInto / UnpackInlineInto) and
@@ -35,19 +31,12 @@ var sourceGuards = []struct {
 	fix    string
 }{
 	{
-		name:   "NoAdHocCapabilityAsserts",
-		re:     regexp.MustCompile(`\.\(\s*word\.(BatchMem|BatchReadMem|ContentRetainer|BatchIntoMem|DurableMem)\s*\)`),
-		exempt: filepath.Join("internal", "word"),
-		fix:    "ad-hoc capability assert — probe once with word.Caps instead",
-	},
-	{
 		name: "NoAdHocScratchInWaveEngines",
 		re:   regexp.MustCompile(`word\.(DecodeCompact|UnpackInline)\(|sort\.Slice\(|sync\.Pool`),
 		files: []string{
 			filepath.Join("internal", "segment", "builder.go"),
 			filepath.Join("internal", "segment", "read_bulk.go"),
 			filepath.Join("internal", "segment", "scan.go"),
-			filepath.Join("internal", "segment", "scan_parallel.go"),
 			filepath.Join("internal", "segment", "write_batch.go"),
 			filepath.Join("internal", "segment", "canon_batch.go"),
 			filepath.Join("internal", "merge", "merge.go"),

@@ -103,10 +103,9 @@ func (s IngestStats) HitRate() float64 {
 // segment.Builder): give each goroutine its own, or serialize access
 // (kvstore's blob layer holds one behind a mutex).
 type Ingestor struct {
-	m    word.Mem
-	caps word.MemCaps
-	b    *segment.Builder
-	cfg  Config
+	m   word.Mem
+	b   *segment.Builder
+	cfg Config
 
 	memo        map[string]memoEntry
 	memoEntries int
@@ -117,13 +116,11 @@ type Ingestor struct {
 
 // NewIngestor creates an ingestor over m with the given chunking
 // geometry (zero-value Config selects the defaults). Call Close when
-// done. Memoization requires m to implement word.ContentRetainer
-// (core.Machine does); otherwise every chunk builds through the
-// Builder, which still dedups content in the store itself.
+// done.
 func NewIngestor(m word.Mem, cfg Config) *Ingestor {
 	norm, _, _ := cfg.norm()
 	return &Ingestor{
-		m: m, caps: word.Caps(m), b: segment.NewBuilder(m, 0), cfg: norm,
+		m: m, b: segment.NewBuilder(m, 0), cfg: norm,
 		memoEntries: DefaultMemoEntries, memoByteCap: DefaultMemoBytes,
 	}
 }
@@ -220,7 +217,7 @@ func (g *Ingestor) chunkSeg(chunk []byte) segment.Seg {
 		if e, ok := g.memo[string(chunk)]; ok {
 			// An all-zero chunk memoizes the architectural zero line,
 			// which needs no revalidation (Zero is eternal, refcount-free).
-			if e.root == word.Zero || g.caps.RetainIfContent(e.root, e.content) {
+			if e.root == word.Zero || g.m.RetainIfContent(e.root, e.content) {
 				g.stats.MemoHits++
 				return segment.Seg{Root: e.root, Height: int(e.height)}
 			}
@@ -243,7 +240,7 @@ func (g *Ingestor) chunkSeg(chunk []byte) segment.Seg {
 // serving hits (ref-less entries never pin memory, so staying put is
 // free) and simply stops learning new chunks.
 func (g *Ingestor) memoAdd(chunk []byte, s segment.Seg) {
-	if g.memoEntries <= 0 || !g.caps.CanRetainContent() {
+	if g.memoEntries <= 0 {
 		return
 	}
 	if len(g.memo) >= g.memoEntries || g.memoBytes+len(chunk) > g.memoByteCap {

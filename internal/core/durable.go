@@ -8,34 +8,8 @@ import (
 // Durability wiring. The machine itself stays persistence-agnostic: the
 // write-ahead layer (internal/durable) attaches a line journal to the
 // store and observes segment-map publishes directly; the machine only
-// exposes the restore surface and forwards word.DurableMem so the
-// programming-model layers can discover whether writes need a durability
-// acknowledgement without importing internal/durable.
-
-// Durability is the attachment point for a write-ahead layer. Sync
-// blocks until every mutation issued before the call is stable; Enabled
-// reports whether Sync actually waits on anything.
-type Durability interface {
-	Sync() error
-	Enabled() bool
-}
-
-// SetDurability attaches (or, with nil, detaches) the persistence layer.
-// Attach before the machine serves traffic.
-func (m *Machine) SetDurability(d Durability) { m.durability = d }
-
-// DurableEnabled implements word.DurableMem.
-func (m *Machine) DurableEnabled() bool {
-	return m.durability != nil && m.durability.Enabled()
-}
-
-// SyncDurable implements word.DurableMem.
-func (m *Machine) SyncDurable() error {
-	if m.durability == nil {
-		return nil
-	}
-	return m.durability.Sync()
-}
+// exposes the restore surface. Write acknowledgements wait on the
+// durable layer itself, which its owner (kvstore) holds.
 
 // SetLineJournal attaches the store's line liveness journal.
 func (m *Machine) SetLineJournal(j store.Journal) { m.store.SetJournal(j) }
@@ -55,5 +29,3 @@ func (m *Machine) InstallLine(p word.PLID, c word.Content, rc uint64) error {
 
 // FinishRestore completes a sequence of InstallLine calls.
 func (m *Machine) FinishRestore() { m.store.FinishRestore() }
-
-var _ word.DurableMem = (*Machine)(nil)

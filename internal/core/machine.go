@@ -85,10 +85,6 @@ type Machine struct {
 	setMask   uint64
 	lookupOps atomic.Uint64
 	readOps   atomic.Uint64
-
-	// durability, when non-nil, is the attached write-ahead layer (see
-	// durable.go). Set before the machine serves traffic.
-	durability Durability
 }
 
 func (c Config) storeConfig() store.Config {
@@ -231,11 +227,11 @@ func (m *Machine) probeContent(set int, c *word.Content, t *cachesim.Tally) (wor
 	return word.Zero, false
 }
 
-// LookupLineBatch implements word.BatchMem: batched lookup-by-content
-// through the LLC. The LLC still observes every line individually — zero
-// contents resolve to Zero without touching the cache, and each remaining
-// content gets its own content probe (per-line hit/miss accounting, exactly
-// as LookupLine charges it). Only the residue that missed the cache is
+// LookupLineBatch implements word.BulkMem: batched lookup-by-content
+// through the LLC into a fresh slice. The LLC still observes every line
+// individually — zero contents resolve to Zero without touching the
+// cache, and each remaining content gets its own content probe (per-line
+// hit/miss accounting, exactly as LookupLine charges it). Only the residue that missed the cache is
 // forwarded to the store's batch lookup, which takes each bucket stripe
 // lock once per batch and coalesces the DRAM accounting; the resolved
 // lines are then filled into the LLC one by one (fresh allocations dirty,
@@ -246,8 +242,8 @@ func (m *Machine) LookupLineBatch(cs []word.Content) []word.PLID {
 	return out
 }
 
-// LookupLineBatchInto implements word.BatchIntoMem: LookupLineBatch
-// writing into a caller-supplied buffer of length len(cs). All internal
+// LookupLineBatchInto implements word.Mem: LookupLineBatch writing into
+// a caller-supplied buffer of length len(cs). All internal
 // miss-residue scratch is pooled, so a steady-state batched lookup —
 // every content already resident, hitting the LLC or the store's dedup
 // path — allocates nothing, and the LLC's event counters are published
@@ -330,11 +326,11 @@ func (m *Machine) ReadLine(p word.PLID) word.Content {
 	return c
 }
 
-// ReadLineBatch implements word.BatchReadMem: batched read-by-PLID
-// through the LLC, with accounting pinned identical to len(ps) serial
-// ReadLine calls. The LLC still observes every line individually — each
-// element gets its own read probe, charging the same per-line hit/miss the
-// serial path charges — and only the residue that missed is forwarded to
+// ReadLineBatch implements word.BulkMem: batched read-by-PLID through
+// the LLC into a fresh slice, with accounting pinned identical to len(ps)
+// serial ReadLine calls. The LLC still observes every line individually —
+// each element gets its own read probe, charging the same per-line
+// hit/miss the serial path charges — and only the residue that missed is forwarded to
 // the store's batch read, which takes each bucket stripe's reader lock
 // once per run and coalesces the DRAM accounting; the fetched lines are
 // then filled into the LLC in input order (clean: an addressable line has
@@ -382,7 +378,7 @@ func (m *Machine) readFlush(r *readRun, out, fetched []word.Content, t *cachesim
 	r.idx, r.ps, r.sets = r.idx[:0], r.ps[:0], r.sets[:0]
 }
 
-// ReadLineBatchInto implements word.BatchIntoMem: ReadLineBatch writing
+// ReadLineBatchInto implements word.Mem: ReadLineBatch writing
 // into a caller-supplied buffer of length len(ps). The miss runs, fetch
 // buffer and pending-set bitset are pooled, so a steady-state wave read
 // allocates nothing, and the LLC's event counters are published once per
@@ -435,7 +431,7 @@ func (m *Machine) Retain(p word.PLID) {
 	m.store.Retain(p)
 }
 
-// RetainIfContent implements word.ContentRetainer: it acquires a
+// RetainIfContent implements word.Mem: it acquires a
 // reference on p only if the line is still live with content c. This is
 // the same primitive the LLC content-hit path uses, with the same
 // accounting (one RC touch), so a caller-side content memo (for example
@@ -546,7 +542,4 @@ func (m *Machine) writeBack(k cachesim.Key) {
 	}
 }
 
-var _ word.Mem = (*Machine)(nil)
-var _ word.BatchMem = (*Machine)(nil)
-var _ word.BatchReadMem = (*Machine)(nil)
 var _ word.BulkMem = (*Machine)(nil)

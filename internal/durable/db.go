@@ -75,8 +75,8 @@ type DurableStats struct {
 }
 
 // DB is the write-ahead persistence layer attached beneath one machine +
-// segment map pair. It implements store.Journal, segmap.Journal and
-// core.Durability; Open wires all three.
+// segment map pair. It implements store.Journal and segmap.Journal, which
+// Open attaches; its owner gates write acknowledgements on Sync.
 type DB struct {
 	dir string
 	m   *core.Machine
@@ -106,8 +106,7 @@ type DB struct {
 // Open recovers dir into m and sm (which must be freshly constructed
 // and empty), attaches the journals, and starts the group-commit
 // flusher. On return the machine serves the recovered state and every
-// new mutation is logged; callers gate write acknowledgements on Sync
-// (or word.MemCaps.SyncDurable).
+// new mutation is logged; callers gate write acknowledgements on Sync.
 func Open(opts Options, m *core.Machine, sm *segmap.Map) (*DB, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -140,7 +139,6 @@ func Open(opts Options, m *core.Machine, sm *segmap.Map) (*DB, error) {
 	}
 	m.SetLineJournal(d)
 	sm.SetJournal(d)
-	m.SetDurability(d)
 	if opts.CheckpointEvery > 0 {
 		d.stopCkpt = make(chan struct{})
 		d.ckptDone = make(chan struct{})
@@ -221,11 +219,11 @@ func (d *DB) Binding(label string) (word.VSID, bool) {
 	return v, ok
 }
 
-// Sync implements core.Durability: it blocks until every mutation
-// issued before the call is stable.
+// Sync blocks until every mutation issued before the call is stable.
+// After Close it returns at once, with the log's sticky error if any.
 func (d *DB) Sync() error { return d.lw.Sync() }
 
-// Enabled implements core.Durability.
+// Enabled reports whether the DB is still attached (not yet closed).
 func (d *DB) Enabled() bool { return !d.closed.Load() }
 
 // Checkpoint writes a new checkpoint generation and truncates obsolete
@@ -306,7 +304,6 @@ func (d *DB) Close() error {
 	}
 	d.m.SetLineJournal(nil)
 	d.sm.SetJournal(nil)
-	d.m.SetDurability(nil)
 	return d.lw.Close()
 }
 

@@ -418,17 +418,17 @@ func TestDurableFrameRoundTrip(t *testing.T) {
 // nothing and works.
 func TestDurableCleanDirIsEmpty(t *testing.T) {
 	dir := t.TempDir()
-	h, db := openHeap(t, testOpts(dir))
+	_, db := openHeap(t, testOpts(dir))
 	defer db.Close()
 	st := db.Stats()
 	if st.RecoveredLines != 0 || st.RecoveredRoots != 0 || st.ReplayedRecords != 0 {
 		t.Fatalf("fresh dir recovered state: %+v", st)
 	}
-	if !h.M.DurableEnabled() {
-		t.Fatalf("machine does not report durability")
+	if !db.Enabled() {
+		t.Fatalf("open DB does not report itself enabled")
 	}
-	if err := h.M.SyncDurable(); err != nil {
-		t.Fatalf("SyncDurable: %v", err)
+	if err := db.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
 	}
 }
 

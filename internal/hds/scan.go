@@ -86,31 +86,6 @@ func (mp *Map) ForEach(fn func(key, val String) bool) error {
 	return nil
 }
 
-// ForEachParallel is ForEach with the scan sharded across a bounded
-// worker pool (segment.ScanWordsParallel); fn still runs only on the
-// calling goroutine, in the same ascending order as ForEach. workers <= 0
-// sizes the pool automatically.
-func (mp *Map) ForEachParallel(workers int, fn func(key, val String) bool) error {
-	e, err := mp.h.SM.Load(segmap.ReadOnlyRef(mp.vsid))
-	if err != nil {
-		return err
-	}
-	defer segment.ReleaseSeg(mp.h.M, e.Seg)
-	se := &slotEmitter{h: mp.h, fn: fn}
-	stopped := false
-	segment.ScanWordsParallel(mp.h.M, e.Seg, 0, workers, func(idx uint64, w uint64, t word.Tag) bool {
-		if !se.word(idx, w) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if !stopped {
-		se.flush()
-	}
-	return nil
-}
-
 // bytesScanBatch is how many bindings BytesScan materializes per bulk
 // gather; larger batches dedup more shared value lines per wave (the
 // gather's per-wave PLID dedup only sees sharing within one batch), at

@@ -60,8 +60,8 @@ func TestMapForEachMatchesGet(t *testing.T) {
 	}
 }
 
-// TestMapScanVariantsAgree pins that BytesScan and ForEachParallel emit
-// exactly ForEach's sequence — same pairs, same ascending slot order.
+// TestMapScanVariantsAgree pins that BytesScan emits exactly ForEach's
+// sequence — same pairs, same ascending slot order.
 func TestMapScanVariantsAgree(t *testing.T) {
 	h := heap()
 	mp := NewMap(h)
@@ -78,19 +78,6 @@ func TestMapScanVariantsAgree(t *testing.T) {
 	if fmt.Sprint(viaBytes) != fmt.Sprint(want) {
 		t.Fatalf("BytesScan order/content diverges from ForEach (%d vs %d pairs)", len(viaBytes), len(want))
 	}
-
-	for _, workers := range []int{0, 1, 4} {
-		var viaPar []pair
-		if err := mp.ForEachParallel(workers, func(key, val String) bool {
-			viaPar = append(viaPar, pair{string(key.Bytes(h)), string(val.Bytes(h))})
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(viaPar) != fmt.Sprint(want) {
-			t.Fatalf("ForEachParallel(%d) diverges from ForEach (%d vs %d pairs)", workers, len(viaPar), len(want))
-		}
-	}
 }
 
 func TestMapScanEarlyStop(t *testing.T) {
@@ -106,11 +93,6 @@ func TestMapScanEarlyStop(t *testing.T) {
 		"BytesScan": func(stop int) int {
 			calls := 0
 			mp.BytesScan(func(key, val []byte) bool { calls++; return calls < stop })
-			return calls
-		},
-		"ForEachParallel": func(stop int) int {
-			calls := 0
-			mp.ForEachParallel(4, func(key, val String) bool { calls++; return calls < stop })
 			return calls
 		},
 	} {

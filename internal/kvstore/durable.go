@@ -7,15 +7,13 @@ import (
 	"repro/internal/durable"
 	"repro/internal/hds"
 	"repro/internal/segmap"
-	"repro/internal/word"
 )
 
 // Durable server wiring. A server opened with a data directory sits on
 // a write-ahead persistence layer (internal/durable): every line
 // allocation and root publish is journaled, map identities are durable
 // label bindings, and a write acknowledgement waits for its group
-// commit (word.MemCaps.SyncDurable — a no-op on memory-only servers,
-// probed once at construction, never re-asserted per call site).
+// commit (DB.Sync; a memory-only server has no DB and acks at once).
 //
 // Labels name the server's maps across restarts: the root string map is
 // "kv:root", tenant string maps are "ns:<tenant>", the root blob map is
@@ -66,7 +64,6 @@ func NewHicampServerOpts(cfg core.Config, opts ServerOptions) (*HicampServer, er
 		return nil, err
 	}
 	s := &HicampServer{Heap: &hds.Heap{M: m, SM: sm}, db: db}
-	s.caps = word.Caps(m)
 	s.kvp = s.openOrBind(labelRoot)
 	return s, nil
 }
@@ -93,15 +90,21 @@ func (s *HicampServer) openOrBind(label string) *hds.Map {
 // nil immediately (the simulation semantics: a commit is durable the
 // moment it publishes). Batch callers that commit through the maps
 // directly (the network front end's write windows) call this once per
-// window instead of once per key.
-func (s *HicampServer) AckDurable() error { return s.caps.SyncDurable() }
+// window instead of once per key. After Close the log is detached and
+// Sync returns at once.
+func (s *HicampServer) AckDurable() error {
+	if s.db == nil {
+		return nil
+	}
+	return s.db.Sync()
+}
 
 // ackWrite gates one mutation's acknowledgement on durability.
 func (s *HicampServer) ackWrite(err error) error {
 	if err != nil {
 		return err
 	}
-	return s.caps.SyncDurable()
+	return s.AckDurable()
 }
 
 // Durable reports whether the server persists writes.

@@ -109,6 +109,43 @@ func TestDurableServerRestart(t *testing.T) {
 	}
 }
 
+// TestCloseWithWritesInFlight closes a durable server while a writer is
+// still setting keys. Close detaches the journals under the writer's
+// feet, so run it with -race: the detach must be synchronized with the
+// allocations and publishes that read the journals. After Close the
+// writes are simply no longer durable — no error reaches the writer and
+// acknowledgements return at once.
+func TestCloseWithWritesInFlight(t *testing.T) {
+	s, err := NewHicampServerOpts(core.TestConfig(), ServerOptions{DataDir: t.TempDir(), FlushWindow: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		var first error
+		for i := 0; i < 200; i++ {
+			if err := s.Set([]byte(fmt.Sprintf("inflight-%03d", i)), []byte(fmt.Sprintf("value-%03d", i))); err != nil && first == nil {
+				first = err
+			}
+			if i == 0 {
+				close(started)
+			}
+		}
+		done <- first
+	}()
+	<-started
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("writer saw %v across Close", err)
+	}
+	if err := s.AckDurable(); err != nil {
+		t.Fatalf("AckDurable after Close: %v", err)
+	}
+}
+
 // TestMemoryServerDurableSurface pins the memory-only server's durable
 // surface: not durable, zero stats, and Sync/Checkpoint/Close no-ops.
 func TestMemoryServerDurableSurface(t *testing.T) {

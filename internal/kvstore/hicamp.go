@@ -18,7 +18,6 @@ import (
 	"repro/internal/iterreg"
 	"repro/internal/pool"
 	"repro/internal/segmap"
-	"repro/internal/word"
 )
 
 // HicampServer is memcached on HICAMP (§4.4). Keys with a "tenant/"
@@ -30,12 +29,8 @@ type HicampServer struct {
 	ns    namespaces
 	blobs blobMaps
 
-	// caps is the machine's capability probe, taken once at construction
-	// (capsguard). Its durable arm gates write acknowledgements; on a
-	// memory-only server SyncDurable is an immediate nil.
-	caps word.MemCaps
 	// db is the write-ahead persistence layer, nil on memory-only
-	// servers; see durable.go.
+	// servers; write acknowledgements wait on it (see durable.go).
 	db *durable.DB
 }
 
@@ -43,7 +38,7 @@ type HicampServer struct {
 // NewHicampServerOpts adds persistence.
 func NewHicampServer(cfg core.Config) *HicampServer {
 	h := hds.NewHeap(cfg)
-	return &HicampServer{Heap: h, kvp: hds.NewMap(h), caps: word.Caps(h.M)}
+	return &HicampServer{Heap: h, kvp: hds.NewMap(h)}
 }
 
 // Set stores a key-value pair. Building the value into content-unique
@@ -125,53 +120,6 @@ func (s *HicampServer) Scan(fn func(key, value []byte) bool) error {
 			return err
 		}
 		if stopped {
-			return nil
-		}
-	}
-	return nil
-}
-
-// ScanParallel is Scan with the map walk sharded across a bounded worker
-// pool; fn still runs on the calling goroutine in the same order.
-// workers <= 0 sizes the pool automatically.
-func (s *HicampServer) ScanParallel(workers int, fn func(key, value []byte) bool) error {
-	var batch []hds.String
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		bs := hds.BytesMany(s.Heap, batch)
-		for i := range batch {
-			batch[i].Release(s.Heap)
-		}
-		batch = batch[:0]
-		for i := 0; i < len(bs); i += 2 {
-			if !fn(bs[i], bs[i+1]) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, mp := range s.allMaps() {
-		stopped := false
-		err := mp.ForEachParallel(workers, func(key, val hds.String) bool {
-			// Retain past the callback: materialization is deferred to the
-			// batch gather below.
-			key.Retain(s.Heap)
-			val.Retain(s.Heap)
-			batch = append(batch, key, val)
-			if len(batch) >= 256 {
-				if !flush() {
-					stopped = true
-					return false
-				}
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if stopped || !flush() {
 			return nil
 		}
 	}

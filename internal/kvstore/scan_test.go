@@ -42,21 +42,6 @@ func TestServerScanMatchesGet(t *testing.T) {
 		}
 	}
 
-	// ScanParallel must emit the exact same sequence.
-	var parOrder []string
-	if err := s.ScanParallel(4, func(key, value []byte) bool {
-		parOrder = append(parOrder, string(key))
-		if got[string(key)] != string(value) {
-			t.Fatalf("ScanParallel: key %q value mismatch", key)
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(parOrder) != fmt.Sprint(order) {
-		t.Fatal("ScanParallel order diverges from Scan")
-	}
-
 	// Keys must list the same keys in the same order.
 	keys, err := s.Keys()
 	if err != nil {

@@ -6,7 +6,7 @@
 // The merge is a wave-structured rebase engine. It co-walks the original,
 // modified and current DAGs in level-order waves: each wave's distinct
 // lines — across all three versions — are fetched through one batched
-// read (word.MemCaps.ReadBatch), and the merged levels canonicalize
+// read (word.Mem.ReadLineBatchInto), and the merged levels canonicalize
 // bottom-up with one batched lookup per level (segment.CanonBatch), the
 // same wave discipline as segment.WriteBatch. The content-uniqueness of
 // segments makes the identical-sub-DAG check a PLID comparison, so
@@ -224,7 +224,6 @@ func getMnode(level, arity int) *mnode {
 // again before returning, error or not.
 func coWalk(m word.Mem, vo, vm, vc side, height int, st *Stats) (segment.Edge, error) {
 	arity := m.LineWords()
-	caps := word.Caps(m)
 	w := mergerPool.Get()
 	defer mergerPool.Put(w)
 	for len(w.levels) < height+1 {
@@ -288,7 +287,7 @@ func coWalk(m word.Mem, vo, vm, vc side, height int, st *Stats) (segment.Edge, e
 				w.contents = make([]word.Content, len(plids))
 			}
 			contents = w.contents[:len(plids)]
-			caps.ReadBatchInto(plids, contents)
+			m.ReadLineBatchInto(plids, contents)
 			if st != nil {
 				st.LineReads += uint64(len(plids))
 			}
@@ -360,7 +359,7 @@ func coWalk(m word.Mem, vo, vm, vc side, height int, st *Stats) (segment.Edge, e
 	// Fresh child references release only after their parent level
 	// resolves (the parent lines take their own references during the
 	// lookup, which needs the children still live).
-	cb := segment.AcquireCanonBatch(m, caps)
+	cb := segment.AcquireCanonBatch(m)
 	defer cb.Close()
 	for lvl := 0; lvl <= height; lvl++ {
 		nodes := levels[lvl]

@@ -10,8 +10,8 @@
 //     borrowed buffer must never be stored in a result the caller keeps.
 //     Results are always built with plain make.
 //   - GetBuf hands out an owned *Buf whose Release the caller schedules
-//     explicitly — the ownership-transfer path for buffers that cross
-//     goroutines (parallel scan chunk handoff).
+//     explicitly — the ownership-transfer path for buffers that outlive
+//     one call (netfront's per-command key and value buffers).
 //   - Requests above the largest bin fall through to plain make: they
 //     are counted in Stats.Oversize but never retained, so a pathological
 //     request size cannot pin memory in a freelist.

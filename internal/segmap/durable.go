@@ -28,8 +28,9 @@ type Journal interface {
 	JournalDelete(v word.VSID)
 }
 
-// SetJournal attaches the publish journal. Attach before the map serves
-// traffic (it is read without synchronization); passing nil detaches.
+// SetJournal attaches the publish journal; passing nil detaches it. The
+// journal is read under sm.mu, so either is safe while the map serves
+// traffic: a publish is journaled to whichever journal held the lock.
 func (sm *Map) SetJournal(j Journal) {
 	sm.mu.Lock()
 	sm.journal = j

@@ -14,7 +14,7 @@ import (
 // resulting roots (the canonical form is order-independent):
 //
 //   - Batch lookup: every line the level needs from the store is collected
-//     and issued as one word.BatchMem.LookupLineBatch, so the store takes
+//     and issued as one word.Mem.LookupLineBatchInto, so the store takes
 //     each bucket stripe lock once per level and coalesces its DRAM
 //     accounting, instead of one lock round trip per line.
 //   - Memoization: a content-keyed table remembers the PLID of every line
@@ -38,31 +38,10 @@ import (
 // never a phantom lookup.
 type Builder struct {
 	m       word.Mem
-	caps    word.MemCaps // optional fast paths, probed once at construction
 	workers int
 	memoCap int
 	memo    map[word.Content]word.PLID // no references held; revalidated on hit
-
-	// Adaptive memo policy: after a warmup of memoWarmup consultations
-	// (skipped because cold-start first occurrences always miss), the
-	// next memoWarmup consultations form an observation window; if its
-	// hit rate fell below memoMinHitPct percent, inserts are disabled —
-	// on low-redundancy corpora (fresh VM images, random content) the
-	// insert cost dominates the occasional hit, while lookups against
-	// the already-populated table stay free upside. The decision is not
-	// final: every memoRecheck further consultations a new observation
-	// window opens (with inserts probationally re-enabled, so a workload
-	// that turned redundant can produce hits again) and the decision is
-	// re-taken, letting a long-lived server Builder track workload
-	// shifts in either direction.
-	memoWarmup    uint64
-	memoMinHitPct uint64
-	memoRecheck   uint64
-	stats         BuilderStats
-	windowOpen    bool
-	winLookups    uint64
-	winHits       uint64
-	nextWindowAt  uint64
+	stats   BuilderStats
 
 	// Scratch reused across levels and builds (one goroutine, so no
 	// synchronization; resized monotonically).
@@ -79,53 +58,20 @@ type Builder struct {
 // and the unique content (by position in uniqAt) it repeats.
 type builderDup struct{ edge, uniq int32 }
 
-// BuilderStats describes one Builder's memo behaviour, including the
-// adaptive-insert decision.
+// BuilderStats describes one Builder's memo behaviour.
 type BuilderStats struct {
 	MemoLookups uint64 // memo consultations (one per pending content)
 	MemoHits    uint64 // consultations that revalidated successfully
 	MemoInserts uint64 // entries recorded
-	// MemoDecided reports that the warmup window has closed and the
-	// insert policy is settled; MemoInsertsOff is the current decision —
-	// true when the observed hit rate fell below the threshold and
-	// inserts were turned off (lookups continue against the existing
-	// table).
-	MemoDecided    bool
-	MemoInsertsOff bool
-	// MemoRedecisions counts re-observation windows that closed after
-	// the first decision; MemoFlips counts the subset that reversed the
-	// insert policy (in either direction).
-	MemoRedecisions uint64
-	MemoFlips       uint64
-}
-
-// HitRate returns the observed memo hit fraction.
-func (s BuilderStats) HitRate() float64 {
-	if s.MemoLookups == 0 {
-		return 0
-	}
-	return float64(s.MemoHits) / float64(s.MemoLookups)
 }
 
 const (
 	// defaultMemoCap bounds the memo table: 1<<17 entries is a few MB of
 	// table, far above any one build level and comfortably holding a
 	// bulk-load working set. (Entries hold no references, so the cap
-	// bounds only the table itself, not line memory.)
+	// bounds only the table itself, not line memory.) A full memo keeps
+	// serving hits and stops learning.
 	defaultMemoCap = 1 << 17
-	// defaultMemoWarmup is how many memo consultations the adaptive
-	// policy observes before deciding whether inserts pay for themselves.
-	defaultMemoWarmup = 1 << 13
-	// defaultMemoMinHitPct is the hit-rate percentage below which memo
-	// inserts are disabled after warmup. The ROADMAP measurement put the
-	// break-even near 50%; 20% keeps a margin for workloads whose
-	// redundancy arrives late.
-	defaultMemoMinHitPct = 20
-	// defaultMemoRecheck is how many consultations pass between
-	// re-observation windows once a decision exists: large enough that a
-	// probation window's insert cost is noise, small enough that a
-	// long-lived Builder notices a workload shift within one bulk load.
-	defaultMemoRecheck = 1 << 16
 	// maxDefaultWorkers caps the auto-sized pool; levels rarely have
 	// enough independent work to feed more.
 	maxDefaultWorkers = 8
@@ -137,10 +83,7 @@ const (
 )
 
 // NewBuilder creates a bulk builder over m. workers <= 0 sizes the pool
-// automatically (GOMAXPROCS, capped). Memoization requires m to implement
-// word.ContentRetainer (core.Machine does); otherwise the Builder still
-// batches and deduplicates within each level, it just cannot remember
-// lines across builds. Call Close when done.
+// automatically (GOMAXPROCS, capped). Call Close when done.
 func NewBuilder(m word.Mem, workers int) *Builder {
 	if workers <= 0 {
 		// GOMAXPROCS bounds runnable goroutines, NumCPU bounds real
@@ -154,13 +97,7 @@ func NewBuilder(m word.Mem, workers int) *Builder {
 			workers = maxDefaultWorkers
 		}
 	}
-	return &Builder{
-		m: m, caps: word.Caps(m), workers: workers,
-		memoCap:       defaultMemoCap,
-		memoWarmup:    defaultMemoWarmup,
-		memoMinHitPct: defaultMemoMinHitPct,
-		memoRecheck:   defaultMemoRecheck,
-	}
+	return &Builder{m: m, workers: workers, memoCap: defaultMemoCap}
 }
 
 // Close drops the memo table and scratch buffers. Memo entries hold no
@@ -176,8 +113,7 @@ func (b *Builder) Close() {
 // MemoSize returns the number of memoized lines (for tests and telemetry).
 func (b *Builder) MemoSize() int { return len(b.memo) }
 
-// Stats returns the Builder's memo telemetry, including the adaptive
-// insert decision.
+// Stats returns the Builder's memo telemetry.
 func (b *Builder) Stats() BuilderStats { return b.stats }
 
 // BuildWords builds the canonical segment holding the given tagged words,
@@ -419,9 +355,8 @@ func (b *Builder) resolvePending(contents []word.Content, pending []bool, edges 
 		c := contents[i]
 		if b.memo != nil {
 			b.stats.MemoLookups++
-			b.memoDecide()
 			if p, ok := b.memo[c]; ok {
-				if b.caps.RetainIfContent(p, c) {
+				if b.m.RetainIfContent(p, c) {
 					b.stats.MemoHits++
 					edges[i] = PLIDEdge(p)
 					continue
@@ -463,64 +398,11 @@ func (b *Builder) resolvePending(contents []word.Content, pending []bool, edges 
 	}
 }
 
-// memoDecide runs the adaptive policy: the first memoWarmup
-// consultations are warmup (every first occurrence of a content is
-// necessarily a miss, so the cold region says nothing about redundancy),
-// then the *next* memoWarmup consultations are the observation window
-// whose hit rate settles the insert decision. After that first decision
-// a fresh observation window re-opens every memoRecheck consultations
-// and the decision is re-taken — a long-lived Builder whose workload
-// shifts from redundant to fresh (or back) flips the policy instead of
-// being stuck with the first verdict.
-func (b *Builder) memoDecide() {
-	l := b.stats.MemoLookups
-	if b.windowOpen {
-		obs := l - b.winLookups
-		if obs < b.memoWarmup {
-			return
-		}
-		off := (b.stats.MemoHits-b.winHits)*100 < obs*b.memoMinHitPct
-		if b.stats.MemoDecided {
-			b.stats.MemoRedecisions++
-			if off != b.stats.MemoInsertsOff {
-				b.stats.MemoFlips++
-			}
-		}
-		b.stats.MemoDecided = true
-		b.stats.MemoInsertsOff = off
-		b.windowOpen = false
-		b.nextWindowAt = l + b.memoRecheck
-		return
-	}
-	if !b.stats.MemoDecided {
-		// First window opens once the cold-start warmup has passed.
-		// memoWarmup is read here (not cached at construction) so tests
-		// shrinking it after NewBuilder see the smaller window.
-		if l >= b.memoWarmup {
-			b.windowOpen = true
-			b.winLookups, b.winHits = l, b.stats.MemoHits
-		}
-		return
-	}
-	if l >= b.nextWindowAt {
-		b.windowOpen = true
-		b.winLookups, b.winHits = l, b.stats.MemoHits
-	}
-}
-
 // memoAdd records c -> p without taking a reference; the entry is
-// revalidated (RetainIfContent) before every reuse. While the adaptive
-// policy's latest observation says inserts don't pay, inserts stop — the
-// table keeps serving lookups, it just stops growing on corpora that
-// don't repay the insert. During an open re-observation window inserts
-// run probationally even when switched off, so a workload that turned
-// redundant can show hits again and flip the policy back on.
+// revalidated (RetainIfContent) before every reuse. Inserts stop once the
+// table holds memoCap entries.
 func (b *Builder) memoAdd(c word.Content, p word.PLID) {
-	if !b.caps.CanRetainContent() || b.memoCap <= 0 || len(b.memo) >= b.memoCap {
-		return
-	}
-	b.memoDecide()
-	if b.stats.MemoInsertsOff && !b.windowOpen {
+	if len(b.memo) >= b.memoCap {
 		return
 	}
 	if b.memo == nil {
@@ -539,12 +421,8 @@ func (b *Builder) lookupAll(cs []word.Content) []word.PLID {
 	}
 	out := b.plids[:len(cs)]
 	w := b.workerCount(len(cs))
-	if !b.caps.HasBatchLookup() || w <= 1 {
-		// Serial memories take no per-batch locks, so sharding a fallback
-		// loop across workers buys nothing; one LookupBatchInto call
-		// covers both the native single-shard case and the serial
-		// fallback, writing into the Builder's reused result buffer.
-		b.caps.LookupBatchInto(cs, out)
+	if w <= 1 {
+		b.m.LookupLineBatchInto(cs, out)
 		return out
 	}
 	chunk := (len(cs) + w - 1) / w
@@ -554,7 +432,7 @@ func (b *Builder) lookupAll(cs []word.Content) []word.PLID {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			b.caps.LookupBatchInto(cs[lo:hi], out[lo:hi])
+			b.m.LookupLineBatchInto(cs[lo:hi], out[lo:hi])
 		}(lo, hi)
 	}
 	wg.Wait()

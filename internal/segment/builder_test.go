@@ -238,6 +238,53 @@ func TestBuilderMemoHoldsNoRefs(t *testing.T) {
 	}
 }
 
+// TestBuilderMemoInsertsUntilCap pins the memo policy: a long-lived
+// Builder over content that never repeats records every miss — well past
+// the point where a hit-rate policy would have given up on it — until the
+// table holds memoCap entries, after which it keeps serving lookups and
+// stops learning.
+func TestBuilderMemoInsertsUntilCap(t *testing.T) {
+	m := core.NewMachine(core.TestConfig())
+	b := NewBuilder(m, 1)
+	defer b.Close()
+	if b.memoCap != defaultMemoCap {
+		t.Fatalf("memo cap %d, want %d", b.memoCap, defaultMemoCap)
+	}
+	rng := rand.New(rand.NewSource(21))
+	ws := make([]uint64, 512)
+	build := func() {
+		for i := range ws {
+			ws[i] = rng.Uint64()
+		}
+		ReleaseSeg(m, b.BuildWords(ws, nil))
+	}
+	// The first build creates the table, so its level-0 inserts have no
+	// consultation to pair with; count from there.
+	build()
+	s0 := b.Stats()
+	for b.Stats().MemoLookups-s0.MemoLookups < 1<<15 {
+		build()
+	}
+	st := b.Stats()
+	if got, want := st.MemoInserts-s0.MemoInserts, (st.MemoLookups-s0.MemoLookups)-(st.MemoHits-s0.MemoHits); got != want {
+		t.Fatalf("memo inserted %d of %d misses over fresh content: %+v", got, want, st)
+	}
+
+	// Past the cap only a stale entry's slot (its line was freed and the
+	// entry dropped on revalidation) takes a new insert.
+	b.memoCap = b.MemoSize() + 10
+	build()
+	build()
+	after := b.Stats()
+	if b.MemoSize() != b.memoCap {
+		t.Fatalf("memo holds %d entries, cap %d", b.MemoSize(), b.memoCap)
+	}
+	misses := (after.MemoLookups - st.MemoLookups) - (after.MemoHits - st.MemoHits)
+	if inserts := after.MemoInserts - st.MemoInserts; inserts >= misses/2 {
+		t.Fatalf("full memo recorded %d of %d misses", inserts, misses)
+	}
+}
+
 // --- materializeRoot edge-tag coverage -----------------------------------
 
 func TestMaterializeRootZero(t *testing.T) {
@@ -429,32 +476,3 @@ func TestBuildersConcurrentIdenticalRoots(t *testing.T) {
 		t.Fatalf("%d lines leaked after concurrent builds", live)
 	}
 }
-
-func TestBuilderWithoutBatchMem(t *testing.T) {
-	// A Mem that lacks LookupLineBatch must still work via the fallback.
-	m := core.NewMachine(core.TestConfig())
-	plain := plainMem{m}
-	b := NewBuilder(plain, 2)
-	if b.caps.HasBatchLookup() {
-		t.Fatalf("plainMem should not probe as batch-lookup capable")
-	}
-	ws := randWords(rand.New(rand.NewSource(5)), 1500)
-	want := BuildWordsSerial(m, ws, nil)
-	got := b.BuildWords(ws, nil)
-	if !got.Equal(want) {
-		t.Fatalf("fallback root %#x != serial %#x", got.Root, want.Root)
-	}
-	ReleaseSeg(m, want)
-	ReleaseSeg(m, got)
-	b.Close()
-}
-
-// plainMem hides the Machine's batch method so only word.Mem remains.
-type plainMem struct{ m *core.Machine }
-
-func (p plainMem) LookupLine(c word.Content) word.PLID { return p.m.LookupLine(c) }
-func (p plainMem) ReadLine(q word.PLID) word.Content   { return p.m.ReadLine(q) }
-func (p plainMem) Retain(q word.PLID)                  { p.m.Retain(q) }
-func (p plainMem) Release(q word.PLID)                 { p.m.Release(q) }
-func (p plainMem) LineWords() int                      { return p.m.LineWords() }
-func (p plainMem) PLIDBits() int                       { return p.m.PLIDBits() }

@@ -11,7 +11,7 @@ import (
 // node's children through Leaf/Node — the canonical special cases (zero
 // elision, inlining, path compaction) resolve immediately without memory
 // accesses, everything else pends — and one Resolve call turns the
-// pending contents into owned PLID edges through word.MemCaps.LookupBatch,
+// pending contents into owned PLID edges through one LookupLineBatchInto,
 // deduplicating equal contents within the level (content-uniqueness makes
 // the duplicate's line the same line the store would have returned).
 //
@@ -20,7 +20,6 @@ import (
 // the submitted child edges is untouched.
 type CanonBatch struct {
 	m     word.Mem
-	caps  word.MemCaps
 	arity int
 	pendC []word.Content
 	pendO []*Edge
@@ -51,7 +50,7 @@ var canonBatchPool = pool.NewItems[CanonBatch]("segment.canonbatch", func(b *Can
 	clear(b.pendO)
 	b.dups = b.dups[:cap(b.dups)]
 	clear(b.dups)
-	b.m, b.caps, b.arity = nil, word.MemCaps{}, 0
+	b.m, b.arity = nil, 0
 	b.pendC = b.pendC[:0]
 	b.pendO = b.pendO[:0]
 	b.dups = b.dups[:0]
@@ -59,32 +58,18 @@ var canonBatchPool = pool.NewItems[CanonBatch]("segment.canonbatch", func(b *Can
 	b.firstAt = pool.ResetMap(b.firstAt, 0)
 })
 
-// AcquireCanonBatch borrows a canonicalizer from the pool: the wave
-// engines' alternative to NewCanonBatchCaps, allocation-free at steady
-// state. The caller must return it with Close before its engine call
-// returns, after which the instance must not be used.
-func AcquireCanonBatch(m word.Mem, caps word.MemCaps) *CanonBatch {
+// AcquireCanonBatch borrows a canonicalizer over m from the pool,
+// allocation-free at steady state. The caller must return it with Close
+// before its engine call returns, after which the instance must not be
+// used.
+func AcquireCanonBatch(m word.Mem) *CanonBatch {
 	b := canonBatchPool.Get()
-	b.m, b.caps, b.arity = m, caps, m.LineWords()
+	b.m, b.arity = m, m.LineWords()
 	return b
 }
 
-// Close parks a canonicalizer obtained from AcquireCanonBatch back in
-// the pool. Instances from NewCanonBatch/NewCanonBatchCaps need no Close
-// (they are ordinary garbage-collected values).
+// Close parks the canonicalizer back in the pool.
 func (b *CanonBatch) Close() { canonBatchPool.Put(b) }
-
-// NewCanonBatch probes m's capabilities once and returns a reusable
-// batch canonicalizer.
-func NewCanonBatch(m word.Mem) *CanonBatch {
-	return NewCanonBatchCaps(m, word.Caps(m))
-}
-
-// NewCanonBatchCaps is NewCanonBatch for callers that already hold the
-// one-shot capability probe.
-func NewCanonBatchCaps(m word.Mem, caps word.MemCaps) *CanonBatch {
-	return &CanonBatch{m: m, caps: caps, arity: m.LineWords()}
-}
 
 // Leaf canonicalizes a leaf of exactly arity word-level edges into *out,
 // mirroring CanonLeaf: the zero edge and the inline encoding resolve
@@ -189,7 +174,7 @@ func (b *CanonBatch) Resolve() uint64 {
 		b.plids = make([]word.PLID, len(uniqC))
 	}
 	plids := b.plids[:len(uniqC)]
-	b.caps.LookupBatchInto(uniqC, plids)
+	b.m.LookupLineBatchInto(uniqC, plids)
 	for j, out := range uniqO {
 		*out = PLIDEdge(plids[j]) // consumes the lookup's reference
 	}

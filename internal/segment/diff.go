@@ -2,6 +2,7 @@ package segment
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/word"
 )
@@ -37,7 +38,6 @@ type DiffStats struct {
 func DiffWords(m word.Mem, a, b Seg, fn func(idx uint64, av, bv uint64, at, bt word.Tag) bool) DiffStats {
 	var st DiffStats
 	arity := m.LineWords()
-	caps := word.Caps(m)
 	view := a.Height
 	if b.Height > view {
 		view = b.Height
@@ -81,7 +81,8 @@ func DiffWords(m word.Mem, a, b Seg, fn func(idx uint64, av, bv uint64, at, bt w
 			add(nd.eb, nd.lb, nd.view)
 		}
 		if len(plids) > 0 {
-			contents = caps.ReadBatch(plids)
+			contents = slices.Grow(contents[:0], len(plids))[:len(plids)]
+			m.ReadLineBatchInto(plids, contents)
 			st.Waves++
 			st.LineReads += uint64(len(plids))
 		}

@@ -23,7 +23,6 @@ var (
 	poolPLIDs     = pool.NewSlice[word.PLID]("segment.plid")
 	poolContents  = pool.NewSlice[word.Content]("segment.content")
 	poolUpdates   = pool.NewSlice[Update]("segment.update")
-	poolScanItems = pool.NewSlice[scanItem]("segment.scanitem")
 	poolWLevels   = pool.NewSlice[[]*wnode]("segment.wlevels", pool.WithClearOnPut())
 	poolWNodes    = pool.NewSlice[*wnode]("segment.wnodes", pool.WithClearOnPut())
 	poolPlidAt    = pool.NewMap[word.PLID, int]("segment.dedup.plid")

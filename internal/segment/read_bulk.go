@@ -13,7 +13,7 @@ import (
 // round trip — per line per visit. The materializer here walks the DAG
 // breadth-first instead: all the lines one level ("wave") needs are
 // collected first, deduplicated, and fetched through one
-// word.BatchReadMem.ReadLineBatch, so every distinct line is read exactly
+// word.Mem.ReadLineBatchInto, so every distinct line is read exactly
 // once per wave however many requested indices (or sibling segments)
 // share it. Content-uniqueness is what makes the dedup sound: two edges
 // with equal words *are* the same line, so a single fetch serves every
@@ -44,7 +44,6 @@ type bulkNode struct {
 // value, which is exactly what the serial read returns for them.
 func gather(m word.Mem, nodes []bulkNode, vals []uint64, tags []word.Tag) {
 	arity := m.LineWords()
-	caps := word.Caps(m)
 	// Everything below is borrowed scratch: requests are only ever
 	// partitioned (never duplicated), so one wave's request total bounds
 	// every later wave's. Two request arenas and two node buffers
@@ -123,7 +122,7 @@ func gather(m word.Mem, nodes []bulkNode, vals []uint64, tags []word.Tag) {
 			}
 		}
 		contents := contentsBuf[:len(plids)]
-		caps.ReadBatchInto(plids, contents)
+		m.ReadLineBatchInto(plids, contents)
 		// Expand into the next wave: leaf nodes resolve their requests,
 		// interior nodes partition requests over their children.
 		next := nodeBufs[flip][:0]
@@ -346,7 +345,7 @@ func ChildrenBulk(m word.Mem, es []Edge, level int) [][]Edge {
 		return out
 	}
 	contents := poolContents.Get(&sc, len(plids))
-	word.Caps(m).ReadBatchInto(plids, contents)
+	m.ReadLineBatchInto(plids, contents)
 	for i, e := range es {
 		if e.T != word.TagPLID || e.W == 0 {
 			continue

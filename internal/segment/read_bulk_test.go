@@ -133,8 +133,8 @@ func TestChildrenBulkMatchesSerial(t *testing.T) {
 	}
 }
 
-// countingMem wraps a Mem and counts ReadLine calls, the unit of DAG-walk
-// cost a read path pays.
+// countingMem wraps a Mem and counts line reads, the unit of DAG-walk
+// cost a read path pays: one per ReadLine, one per element of a batch.
 type countingMem struct {
 	word.Mem
 	reads int
@@ -143,6 +143,11 @@ type countingMem struct {
 func (c *countingMem) ReadLine(p word.PLID) word.Content {
 	c.reads++
 	return c.Mem.ReadLine(p)
+}
+
+func (c *countingMem) ReadLineBatchInto(ps []word.PLID, out []word.Content) {
+	c.reads += len(ps)
+	c.Mem.ReadLineBatchInto(ps, out)
 }
 
 // TestReadBytesStridesPerWord pins the satellite fix: ReadBytes must

@@ -13,7 +13,7 @@ import (
 // divergent suffix of the path per seek. The scanner here expands the DAG
 // frontier in level-order waves instead, like the bulk materializer in
 // read_bulk.go: every line a wave needs is collected, deduplicated, and
-// fetched through one word.BatchReadMem.ReadLineBatch, so a line shared by
+// fetched through one word.Mem.ReadLineBatchInto, so a line shared by
 // many parents is read once per wave regardless of fan-in.
 //
 // Early-stop callbacks make an unbounded frontier wasteful: a consumer
@@ -28,13 +28,6 @@ type ScanStats struct {
 	Waves     uint64 // batched fetch rounds issued
 	LineReads uint64 // lines fetched (each distinct line once per wave)
 	Emitted   uint64 // callback invocations
-}
-
-func (s *ScanStats) merge(o ScanStats) {
-	s.Chunks += o.Chunks
-	s.Waves += o.Waves
-	s.LineReads += o.LineReads
-	s.Emitted += o.Emitted
 }
 
 // DefaultScanWindow is the lookahead bound of ScanWords/ScanBytes in
@@ -82,7 +75,6 @@ type scanNode struct {
 // release returns it.
 type scanner struct {
 	m        word.Mem
-	caps     word.MemCaps // optional fast paths, probed once
 	arity    int
 	from     uint64
 	window   uint64
@@ -100,7 +92,6 @@ type scanner struct {
 // into the caller's world (the Mem) are dropped.
 func resetScanner(sc *scanner) {
 	sc.m = nil
-	sc.caps = word.MemCaps{}
 	sc.pending = sc.pending[:0]
 	sc.chunk = sc.chunk[:0]
 	sc.wave[0] = sc.wave[0][:0]
@@ -120,7 +111,6 @@ func newScanner(m word.Mem, from uint64, window int) *scanner {
 	}
 	sc := scannerPool.Get()
 	sc.m = m
-	sc.caps = word.Caps(m)
 	sc.arity = arity
 	sc.from = from
 	sc.window = uint64(window)
@@ -289,7 +279,7 @@ func (sc *scanner) expand(nodes []scanNode, fn func(idx uint64, w uint64, t word
 			sc.contents = make([]word.Content, len(sc.plids))
 		}
 		contents := sc.contents[:len(sc.plids)]
-		sc.caps.ReadBatchInto(sc.plids, contents)
+		sc.m.ReadLineBatchInto(sc.plids, contents)
 		sc.stats.Waves++
 		sc.stats.LineReads += uint64(len(sc.plids))
 

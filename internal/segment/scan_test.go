@@ -377,55 +377,11 @@ func TestDiffWordsEarlyStop(t *testing.T) {
 	}
 }
 
-func TestScanWordsParallelMatchesSerial(t *testing.T) {
-	for _, m := range machines(t) {
-		rng := rand.New(rand.NewSource(411))
-		for _, n := range []int{5, 300, 5000} {
-			s, _ := randSeg(m, rng, n)
-			for _, from := range []uint64{0, uint64(n) / 2} {
-				want := serialEmits(m, s, from)
-				for _, workers := range []int{0, 1, 3, 16} {
-					var got []emit
-					st := ScanWordsParallel(m, s, from, workers, func(idx uint64, w uint64, t word.Tag) bool {
-						got = append(got, emit{idx, w, t})
-						return true
-					})
-					sameEmits(t, "parallel scan", got, want)
-					if st.Emitted != uint64(len(want)) {
-						t.Fatalf("parallel Emitted = %d, want %d", st.Emitted, len(want))
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestScanWordsParallelEarlyStop(t *testing.T) {
-	m := core.NewMachine(core.TestConfig())
-	rng := rand.New(rand.NewSource(412))
-	s, _ := randSeg(m, rng, 20000)
-	want := serialEmits(m, s, 0)
-	const stopAfter = 7
-	var got []emit
-	ScanWordsParallel(m, s, 0, 4, func(idx uint64, w uint64, t word.Tag) bool {
-		got = append(got, emit{idx, w, t})
-		return len(got) < stopAfter
-	})
-	if len(got) != stopAfter {
-		t.Fatalf("stopped scan emitted %d, want %d", len(got), stopAfter)
-	}
-	sameEmits(t, "stopped prefix", got, want[:stopAfter])
-}
-
 func TestScanWordsZeroSegment(t *testing.T) {
 	m := core.NewMachine(core.TestConfig())
 	s := NewSparse(3)
 	if got, _ := scanEmits(m, s, 0, 64); len(got) != 0 {
 		t.Fatalf("zero segment emitted %d words", len(got))
-	}
-	st := ScanWordsParallel(m, s, 0, 4, func(uint64, uint64, word.Tag) bool { return true })
-	if st.Emitted != 0 {
-		t.Fatalf("zero segment parallel scan emitted %d", st.Emitted)
 	}
 	if ds := DiffWords(m, s, s, nil); ds.SubDAGSkips != 0 || ds.LineReads != 0 {
 		t.Fatalf("zero self-diff stats = %+v", ds)

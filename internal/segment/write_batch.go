@@ -119,7 +119,6 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 		return s, st
 	}
 	arity := m.LineWords()
-	caps := word.Caps(m)
 	var sc pool.Scratch
 	defer sc.Release()
 
@@ -205,7 +204,7 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 		var contents []word.Content
 		if len(plids) > 0 {
 			contents = contentsBuf[:len(plids)]
-			caps.ReadBatchInto(plids, contents)
+			m.ReadLineBatchInto(plids, contents)
 			st.LineReads += uint64(len(plids))
 		}
 		for _, n := range nodes {
@@ -268,7 +267,7 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 	// Fresh child references release only after their parent level
 	// resolves — the parent lines take their own references during the
 	// lookup, which needs the children still live (Builder rule).
-	cb := AcquireCanonBatch(m, caps)
+	cb := AcquireCanonBatch(m)
 	for lvl := 0; lvl <= height; lvl++ {
 		nodes := levels[lvl]
 		if len(nodes) == 0 {

@@ -33,10 +33,16 @@ type Journal interface {
 	JournalFree(p word.PLID)
 }
 
-// SetJournal attaches the liveness journal. Attach before the store
-// serves traffic (it is read without synchronization on the hot paths);
-// passing nil detaches.
-func (s *Store) SetJournal(j Journal) { s.journal = j }
+// SetJournal attaches the liveness journal; passing nil detaches it.
+// Either is safe while the store serves traffic: an allocation or free
+// racing the switch is journaled to the old journal or to the new one.
+func (s *Store) SetJournal(j Journal) {
+	if j == nil {
+		s.journal.Store(nil)
+		return
+	}
+	s.journal.Store(&j)
+}
 
 // ForEachLive visits every live line with its current content and
 // reference count, one lock stripe at a time under shared locks — the

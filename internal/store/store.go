@@ -210,10 +210,10 @@ type Store struct {
 	// lock held, so it may call back into any Store method.
 	OnRCTouch func(p word.PLID, init bool)
 
-	// journal, when non-nil, observes line liveness transitions for the
-	// write-ahead log (see durable.go). Attached before the store serves
-	// traffic and read without synchronization on the hot paths.
-	journal Journal
+	// journal, when set, observes line liveness transitions for the
+	// write-ahead log (see durable.go). Atomic because the durable layer
+	// detaches it on Close while writers may still be allocating.
+	journal atomic.Pointer[Journal]
 }
 
 func (s *Store) bump(shard, counter int) {
@@ -771,11 +771,11 @@ func (s *Store) lookupLocked(bkt uint64, c *word.Content, sig uint8, acc *[statC
 		s.liveLines.Add(1)
 		s.rows.touchN(bkt, touches)
 		p := s.plidFor(bkt, w)
-		if s.journal != nil {
+		if j := s.journal.Load(); j != nil {
 			// Under the stripe lock: the same lock orders this PLID's
 			// free against its re-allocation, so the log records
 			// liveness transitions in application order.
-			s.journal.JournalAlloc(p, *c)
+			(*j).JournalAlloc(p, *c)
 		}
 		return p, false, rcEvent{p, true}
 	}
@@ -807,10 +807,10 @@ func (s *Store) allocOverflow(c *word.Content, sig uint8) word.PLID {
 	}
 	s.ovIndex[*c] = slot
 	p := s.overflowPLID(slot)
-	if s.journal != nil {
+	if j := s.journal.Load(); j != nil {
 		// Under ovMu, which orders an overflow slot's free against its
 		// reuse the same way a stripe lock does for bucket ways.
-		s.journal.JournalAlloc(p, *c)
+		(*j).JournalAlloc(p, *c)
 	}
 	return p
 }
@@ -1014,9 +1014,9 @@ func (s *Store) Release(p word.PLID) []Freed {
 			delete(s.ovIndex, c)
 			s.freeOv = append(s.freeOv, uint32(uint64(cur)-s.ovBase))
 		}
-		if s.journal != nil {
+		if j := s.journal.Load(); j != nil {
 			// Still under the line's lock, matching JournalAlloc's order.
-			s.journal.JournalFree(cur)
+			(*j).JournalFree(cur)
 		}
 		unlock()
 		freed = append(freed, Freed{P: cur, H: c.Hash()})

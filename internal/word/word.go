@@ -172,9 +172,10 @@ func SignatureOf(h uint64) uint8 {
 	return s
 }
 
-// Mem is the minimal interface the DAG machinery needs from the memory
-// system. The core machine implements it with a deduplicating store fronted
-// by the HICAMP cache; tests can implement it with a trivial map.
+// Mem is the HICAMP memory system's operation set (§3.1) as the DAG
+// machinery sees it: lookup-by-content, read-by-PLID, reference counting
+// and the line geometry. core.Machine implements it with a deduplicating
+// store fronted by the HICAMP cache.
 type Mem interface {
 	// LookupLine returns the PLID of the line with the given content,
 	// allocating it if absent. The caller acquires one reference. Looking
@@ -185,6 +186,23 @@ type Mem interface {
 	// ReadLine returns the content of the line named by p. Reading Zero
 	// returns all-zero content.
 	ReadLine(p PLID) Content
+	// LookupLineBatchInto behaves exactly like one LookupLine per element,
+	// writing out[i] for cs[i] (len(out) must equal len(cs)): one reference
+	// acquired per element, all-zero contents resolving to Zero. The
+	// memory system takes its internal locks once per batch instead of
+	// once per line.
+	LookupLineBatchInto(cs []Content, out []PLID)
+	// ReadLineBatchInto behaves exactly like one ReadLine per element —
+	// the same per-line cache and DRAM accounting — writing out[i] for
+	// ps[i] (len(out) must equal len(ps)).
+	ReadLineBatchInto(ps []PLID, out []Content)
+	// RetainIfContent acquires one reference on p only if the line is
+	// still live and still holds content c, reporting whether it did: the
+	// revalidation behind content memos, whose remembered line may have
+	// been freed (and reallocated for other content) by a concurrent
+	// release. False sends the caller to LookupLine. A successful call
+	// charges exactly one reference-count touch, never lookup traffic.
+	RetainIfContent(p PLID, c Content) bool
 	// Retain adds a reference to p. Retaining Zero is a no-op.
 	Retain(p PLID)
 	// Release drops a reference to p, freeing the line (and recursively
@@ -197,55 +215,18 @@ type Mem interface {
 	PLIDBits() int
 }
 
-// BatchMem is implemented by memory systems that support batched
-// lookup-by-content. LookupLineBatch behaves exactly like one LookupLine
-// per element — positional results, one reference acquired per element,
-// all-zero contents resolving to Zero — but lets the memory system take
-// its internal locks once per batch instead of once per line. Bulk
-// producers (segment.Builder) type-assert for it and fall back to
-// LookupLine when the Mem does not provide it.
-type BatchMem interface {
+// BulkMem is a Mem that also offers the allocating batch variants,
+// returning fresh result slices. core.Machine implements it.
+type BulkMem interface {
 	Mem
 	LookupLineBatch(cs []Content) []PLID
-}
-
-// BatchReadMem is implemented by memory systems that support batched
-// read-by-PLID. ReadLineBatch behaves exactly like one ReadLine per
-// element — positional results, Zero reading as all-zero content, the
-// same per-line cache and DRAM accounting — but lets the memory system
-// take its internal locks once per batch instead of once per line. Bulk
-// consumers (the segment package's level-order materializer) type-assert
-// for it and fall back to ReadLine when the Mem does not provide it.
-type BatchReadMem interface {
-	Mem
 	ReadLineBatch(ps []PLID) []Content
 }
 
-// ContentRetainer is implemented by memory systems that can validate a
-// remembered content→PLID association: RetainIfContent acquires one
-// reference on p only if the line is still live and still holds content
-// c, reporting whether it did. This is the primitive behind content-hit
-// caching — between remembering the association and reusing it, the line
-// may have been freed (and even reallocated for different content) by a
-// concurrent release; a false return means the caller must fall back to
-// the authoritative LookupLine path. A successful call charges exactly
-// one reference-count touch, never lookup traffic.
-type ContentRetainer interface {
-	RetainIfContent(p PLID, c Content) bool
-}
-
-// DurableMem is implemented by memory systems backed by a write-ahead
-// persistence layer (internal/durable). SyncDurable blocks until every
-// mutation issued before the call — line commits and segment-map
-// publishes — has reached stable storage; it is the acknowledgement
-// point a durable server awaits before answering a write. A memory
-// system may implement the interface without persistence attached:
-// DurableEnabled reports whether SyncDurable actually waits on anything,
-// and Caps treats a disabled implementation as absent, so simulation-only
-// machines keep their zero-cost paths.
-type DurableMem interface {
-	DurableEnabled() bool
-	SyncDurable() error
+// BatchIntoMem names the two caller-buffered batch operations of Mem.
+type BatchIntoMem interface {
+	LookupLineBatchInto(cs []Content, out []PLID)
+	ReadLineBatchInto(ps []PLID, out []Content)
 }
 
 func le64(b []byte) uint64 {
