@@ -16,20 +16,18 @@ const bulkMinLeaves = 8
 // reads as zero. The returned segment owns one reference on its root.
 // Passing nil tags treats every word as raw data.
 //
-// Large inputs route through a transient Builder (batched store lookups,
-// per-call memoization); small ones use the serial loop. Both produce the
-// same canonical root. Bulk producers that build many segments should
-// hold their own Builder so the memo persists across calls.
+// Large inputs route through one pooled CanonBatch (one batched store
+// lookup per level); small ones use the serial loop. Both produce the
+// same canonical root. The batch carries no memo: a one-shot build cannot
+// amortize the memo's per-line table inserts, and within-level duplicates
+// are deduplicated by the batch itself. Bulk producers that build many
+// segments should hold their own Builder so its memo persists across
+// calls.
 func BuildWords(m word.Mem, ws []uint64, ts []word.Tag) Seg {
 	if (len(ws)+m.LineWords()-1)/m.LineWords() >= bulkMinLeaves {
-		// Transient builder: no memo. A one-shot build cannot amortize the
-		// memo's per-line table inserts, and within-level duplicates are
-		// deduplicated by the batch itself; the memo pays off only when a
-		// Builder lives across builds.
-		b := NewBuilder(m, 0)
-		b.memoCap = 0
-		defer b.Close()
-		return b.BuildWords(ws, ts)
+		cb := AcquireCanonBatch(m)
+		defer cb.Close()
+		return buildLevels(cb, ws, ts)
 	}
 	return BuildWordsSerial(m, ws, ts)
 }

@@ -49,11 +49,13 @@ func TestBuilderMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, m := range machines(t) {
 		arity := m.LineWords()
-		sizes := []int{1, arity, arity + 1, 63, 257, 4096}
+		// 1023 and 1025 leaves straddle the level size at which builds
+		// once fanned out across goroutines.
+		sizes := []int{1, arity, arity + 1, 63, 257, 1023 * arity, 1024*arity + 1, 4096}
 		for _, n := range sizes {
 			ws := randWords(rng, n)
 			want := BuildWordsSerial(m, ws, nil)
-			b := NewBuilder(m, 4)
+			b := NewBuilder(m, 1)
 			got := b.BuildWords(ws, nil)
 			if !got.Equal(want) {
 				t.Fatalf("arity %d n=%d: bulk root %#x/h%d != serial %#x/h%d",
@@ -438,7 +440,7 @@ func TestBuildersConcurrentIdenticalRoots(t *testing.T) {
 	rng := rand.New(rand.NewSource(100))
 	inputs := make([][]uint64, 4)
 	for i := range inputs {
-		inputs[i] = randWords(rng, 2000+i*333)
+		inputs[i] = randWords(rng, 4*(1000+i*16)) // 1 000 to 1 048 leaves
 	}
 
 	const goroutines = 8
@@ -448,7 +450,7 @@ func TestBuildersConcurrentIdenticalRoots(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			b := NewBuilder(m, 2)
+			b := NewBuilder(m, 1)
 			defer b.Close()
 			segs := make([]Seg, len(inputs))
 			for i, ws := range inputs {

@@ -18,15 +18,20 @@ import (
 // The produced edges follow the CanonLeaf/CanonNode ownership contract:
 // each out edge owns one reference when it carries a PLID; ownership of
 // the submitted child edges is untouched.
+//
+// A Builder attaches itself as memo, and Resolve then consults its
+// content memo before the batched lookup. WriteBatch and the merge engine
+// leave memo nil.
 type CanonBatch struct {
 	m     word.Mem
 	arity int
+	memo  *Builder
 	pendC []word.Content
 	pendO []*Edge
 
 	// Resolve's scratch, reused across levels (and, for pooled
 	// instances, across engine calls): the within-level dedup map is
-	// cleared rather than reallocated, the duplicate list and the PLID
+	// emptied rather than reallocated, the duplicate list and the PLID
 	// result buffer keep their capacity.
 	firstAt map[word.Content]int
 	dups    []canonDup
@@ -40,21 +45,19 @@ type canonDup struct {
 	uniq int
 }
 
-// canonBatchPool recycles CanonBatch instances across wave-engine calls
-// so a steady-state WriteBatch or Merge allocates neither the batch nor
-// its dedup map. The reset drops the borrowed memory system and zeroes
-// the *Edge output pointers (they point into pooled wnodes) while
-// keeping every buffer's capacity and the dedup map's buckets.
+// canonBatchPool recycles CanonBatch instances across engine calls so a
+// steady-state WriteBatch, Merge or build allocates neither the batch nor
+// its dedup map. Resolve zeroes the *Edge output pointers it consumed
+// (they point into pooled wnodes and edge scratch); the reset zeroes any
+// submitted but unresolved ones and drops the borrowed memory system and
+// memo, keeping every buffer's capacity and the dedup map's buckets. Both
+// cost what the last call used, not what the buffers once grew to: small
+// builds borrow the instance a large wave just returned.
 var canonBatchPool = pool.NewItems[CanonBatch]("segment.canonbatch", func(b *CanonBatch) {
-	b.pendO = b.pendO[:cap(b.pendO)]
 	clear(b.pendO)
-	b.dups = b.dups[:cap(b.dups)]
-	clear(b.dups)
-	b.m, b.arity = nil, 0
+	b.m, b.arity, b.memo = nil, 0, nil
 	b.pendC = b.pendC[:0]
 	b.pendO = b.pendO[:0]
-	b.dups = b.dups[:0]
-	b.plids = b.plids[:0]
 	b.firstAt = pool.ResetMap(b.firstAt, 0)
 })
 
@@ -148,25 +151,39 @@ func (b *CanonBatch) Node(edges []Edge, out *Edge) {
 	b.pendO = append(b.pendO, out)
 }
 
-// Resolve turns the pending contents into owned PLID edges through one
-// batched lookup and resets the batch for the next level. It reports how
-// many lookups were issued (after within-level dedup).
+// Resolve turns the pending contents into owned PLID edges and resets the
+// batch for the next level. With a memo attached, each pending content
+// first consults it in submission order (a hit is retained by its
+// revalidation and needs no lookup); the misses are deduplicated by full
+// content, looked up in one batch and remembered, and each duplicate
+// retains its unique's line. It reports how many lookups were issued.
 func (b *CanonBatch) Resolve() uint64 {
 	if len(b.pendC) == 0 {
 		return 0
 	}
-	if b.firstAt == nil {
+	// A lone pending content has nothing to deduplicate against, so a
+	// one-line level (a short key, the top of a tree) skips the map.
+	dedupe := len(b.pendC) > 1
+	if dedupe && b.firstAt == nil {
 		b.firstAt = make(map[word.Content]int, len(b.pendC))
 	}
 	uniqC := b.pendC[:0] // compacts in place; position i is read before any write can reach it
 	uniqO := b.pendO[:0]
 	dups := b.dups[:0]
 	for i, c := range b.pendC {
-		if j, ok := b.firstAt[c]; ok {
-			dups = append(dups, canonDup{b.pendO[i], j})
-			continue
+		if b.memo != nil {
+			if p, ok := b.memo.recall(c); ok {
+				*b.pendO[i] = PLIDEdge(p)
+				continue
+			}
 		}
-		b.firstAt[c] = len(uniqC)
+		if dedupe {
+			if j, ok := b.firstAt[c]; ok {
+				dups = append(dups, canonDup{b.pendO[i], j})
+				continue
+			}
+			b.firstAt[c] = len(uniqC)
+		}
 		uniqC = append(uniqC, c)
 		uniqO = append(uniqO, b.pendO[i])
 	}
@@ -174,8 +191,13 @@ func (b *CanonBatch) Resolve() uint64 {
 		b.plids = make([]word.PLID, len(uniqC))
 	}
 	plids := b.plids[:len(uniqC)]
-	b.m.LookupLineBatchInto(uniqC, plids)
+	if len(uniqC) > 0 {
+		b.m.LookupLineBatchInto(uniqC, plids)
+	}
 	for j, out := range uniqO {
+		if b.memo != nil {
+			b.memo.memoAdd(uniqC[j], plids[j])
+		}
 		*out = PLIDEdge(plids[j]) // consumes the lookup's reference
 	}
 	for _, d := range dups {
@@ -183,15 +205,22 @@ func (b *CanonBatch) Resolve() uint64 {
 		b.m.Retain(p)
 		*d.out = PLIDEdge(p)
 	}
+	// Empty the dedup map by deleting this level's keys: clear() costs the
+	// map's grown capacity, which one large level would otherwise charge
+	// every later small level — and, through the pool, every later build
+	// of every engine. A map grown past KeepMapEntries is dropped instead.
+	if len(b.firstAt) > pool.KeepMapEntries {
+		b.firstAt = nil
+	} else if dedupe {
+		for _, c := range uniqC {
+			delete(b.firstAt, c)
+		}
+	}
 	n := uint64(len(uniqC))
+	clear(b.pendO)
+	clear(dups)
 	b.pendC = b.pendC[:0]
 	b.pendO = b.pendO[:0]
 	b.dups = dups[:0]
-	// Reset the dedup map here, at the level's full size, not at pool
-	// return time (by then it is empty and its grown capacity — which is
-	// what clear() pays for — is invisible). An oversized level's map is
-	// dropped so its clear cost cannot leak into later levels or, for
-	// pooled instances, later engine calls.
-	b.firstAt = pool.ResetMap(b.firstAt, 0)
 	return n
 }

@@ -121,8 +121,9 @@ func (mt *Meter) AddVM(c Class, instance int) {
 
 // SynthesizeVM generates the pages of one VM image in order, calling emit
 // for each. The page buffer is reused between calls — emit must consume
-// (hash, copy, append) before returning. Both the streaming Meter and the
-// store-backed Host ingest consume the same synthesis through this hook.
+// (hash, copy, append) before returning. The streaming Meter consumes the
+// synthesis through this hook, and tests build the same images in a real
+// deduplicating store through it.
 func SynthesizeVM(c Class, instance int, emit func(page []byte)) {
 	page := make([]byte, PageBytes)
 	nOS := int(float64(c.Pages) * c.OSShare)

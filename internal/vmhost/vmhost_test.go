@@ -1,6 +1,12 @@
 package vmhost
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/segment"
+)
 
 func TestHicampAlwaysBeatsPageSharing(t *testing.T) {
 	// Figures 9-10 shape: HICAMP line dedup consumes no more than ideal
@@ -128,5 +134,77 @@ func TestClassByName(t *testing.T) {
 	}
 	if _, ok := ClassByName("nope"); ok {
 		t.Fatal("unknown class found")
+	}
+}
+
+// The tests below build synthesized images in a real deduplicating
+// memory system: the sharing the Meter counts by hashing must show up as
+// lines the store actually shares.
+
+func ingestMachine() *core.Machine {
+	return core.NewMachine(core.Config{
+		LineBytes: 64, BucketBits: 16, DataWays: 12, CacheLines: 2048, CacheWays: 8,
+	})
+}
+
+// ingest synthesizes one VM image and builds it as one segment.
+func ingest(b *segment.Builder, c Class, instance int) segment.Seg {
+	image := make([]byte, 0, c.Pages*PageBytes)
+	SynthesizeVM(c, instance, func(page []byte) { image = append(image, page...) })
+	return b.BuildBytes(image)
+}
+
+func TestIngestIdenticalVMsShareEverything(t *testing.T) {
+	m := ingestMachine()
+	bld := segment.NewBuilder(m, 1)
+	defer bld.Close()
+	c, _ := ClassByName("file")
+
+	a := ingest(bld, c, 0)
+	lines := m.LiveLines()
+	b := ingest(bld, c, 0) // same class, same instance: identical image
+	if !a.Equal(b) {
+		t.Fatalf("identical VM images got roots %#x vs %#x", a.Root, b.Root)
+	}
+	if added := m.LiveLines() - lines; added != 0 {
+		t.Fatalf("re-ingesting an identical VM allocated %d new lines", added)
+	}
+	segment.ReleaseSeg(m, a)
+	segment.ReleaseSeg(m, b)
+	if live := m.LiveLines(); live != 0 {
+		t.Fatalf("%d lines leaked after release", live)
+	}
+}
+
+func TestIngestSameClassSharesMostLines(t *testing.T) {
+	// A second instance of the same class shares OS, app and delta-ancestor
+	// content: it must allocate well under half of what the first did.
+	m := ingestMachine()
+	bld := segment.NewBuilder(m, 1)
+	defer bld.Close()
+	c, _ := ClassByName("web")
+
+	ingest(bld, c, 0)
+	first := m.LiveLines()
+	ingest(bld, c, 1)
+	added := m.LiveLines() - first
+	if added*2 >= first {
+		t.Fatalf("second instance allocated %d of %d lines; cross-VM sharing missing", added, first)
+	}
+}
+
+func TestIngestMatchesSynthesis(t *testing.T) {
+	// The segment must hold exactly the synthesized image bytes.
+	m := ingestMachine()
+	bld := segment.NewBuilder(m, 1)
+	defer bld.Close()
+	c, _ := ClassByName("standby")
+
+	var want []byte
+	SynthesizeVM(c, 3, func(page []byte) { want = append(want, page...) })
+	seg := ingest(bld, c, 3)
+	got := segment.ReadBytes(m, seg, 0, uint64(len(want)))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("ingested image does not match synthesis (%d vs %d bytes)", len(got), len(want))
 	}
 }
