@@ -34,12 +34,14 @@ func main() {
 
 	// The ledger: one segment, one word per account, merge-update so
 	// disjoint transfers commit concurrently.
-	tx := segment.NewTxn(h.M, segment.NewSparse(0))
+	// Opening balances go through a detached iterator register: its
+	// stores buffer, and one wave commit converts them to lines.
+	open := iterreg.NewSegmentIterator(h.M, segment.NewSparse(0))
 	for a := 0; a < accounts; a++ {
-		tx.WriteWord(uint64(a), initialBalance, word.TagRaw)
+		open.Store(uint64(a), initialBalance, word.TagRaw)
 	}
 	ledger := h.SM.Create(segmap.Entry{
-		Seg: tx.Commit(), Flags: segmap.FlagMergeUpdate, Size: accounts * 8,
+		Seg: open.CommitSegment(), Flags: segmap.FlagMergeUpdate, Size: accounts * 8,
 	})
 
 	var committed int64

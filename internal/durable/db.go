@@ -9,8 +9,8 @@
 // terminal reclamation, root publishes, deletes, and label bindings.
 // Writers never block on I/O — journal appends are a buffer copy under
 // a mutex, and a single flusher fsyncs bounded windows of records
-// (group commit) while readers proceed untouched. See DESIGN.md
-// "Durability" for the formats and the crash-consistency argument.
+// (group commit) while readers proceed untouched. See the durable layer
+// in DESIGN.md for the formats and the crash-consistency argument.
 package durable
 
 import (

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hds"
+	"repro/internal/iterreg"
 	"repro/internal/merge"
 	"repro/internal/segmap"
 	"repro/internal/segment"
@@ -134,9 +135,9 @@ func runLiveContention(sc Scale) (LiveResult, error) {
 					return
 				}
 				idx := uint64(1 + g*updates + i)
-				tx := segment.NewTxn(h.M, e.Seg)
-				tx.WriteWord(idx, uint64(g+1), word.TagRaw)
-				next := tx.Commit()
+				it := iterreg.NewSegmentIterator(h.M, e.Seg)
+				it.Store(idx, uint64(g+1), word.TagRaw)
+				next := it.CommitSegment()
 				// Register the version's full logical size: the snapshot's
 				// registered size extended by this write. MCAS additionally
 				// keeps the maximum across merged-in versions, so the

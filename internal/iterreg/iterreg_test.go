@@ -207,11 +207,12 @@ func TestCommitMergeResolvesConflict(t *testing.T) {
 
 func TestIteratorNextNonZero(t *testing.T) {
 	m, sm := setup()
-	tx := segment.NewTxn(m, segment.NewSparse(10))
+	var ups []segment.Update
 	for _, i := range []uint64{3, 700, 1500} {
-		tx.WriteWord(i, i, word.TagRaw)
+		ups = append(ups, segment.Update{Idx: i, W: i, T: word.TagRaw})
 	}
-	v := sm.Create(segmap.Entry{Seg: tx.Commit()})
+	seg, _ := segment.WriteBatch(m, segment.NewSparse(10), ups)
+	v := sm.Create(segmap.Entry{Seg: seg})
 	it, _ := Open(m, sm, v)
 	defer it.Close()
 	var got []uint64

@@ -91,41 +91,6 @@ func (s *HicampServer) ingestor() *chunker.Ingestor {
 	return s.blobs.ing
 }
 
-// BlobPut stores value under key as a chunked blob. Re-putting a
-// near-duplicate of any previously ingested value (same key or not)
-// hits the warm chunk memo for every unchanged chunk.
-func (s *HicampServer) BlobPut(key, value []byte) error {
-	s.blobs.ingMu.Lock()
-	blob := s.ingestor().IngestBytes(value)
-	s.blobs.ingMu.Unlock()
-	v := hds.String{Seg: blob.Index, Len: blob.IndexBytes()}
-	k := hds.NewString(s.Heap, key)
-	err := s.blobNamespace(SplitNamespace(key)).Set(k, v)
-	// The map's DAG owns the index (and through it every chunk); drop
-	// the request-local references.
-	k.Release(s.Heap)
-	chunker.ReleaseBlob(s.Heap.M, blob)
-	return s.ackWrite(err)
-}
-
-// BlobGet reassembles the blob stored under key: one snapshot map
-// lookup, then one cross-chunk gather wave (lines shared between chunks
-// are fetched once per wave, not once per chunk).
-func (s *HicampServer) BlobGet(key []byte) ([]byte, bool) {
-	k := hds.NewString(s.Heap, key)
-	defer k.Release(s.Heap)
-	v, ok := s.blobNamespace(SplitNamespace(key)).Get(k)
-	if !ok {
-		return nil, false
-	}
-	defer v.Release(s.Heap)
-	blob, ok := chunker.BlobFromSeg(s.Heap.M, v.Seg)
-	if !ok {
-		return nil, false
-	}
-	return chunker.ReadBlob(s.Heap.M, blob)
-}
-
 // BlobStat returns the stored blob's shape (content length, chunk
 // count) without materializing its bytes — the index header is two
 // words, so this touches O(log) lines.
@@ -138,16 +103,6 @@ func (s *HicampServer) BlobStat(key []byte) (chunker.Blob, bool) {
 	}
 	defer v.Release(s.Heap)
 	return chunker.BlobFromSeg(s.Heap.M, v.Seg)
-}
-
-// BlobDelete unbinds key's blob. Chunk sub-DAGs referenced by no other
-// index are reclaimed by the reference-count machinery; the ingest
-// memo needs no invalidation (its ref-less entries detect the free via
-// revalidation and rebuild).
-func (s *HicampServer) BlobDelete(key []byte) error {
-	k := hds.NewString(s.Heap, key)
-	defer k.Release(s.Heap)
-	return s.ackWrite(s.blobNamespace(SplitNamespace(key)).Delete(k))
 }
 
 // BlobIngestStats returns the shared ingestor's memo/build telemetry.

@@ -30,10 +30,10 @@ func TestBlobRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 5000, 100000} {
 		key := []byte{'b', byte(n), byte(n >> 8), byte(n >> 16)}
 		data := blobDoc(int64(n)+1, n)
-		if err := s.BlobPut(key, data); err != nil {
+		if err := blobPut(s, key, data); err != nil {
 			t.Fatalf("n=%d: put: %v", n, err)
 		}
-		got, ok := s.BlobGet(key)
+		got, ok := blobGet(s, key)
 		if !ok || !bytes.Equal(got, data) {
 			t.Fatalf("n=%d: get round trip failed (ok=%v, %d bytes)", n, ok, len(got))
 		}
@@ -42,7 +42,7 @@ func TestBlobRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: stat %+v ok=%v", n, st, ok)
 		}
 	}
-	if _, ok := s.BlobGet([]byte("missing")); ok {
+	if _, ok := blobGet(s, []byte("missing")); ok {
 		t.Fatal("missing key found")
 	}
 }
@@ -51,56 +51,56 @@ func TestBlobOverwriteAndDelete(t *testing.T) {
 	s := NewHicampServer(core.TestConfig())
 	key := []byte("doc")
 	v1, v2 := blobDoc(1, 40000), blobDoc(2, 30000)
-	if err := s.BlobPut(key, v1); err != nil {
+	if err := blobPut(s, key, v1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BlobPut(key, v2); err != nil {
+	if err := blobPut(s, key, v2); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.BlobGet(key)
+	got, ok := blobGet(s, key)
 	if !ok || !bytes.Equal(got, v2) {
 		t.Fatal("overwrite did not take")
 	}
-	if err := s.BlobDelete(key); err != nil {
+	if err := blobDel(s, key); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.BlobGet(key); ok {
+	if _, ok := blobGet(s, key); ok {
 		t.Fatal("deleted key still found")
 	}
 	// Delete is idempotent.
-	if err := s.BlobDelete(key); err != nil {
+	if err := blobDel(s, key); err != nil {
 		t.Fatal(err)
 	}
 	// Re-put after delete: the ingest memo's entries for freed chunks
 	// must revalidate-fail and rebuild, not resurrect dangling PLIDs.
-	if err := s.BlobPut(key, v1); err != nil {
+	if err := blobPut(s, key, v1); err != nil {
 		t.Fatal(err)
 	}
-	got, ok = s.BlobGet(key)
+	got, ok = blobGet(s, key)
 	if !ok || !bytes.Equal(got, v1) {
 		t.Fatal("re-put after delete does not round-trip")
 	}
 }
 
 // Blob keys and string keys live in different maps: the same key can
-// carry both a Set value and a BlobPut value without collision.
+// carry both a Set value and a BlobWrite value without collision.
 func TestBlobStringKeysDisjoint(t *testing.T) {
 	s := NewHicampServer(core.TestConfig())
 	key := []byte("shared-key")
 	if err := s.Set(key, []byte("string value")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BlobPut(key, blobDoc(3, 20000)); err != nil {
+	if err := blobPut(s, key, blobDoc(3, 20000)); err != nil {
 		t.Fatal(err)
 	}
-	sv, ok := s.Get(key)
+	sv, ok := get(s, key)
 	if !ok || string(sv) != "string value" {
 		t.Fatal("string value clobbered by blob put")
 	}
-	if err := s.BlobDelete(key); err != nil {
+	if err := blobDel(s, key); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(key); !ok {
+	if _, ok := get(s, key); !ok {
 		t.Fatal("blob delete removed the string binding")
 	}
 }
@@ -108,20 +108,20 @@ func TestBlobStringKeysDisjoint(t *testing.T) {
 func TestBlobNamespaces(t *testing.T) {
 	s := NewHicampServer(core.TestConfig())
 	a, b := blobDoc(4, 15000), blobDoc(5, 15000)
-	if err := s.BlobPut([]byte("tenantA/doc"), a); err != nil {
+	if err := blobPut(s, []byte("tenantA/doc"), a); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BlobPut([]byte("tenantB/doc"), b); err != nil {
+	if err := blobPut(s, []byte("tenantB/doc"), b); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BlobPut([]byte("doc"), a); err != nil { // root map
+	if err := blobPut(s, []byte("doc"), a); err != nil { // root map
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		key  string
 		want []byte
 	}{{"tenantA/doc", a}, {"tenantB/doc", b}, {"doc", a}} {
-		got, ok := s.BlobGet([]byte(tc.key))
+		got, ok := blobGet(s, []byte(tc.key))
 		if !ok || !bytes.Equal(got, tc.want) {
 			t.Fatalf("%s: wrong value back (ok=%v)", tc.key, ok)
 		}
@@ -130,13 +130,13 @@ func TestBlobNamespaces(t *testing.T) {
 		t.Fatalf("BlobNamespaces = %v", got)
 	}
 	// Tenant deletes are isolated.
-	if err := s.BlobDelete([]byte("tenantA/doc")); err != nil {
+	if err := blobDel(s, []byte("tenantA/doc")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.BlobGet([]byte("tenantA/doc")); ok {
+	if _, ok := blobGet(s, []byte("tenantA/doc")); ok {
 		t.Fatal("tenantA/doc survived delete")
 	}
-	if _, ok := s.BlobGet([]byte("tenantB/doc")); !ok {
+	if _, ok := blobGet(s, []byte("tenantB/doc")); !ok {
 		t.Fatal("tenantB/doc lost to tenantA delete")
 	}
 }
@@ -148,11 +148,11 @@ func TestBlobNearDuplicateMemo(t *testing.T) {
 	s := NewHicampServer(core.TestConfig())
 	doc := blobDoc(6, 200000)
 	edited := append(append(append([]byte{}, doc[:900]...), []byte("inserted clause ")...), doc[900:]...)
-	if err := s.BlobPut([]byte("orig"), doc); err != nil {
+	if err := blobPut(s, []byte("orig"), doc); err != nil {
 		t.Fatal(err)
 	}
 	pre := s.BlobIngestStats()
-	if err := s.BlobPut([]byte("edited"), edited); err != nil {
+	if err := blobPut(s, []byte("edited"), edited); err != nil {
 		t.Fatal(err)
 	}
 	st := s.BlobIngestStats()
@@ -160,7 +160,7 @@ func TestBlobNearDuplicateMemo(t *testing.T) {
 	if hits == 0 || builds*4 > hits {
 		t.Fatalf("near-duplicate put: %d memo hits, %d rebuilds — expected hit-dominated", hits, builds)
 	}
-	got, ok := s.BlobGet([]byte("edited"))
+	got, ok := blobGet(s, []byte("edited"))
 	if !ok || !bytes.Equal(got, edited) {
 		t.Fatal("edited blob does not round-trip")
 	}
@@ -175,7 +175,7 @@ func TestBlobConcurrentPut(t *testing.T) {
 			var err error
 			for i := 0; i < 20 && err == nil; i++ {
 				key := []byte{byte('a' + g), byte(i)}
-				err = s.BlobPut(key, blobDoc(int64(g*100+i), 8000))
+				err = blobPut(s, key, blobDoc(int64(g*100+i), 8000))
 			}
 			done <- err
 		}(g)
@@ -188,7 +188,7 @@ func TestBlobConcurrentPut(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		for i := 0; i < 20; i++ {
 			key := []byte{byte('a' + g), byte(i)}
-			got, ok := s.BlobGet(key)
+			got, ok := blobGet(s, key)
 			if !ok || !bytes.Equal(got, blobDoc(int64(g*100+i), 8000)) {
 				t.Fatalf("goroutine %d blob %d corrupt (ok=%v)", g, i, ok)
 			}

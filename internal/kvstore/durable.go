@@ -99,14 +99,6 @@ func (s *HicampServer) AckDurable() error {
 	return s.db.Sync()
 }
 
-// ackWrite gates one mutation's acknowledgement on durability.
-func (s *HicampServer) ackWrite(err error) error {
-	if err != nil {
-		return err
-	}
-	return s.AckDurable()
-}
-
 // Durable reports whether the server persists writes.
 func (s *HicampServer) Durable() bool { return s.db != nil && s.db.Enabled() }
 

@@ -36,14 +36,14 @@ func TestDurableServerRestart(t *testing.T) {
 	if err := s.Write(wb); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete([]byte("dk-05")); err != nil {
+	if err := del(s, []byte("dk-05")); err != nil {
 		t.Fatal(err)
 	}
 	blob := bytes.Repeat([]byte("blob payload, chunked and deduplicated. "), 600)
-	if err := s.BlobPut([]byte("img"), blob); err != nil {
+	if err := blobPut(s, []byte("img"), blob); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BlobPut([]byte("acme/img"), blob); err != nil {
+	if err := blobPut(s, []byte("acme/img"), blob); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -65,7 +65,7 @@ func TestDurableServerRestart(t *testing.T) {
 	}
 	for i := 0; i < 24; i++ {
 		key := fmt.Sprintf("dk-%02d", i)
-		v, ok := r.Get([]byte(key))
+		v, ok := get(r, []byte(key))
 		if i == 3 || i == 5 {
 			if ok {
 				t.Fatalf("deleted key %s resurrected as %q", key, v)
@@ -79,13 +79,13 @@ func TestDurableServerRestart(t *testing.T) {
 	for key, want := range map[string]string{
 		"acme/k": "tenant-acme", "beta/k": "tenant-beta", "tail-key": "tail-value",
 	} {
-		if v, ok := r.Get([]byte(key)); !ok || string(v) != want {
+		if v, ok := get(r, []byte(key)); !ok || string(v) != want {
 			t.Fatalf("Get(%s) = %q,%v after restart, want %q", key, v, ok, want)
 		}
 	}
 	for _, key := range []string{"img", "acme/img"} {
-		if v, ok := r.BlobGet([]byte(key)); !ok || !bytes.Equal(v, blob) {
-			t.Fatalf("BlobGet(%s) after restart: found=%v len=%d want %d", key, ok, len(v), len(blob))
+		if v, ok := blobGet(r, []byte(key)); !ok || !bytes.Equal(v, blob) {
+			t.Fatalf("BlobRead(%s) after restart: found=%v len=%d want %d", key, ok, len(v), len(blob))
 		}
 	}
 	// Tenant isolation survives: re-adopted maps, not root fallbacks.
@@ -101,10 +101,10 @@ func TestDurableServerRestart(t *testing.T) {
 	}
 	r2 := open()
 	defer r2.Close()
-	if v, ok := r2.Get([]byte("acme/k2")); !ok || string(v) != "second-life" {
+	if v, ok := get(r2, []byte("acme/k2")); !ok || string(v) != "second-life" {
 		t.Fatalf("second-generation write lost: %q,%v", v, ok)
 	}
-	if v, ok := r2.Get([]byte("tail-key")); !ok || string(v) != "tail-value" {
+	if v, ok := get(r2, []byte("tail-key")); !ok || string(v) != "tail-value" {
 		t.Fatalf("tail-key lost in second restart: %q,%v", v, ok)
 	}
 }

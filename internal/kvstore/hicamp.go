@@ -16,7 +16,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/hds"
 	"repro/internal/iterreg"
-	"repro/internal/pool"
 	"repro/internal/segmap"
 )
 
@@ -52,28 +51,24 @@ func (s *HicampServer) Set(key, value []byte) error {
 	// content); drop the request-local references.
 	k.Release(s.Heap)
 	v.Release(s.Heap)
-	return s.ackWrite(err)
-}
-
-// Get returns the value for key. The read runs against a private
-// snapshot: no locking, no interference from concurrent sets (§4.4).
-func (s *HicampServer) Get(key []byte) ([]byte, bool) {
-	k := hds.NewString(s.Heap, key)
-	defer k.Release(s.Heap)
-	v, ok := s.NamespaceFor(key).Get(k)
-	if !ok {
-		return nil, false
+	if err != nil {
+		return err
 	}
-	out := v.Bytes(s.Heap) // stream the value out (to the NIC, in life)
-	v.Release(s.Heap)
-	return out, true
+	return s.AckDurable()
 }
 
-// GetVia is Get through a caller-owned read-only iterator, the §4.4
-// client-thread pattern: the register is reloaded once per request and
-// the map is accessed directly, with zero IPC. The register is bound to
-// the root map; tenant-prefixed keys read through Get instead.
+// GetVia returns the value for key through a caller-owned read-only
+// iterator (OpenReader), the §4.4 client-thread pattern: the register is
+// reloaded once per request — a private snapshot, no locking, no
+// interference from concurrent sets — and the map is accessed directly,
+// with zero IPC. The register is bound to the root map, so a
+// tenant-prefixed key reads as a one-key Read on its namespace instead.
 func (s *HicampServer) GetVia(it *iterreg.Iterator, key []byte) ([]byte, bool) {
+	if SplitNamespace(key) != "" {
+		b := Batch{{Key: key}}
+		s.Read(b)
+		return b[0].Value, b[0].Found
+	}
 	if err := it.Reload(); err != nil {
 		return nil, false
 	}
@@ -88,64 +83,10 @@ func (s *HicampServer) GetVia(it *iterreg.Iterator, key []byte) ([]byte, bool) {
 	return out, true
 }
 
-// Delete removes a key.
-func (s *HicampServer) Delete(key []byte) error {
-	k := hds.NewString(s.Heap, key)
-	defer k.Release(s.Heap)
-	return s.ackWrite(s.NamespaceFor(key).Delete(k))
-}
-
 // OpenReader returns a read-only iterator register bound to the map, for
 // GetVia. Close it when the connection ends.
 func (s *HicampServer) OpenReader() (*iterreg.Iterator, error) {
 	return iterreg.Open(s.Heap.M, s.Heap.SM, s.kvp.ReadOnlyVSID())
-}
-
-// Scan streams every key-value pair in the store, materialized as bytes,
-// from one snapshot per namespace taken as each walk starts — a
-// full-store dump (the memcached `lru_crawler metadump`/cachedump shape)
-// served by one streamed walk per map instead of one map descent per
-// key. The root map streams first, then tenants in name order, each in
-// ascending key-PLID order; fn returning false stops the scan.
-func (s *HicampServer) Scan(fn func(key, value []byte) bool) error {
-	stopped := false
-	for _, mp := range s.allMaps() {
-		if err := mp.BytesScan(func(key, value []byte) bool {
-			if !fn(key, value) {
-				stopped = true
-				return false
-			}
-			return true
-		}); err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	}
-	return nil
-}
-
-// Keys returns every key in the store — root map first, then tenants in
-// name order, each from one snapshot in ascending key-PLID order — via
-// one streamed walk per map plus one bulk materialization.
-func (s *HicampServer) Keys() ([][]byte, error) {
-	var keys []hds.String
-	for _, mp := range s.allMaps() {
-		err := mp.ForEach(func(key, val hds.String) bool {
-			key.Retain(s.Heap)
-			keys = append(keys, key)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := hds.BytesMany(s.Heap, keys)
-	for i := range keys {
-		keys[i].Release(s.Heap)
-	}
-	return out, nil
 }
 
 // Map exposes the underlying key-value map.
@@ -157,13 +98,6 @@ func (s *HicampServer) Stats() core.Stats { return s.Heap.M.Stats() }
 // MapStats returns the segment map's conflict telemetry: per-VSID
 // commit/conflict/denial/abort counters plus the aggregate totals.
 func (s *HicampServer) MapStats() segmap.Snapshot { return s.Heap.SM.Snapshot() }
-
-// PoolStats returns the scratch-pool telemetry of every registered
-// bucketed pool (wave-engine scratch, store batch buffers, dedup maps):
-// per-pool and per-bin hit/miss/oversize/return counters. The registry
-// is process-global — pools are package-level — so the numbers cover
-// all machines in the process, not just this server's.
-func (s *HicampServer) PoolStats() []pool.PoolStats { return pool.Snapshot() }
 
 func (s *HicampServer) String() string {
 	return fmt.Sprintf("kvstore.HicampServer(lines=%d)", s.Heap.M.LiveLines())

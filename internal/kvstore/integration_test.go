@@ -26,7 +26,7 @@ func TestServerModelEquivalence(t *testing.T) {
 			k := fmt.Sprintf("k%02d", rng.Intn(40))
 			switch rng.Intn(10) {
 			case 0: // delete
-				srv.Delete([]byte(k))
+				del(srv, []byte(k))
 				delete(model, k)
 			case 1, 2, 3: // set (occasionally a duplicate body)
 				val := corpus.Items[rng.Intn(len(corpus.Items))]
@@ -41,7 +41,7 @@ func TestServerModelEquivalence(t *testing.T) {
 				var got []byte
 				var ok bool
 				if op%2 == 0 {
-					got, ok = srv.Get([]byte(k))
+					got, ok = get(srv, []byte(k))
 				} else {
 					got, ok = srv.GetVia(reader, []byte(k))
 				}

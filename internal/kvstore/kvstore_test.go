@@ -14,22 +14,45 @@ func testCfg() core.Config {
 	return core.Config{LineBytes: 16, BucketBits: 14, DataWays: 12, CacheLines: 4096, CacheWays: 16}
 }
 
+// get is a one-key Read.
+func get(s *HicampServer, key []byte) ([]byte, bool) {
+	b := Batch{}.Get(key)
+	s.Read(b)
+	return b[0].Value, b[0].Found
+}
+
+// del is a one-key tombstone Write.
+func del(s *HicampServer, key []byte) error { return s.Write(Batch{}.Del(key)) }
+
+// blobPut, blobGet and blobDel are one-key BlobWrite/BlobRead batches.
+func blobPut(s *HicampServer, key, value []byte) error {
+	return s.BlobWrite(Batch{}.Set(key, value))
+}
+
+func blobGet(s *HicampServer, key []byte) ([]byte, bool) {
+	b := Batch{}.Get(key)
+	s.BlobRead(b)
+	return b[0].Value, b[0].Found
+}
+
+func blobDel(s *HicampServer, key []byte) error { return s.BlobWrite(Batch{}.Del(key)) }
+
 func TestHicampGetSetDelete(t *testing.T) {
 	s := NewHicampServer(testCfg())
-	if _, ok := s.Get([]byte("missing")); ok {
+	if _, ok := get(s, []byte("missing")); ok {
 		t.Fatal("empty store returned a value")
 	}
 	if err := s.Set([]byte("k1"), []byte("value number one")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := s.Get([]byte("k1"))
+	v, ok := get(s, []byte("k1"))
 	if !ok || string(v) != "value number one" {
 		t.Fatalf("get = %q, %v", v, ok)
 	}
-	if err := s.Delete([]byte("k1")); err != nil {
+	if err := del(s, []byte("k1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get([]byte("k1")); ok {
+	if _, ok := get(s, []byte("k1")); ok {
 		t.Fatal("deleted key still readable")
 	}
 }
@@ -44,8 +67,8 @@ func TestHicampOverwriteAndDedup(t *testing.T) {
 	if added > linesAfterFirst/2 {
 		t.Fatalf("identical value re-stored %d new lines (had %d)", added, linesAfterFirst)
 	}
-	va, _ := s.Get([]byte("a"))
-	vb, _ := s.Get([]byte("b"))
+	va, _ := get(s, []byte("a"))
+	vb, _ := get(s, []byte("b"))
 	if !bytes.Equal(va, vb) {
 		t.Fatal("values differ")
 	}

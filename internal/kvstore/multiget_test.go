@@ -27,8 +27,14 @@ func TestHicampReadMatchesGet(t *testing.T) {
 		Get([]byte(keys[3])). // duplicate in one batch
 		Get([]byte(keys[39]))
 	srv.Read(rb)
+	// The reference is the per-key iterator-register path.
+	reader, err := srv.OpenReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
 	for i := range rb {
-		want, wantOK := srv.Get(rb[i].Key)
+		want, wantOK := srv.GetVia(reader, rb[i].Key)
 		if rb[i].Found != wantOK {
 			t.Fatalf("key %q: found=%v, want %v", rb[i].Key, rb[i].Found, wantOK)
 		}

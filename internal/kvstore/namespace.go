@@ -94,24 +94,6 @@ func (s *HicampServer) SetMaxNamespaces(n int) {
 	s.ns.mu.Unlock()
 }
 
-// allMaps lists every live map — root first, then tenants in name
-// order — for full-store walks (Scan, Keys).
-func (s *HicampServer) allMaps() []*hds.Map {
-	s.ns.mu.RLock()
-	names := make([]string, 0, len(s.ns.m))
-	for name := range s.ns.m {
-		names = append(names, name)
-	}
-	s.ns.mu.RUnlock()
-	sort.Strings(names)
-	out := make([]*hds.Map, 0, len(names)+1)
-	out = append(out, s.kvp)
-	for _, name := range names {
-		out = append(out, s.Namespace(name))
-	}
-	return out
-}
-
 // NamespaceInfo is one tenant's identity and conflict telemetry.
 type NamespaceInfo struct {
 	Name  string

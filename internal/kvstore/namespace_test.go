@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"repro/internal/hds"
 )
 
 func TestBatchDeleteWavePath(t *testing.T) {
@@ -25,7 +27,7 @@ func TestBatchDeleteWavePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range keys {
-		_, ok := s.Get([]byte(keys[i]))
+		_, ok := get(s, []byte(keys[i]))
 		want := i != 1 && i != 3
 		if ok != want {
 			t.Fatalf("after batch delete, Get(%s) = %v, want %v", keys[i], ok, want)
@@ -51,7 +53,7 @@ func TestNamespaceRoutingAndIsolation(t *testing.T) {
 	}
 
 	for key, want := range map[string]string{"acme/k": "va", "beta/k": "vb", "k": "vr"} {
-		got, ok := s.Get([]byte(key))
+		got, ok := get(s, []byte(key))
 		if !ok || string(got) != want {
 			t.Fatalf("Get(%s) = %q,%v want %q", key, got, ok, want)
 		}
@@ -77,16 +79,16 @@ func TestNamespaceRoutingAndIsolation(t *testing.T) {
 	}
 
 	// Deleting a tenant's key leaves the other tenants' bindings alone.
-	if err := s.Delete([]byte("acme/k")); err != nil {
+	if err := del(s, []byte("acme/k")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get([]byte("acme/k")); ok {
+	if _, ok := get(s, []byte("acme/k")); ok {
 		t.Fatal("acme/k survived delete")
 	}
-	if _, ok := s.Get([]byte("beta/k")); !ok {
+	if _, ok := get(s, []byte("beta/k")); !ok {
 		t.Fatal("beta/k lost to acme delete")
 	}
-	if _, ok := s.Get([]byte("k")); !ok {
+	if _, ok := get(s, []byte("k")); !ok {
 		t.Fatal("bare k lost to acme delete")
 	}
 }
@@ -123,40 +125,42 @@ func TestNamespaceBatchesSpanTenants(t *testing.T) {
 	if err := s.Write(Batch{}.Del([]byte("acme/a")).Del([]byte("k0"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get([]byte("acme/a")); ok {
+	if _, ok := get(s, []byte("acme/a")); ok {
 		t.Fatal("acme/a survived the cross-tenant delete batch")
 	}
-	if _, ok := s.Get([]byte("k0")); ok {
+	if _, ok := get(s, []byte("k0")); ok {
 		t.Fatal("k0 survived the cross-tenant delete batch")
 	}
-	if _, ok := s.Get([]byte("acme/c")); !ok {
+	if _, ok := get(s, []byte("acme/c")); !ok {
 		t.Fatal("acme/c lost")
 	}
 
-	// Full-store walks cover every namespace.
+	// Walking every namespace's map covers the whole store, full keys
+	// included.
 	want := []string{"acme/c", "beta/b", "k1"}
-	keysOut, err := s.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, k := range keysOut {
-		names = append(names, string(k))
+	var names, scanned []string
+	for _, ns := range []string{"", "acme", "beta"} {
+		mp := s.Namespace(ns)
+		if err := mp.ForEach(func(k, _ hds.String) bool {
+			names = append(names, string(k.Bytes(s.Heap)))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := mp.BytesScan(func(k, v []byte) bool {
+			scanned = append(scanned, string(k))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sort.Strings(names)
 	if fmt.Sprint(names) != fmt.Sprint(want) {
-		t.Fatalf("Keys = %v, want %v", names, want)
-	}
-	var scanned []string
-	if err := s.Scan(func(k, v []byte) bool {
-		scanned = append(scanned, string(k))
-		return true
-	}); err != nil {
-		t.Fatal(err)
+		t.Fatalf("ForEach = %v, want %v", names, want)
 	}
 	sort.Strings(scanned)
 	if fmt.Sprint(scanned) != fmt.Sprint(want) {
-		t.Fatalf("Scan = %v, want %v", scanned, want)
+		t.Fatalf("BytesScan = %v, want %v", scanned, want)
 	}
 }
 
@@ -176,7 +180,7 @@ func TestNamespaceBoundFallsBackToRoot(t *testing.T) {
 	if err := s.Set([]byte("t3/k"), []byte("v3")); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s.Get([]byte("t3/k")); !ok || string(got) != "v3" {
+	if got, ok := get(s, []byte("t3/k")); !ok || string(got) != "v3" {
 		t.Fatalf("fallback Get = %q,%v", got, ok)
 	}
 
@@ -190,5 +194,31 @@ func TestNamespaceBoundFallsBackToRoot(t *testing.T) {
 	}
 	if infos[1].VSID == infos[2].VSID || infos[1].VSID == infos[0].VSID {
 		t.Fatal("NamespaceStats VSIDs must be distinct")
+	}
+}
+
+// TestGetViaReadsTenantKeys pins GetVia on tenant-prefixed keys: the
+// register is bound to the root map, so a tenant key must route to its
+// namespace rather than read as absent from the root map.
+func TestGetViaReadsTenantKeys(t *testing.T) {
+	s := NewHicampServer(testCfg())
+	for _, kv := range [][2]string{{"t/k", "hello"}, {"k", "bare"}} {
+		if err := s.Set([]byte(kv[0]), []byte(kv[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reader, err := s.OpenReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	for _, tc := range []struct {
+		key, want string
+		found     bool
+	}{{"t/k", "hello", true}, {"k", "bare", true}, {"t/absent", "", false}, {"u/k", "", false}} {
+		got, ok := s.GetVia(reader, []byte(tc.key))
+		if ok != tc.found || string(got) != tc.want {
+			t.Fatalf("GetVia(%q) = %q,%v, want %q,%v", tc.key, got, ok, tc.want, tc.found)
+		}
 	}
 }

@@ -7,18 +7,18 @@ import (
 	"repro/internal/pool"
 )
 
-// Pins the server's PoolStats surface. Two invariants, both exact
-// because internal/pool's freelists never drain with the GC:
+// Pins the scratch-pool registry under server traffic. Two invariants,
+// both exact because internal/pool's freelists never drain with the GC:
 //
 //   - Accounting balances: at quiescence every borrow has been
 //     released, so Hits+Misses+Oversize == Returned per pool. An
 //     engine that leaks a borrowed buffer breaks this immediately.
 //   - Traffic registers: server operations drive the wave engines, so
-//     the aggregate acquisition count must move across a Set/Get/Scan
+//     the aggregate acquisition count must move across a Set/Read/scan
 //     burst. A pool surface wired to dead counters breaks this.
 func TestHicampServerPoolStats(t *testing.T) {
 	s := NewHicampServer(testCfg())
-	before := acquisitions(s.PoolStats())
+	before := acquisitions(pool.Snapshot())
 
 	for i := 0; i < 32; i++ {
 		k := []byte(fmt.Sprintf("poolstats-key-%d", i))
@@ -26,21 +26,21 @@ func TestHicampServerPoolStats(t *testing.T) {
 		if err := s.Set(k, v); err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := s.Get(k); !ok || string(got) != string(v) {
+		if got, ok := get(s, k); !ok || string(got) != string(v) {
 			t.Fatalf("get %q = %q, %v", k, got, ok)
 		}
 	}
 	n := 0
-	if err := s.Scan(func(key, value []byte) bool { n++; return true }); err != nil {
+	if err := s.Map().BytesScan(func(key, value []byte) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 32 {
 		t.Fatalf("scan saw %d pairs, want 32", n)
 	}
 
-	after := s.PoolStats()
+	after := pool.Snapshot()
 	if len(after) == 0 {
-		t.Fatal("PoolStats returned no registered pools")
+		t.Fatal("pool.Snapshot returned no registered pools")
 	}
 	for i := 1; i < len(after); i++ {
 		if after[i-1].Name >= after[i].Name {

@@ -17,19 +17,22 @@ func setup() (*core.Machine, *segmap.Map) {
 }
 
 func buildAt(m *core.Machine, height int, kv map[uint64]uint64) segment.Seg {
-	tx := segment.NewTxn(m, segment.NewSparse(height))
-	for k, v := range kv {
-		tx.WriteWord(k, v, word.TagRaw)
-	}
-	return tx.Commit()
+	return modify(m, segment.NewSparse(height), kv)
 }
 
 func modify(m *core.Machine, base segment.Seg, kv map[uint64]uint64) segment.Seg {
-	tx := segment.NewTxn(m, base)
+	ups := make([]segment.Update, 0, len(kv))
 	for k, v := range kv {
-		tx.WriteWord(k, v, word.TagRaw)
+		ups = append(ups, segment.Update{Idx: k, W: v, T: word.TagRaw})
 	}
-	return tx.Commit()
+	return write(m, base, ups...)
+}
+
+// write commits ups over base in one WriteBatch; the caller owns the
+// returned root and keeps its reference on base.
+func write(m word.Mem, base segment.Seg, ups ...segment.Update) segment.Seg {
+	s, _ := segment.WriteBatch(m, base, ups)
+	return s
 }
 
 func TestMergeDisjointWrites(t *testing.T) {
@@ -113,9 +116,7 @@ func TestMergePLIDConflictFails(t *testing.T) {
 	pb := m.LookupLine(word.ContentFromBytes(m.LineWords(), []byte("target B")))
 	orig := buildAt(m, 4, map[uint64]uint64{7: 1})
 	mkRef := func(p word.PLID) segment.Seg {
-		tx := segment.NewTxn(m, orig)
-		tx.WriteWord(9, uint64(p), word.TagPLID)
-		return tx.Commit()
+		return write(m, orig, segment.Update{Idx: 9, W: uint64(p), T: word.TagPLID})
 	}
 	mod, cur := mkRef(pa), mkRef(pb)
 	if _, err := Merge(m, orig, mod, cur, nil); !errors.Is(err, ErrConflict) {
@@ -127,12 +128,11 @@ func TestMergeVSIDSameRefBothSides(t *testing.T) {
 	m, _ := setup()
 	orig := buildAt(m, 4, map[uint64]uint64{1: 1})
 	mk := func(extra uint64) segment.Seg {
-		tx := segment.NewTxn(m, orig)
-		tx.WriteWord(5, 123, word.TagVSID)
+		ups := []segment.Update{{Idx: 5, W: 123, T: word.TagVSID}}
 		if extra != 0 {
-			tx.WriteWord(6, extra, word.TagRaw)
+			ups = append(ups, segment.Update{Idx: 6, W: extra, T: word.TagRaw})
 		}
-		return tx.Commit()
+		return write(m, orig, ups...)
 	}
 	mod, cur := mk(0), mk(99)
 	got, err := Merge(m, orig, mod, cur, nil)
@@ -216,12 +216,11 @@ func TestMergeTrueConflictAcrossHeights(t *testing.T) {
 	pb := m.LookupLine(word.ContentFromBytes(m.LineWords(), []byte("target B")))
 	orig := buildAt(m, 3, map[uint64]uint64{1: 1})
 	mkRef := func(p word.PLID, grow bool) segment.Seg {
-		tx := segment.NewTxn(m, orig)
-		tx.WriteWord(9, uint64(p), word.TagPLID)
+		ups := []segment.Update{{Idx: 9, W: uint64(p), T: word.TagPLID}}
 		if grow {
-			tx.WriteWord(1<<12, 3, word.TagRaw)
+			ups = append(ups, segment.Update{Idx: 1 << 12, W: 3, T: word.TagRaw})
 		}
-		return tx.Commit()
+		return write(m, orig, ups...)
 	}
 	mod, cur := mkRef(pa, true), mkRef(pb, false)
 	if _, err := Merge(m, orig, mod, cur, nil); !errors.Is(err, ErrConflict) {
@@ -276,9 +275,7 @@ func TestMCASResolvesContention(t *testing.T) {
 					return
 				}
 				idx := uint64(1 + g*updates + i) // disjoint per worker
-				tx := segment.NewTxn(m, old.Seg)
-				tx.WriteWord(idx, uint64(g+1), word.TagRaw)
-				next := tx.Commit()
+				next := write(m, old.Seg, segment.Update{Idx: idx, W: uint64(g + 1), T: word.TagRaw})
 				var local Stats
 				ok, err := MCAS(m, sm, v, old.Seg, next, 0, &local)
 				segment.ReleaseSeg(m, old.Seg)
@@ -330,9 +327,7 @@ func TestMCASCounterSegment(t *testing.T) {
 			for i := 0; i < incs; i++ {
 				old, _ := sm.Load(v)
 				cur, _ := segment.ReadWord(m, old.Seg, 0)
-				tx := segment.NewTxn(m, old.Seg)
-				tx.WriteWord(0, cur+amount, word.TagRaw)
-				next := tx.Commit()
+				next := write(m, old.Seg, segment.Update{Idx: 0, W: cur + amount, T: word.TagRaw})
 				if ok, err := MCAS(m, sm, v, old.Seg, next, 0, nil); !ok || err != nil {
 					t.Errorf("mcas: %v %v", ok, err)
 				}

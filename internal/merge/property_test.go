@@ -53,14 +53,14 @@ func TestMergeMatchesReferenceModel(t *testing.T) {
 			s := segment.BuildWords(m, ws, nil)
 			if s.Height != segment.HeightFor(m.LineWords(), space) {
 				// Force equal heights by building at full capacity.
-				tx := segment.NewTxn(m, segment.NewSparse(segment.HeightFor(m.LineWords(), space)))
+				var ups []segment.Update
 				for i, w := range ws {
 					if w != 0 {
-						tx.WriteWord(uint64(i), w, word.TagRaw)
+						ups = append(ups, segment.Update{Idx: uint64(i), W: w, T: word.TagRaw})
 					}
 				}
 				segment.ReleaseSeg(m, s)
-				return tx.Commit()
+				return write(m, segment.NewSparse(segment.HeightFor(m.LineWords(), space)), ups...)
 			}
 			return s
 		}
@@ -249,9 +249,7 @@ func TestMCASLinearizesRandomWorkload(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					tx := segment.NewTxn(m, e.Seg)
-					tx.WriteWord(idx, val, word.TagRaw)
-					next := tx.Commit()
+					next := write(m, e.Seg, segment.Update{Idx: idx, W: val, T: word.TagRaw})
 					ok, err := MCAS(m, sm, v, e.Seg, next, 0, nil)
 					segment.ReleaseSeg(m, e.Seg)
 					if err != nil && !errors.Is(err, ErrConflict) {

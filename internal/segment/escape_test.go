@@ -36,7 +36,7 @@ func TestEscapeResultsDontAliasPooledScratch(t *testing.T) {
 		}
 	}
 
-	runAll := func(round string) ([]uint64, []word.Tag, []uint64, [][]uint64, [][]Edge) {
+	runAll := func(round string) ([]uint64, []word.Tag, []uint64, [][]uint64) {
 		vals, tags := GatherWords(m, seg, idxs)
 		expect(round+" gather", vals, idxs)
 		bulk := ReadWordsBulk(m, seg, 5, 40)
@@ -51,14 +51,10 @@ func TestEscapeResultsDontAliasPooledScratch(t *testing.T) {
 		})
 		expect(round+" range0", ranges[0], seqIdx(0, 16))
 		expect(round+" range1", ranges[1], seqIdx(100, 32))
-		kids := ChildrenBulk(m, []Edge{PLIDEdge(seg.Root)}, seg.Height)
-		if len(kids[0]) != m.LineWords() {
-			t.Fatalf("%s: ChildrenBulk arity %d", round, len(kids[0]))
-		}
-		return vals, tags, bulk, ranges, kids
+		return vals, tags, bulk, ranges
 	}
 
-	vals, tags, bulk, ranges, kids := runAll("first")
+	vals, tags, bulk, ranges := runAll("first")
 
 	// Scribble over every returned buffer. If any of them aliased pooled
 	// scratch, the poison would flow into the next round's wave state.
@@ -73,9 +69,6 @@ func TestEscapeResultsDontAliasPooledScratch(t *testing.T) {
 		for i := range r {
 			r[i] = 0xABAD1DEA
 		}
-	}
-	for i := range kids[0] {
-		kids[0][i] = Edge{W: ^uint64(0), T: word.TagCompact}
 	}
 
 	// Interleave a scan and a write so the scanner pool and wnode pool

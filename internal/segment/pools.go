@@ -13,11 +13,7 @@ import (
 // and DESIGN.md "Scratch pooling".
 var (
 	poolU64       = pool.NewSlice[uint64]("segment.u64")
-	poolTags      = pool.NewSlice[word.Tag]("segment.tag")
-	poolBytes     = pool.NewSlice[byte]("segment.byte")
 	poolEdges     = pool.NewSlice[Edge]("segment.edge")
-	poolBools     = pool.NewSlice[bool]("segment.bool")
-	poolInts      = pool.NewSlice[int]("segment.int")
 	poolReqs      = pool.NewSlice[bulkReq]("segment.bulkreq")
 	poolBulkNodes = pool.NewSlice[bulkNode]("segment.bulknode")
 	poolPLIDs     = pool.NewSlice[word.PLID]("segment.plid")

@@ -224,8 +224,7 @@ func ReadWordsBulk(m word.Mem, s Seg, off, n uint64) []uint64 {
 }
 
 // ReadWordsBulkInto is ReadWordsBulk reading len(vals) words into the
-// caller's buffer — the allocation-free bulk read backing ScanBytes
-// chunking and ReadBytesBulk.
+// caller's buffer — the allocation-free bulk read backing ReadBytesBulk.
 func ReadWordsBulkInto(m word.Mem, s Seg, off uint64, vals []uint64) {
 	clear(vals)
 	n := uint64(len(vals))
@@ -314,48 +313,6 @@ func GatherRanges(m word.Mem, rs []Range) [][]uint64 {
 	}
 	if len(nodes) > 0 {
 		gather(m, nodes, flat, nil)
-	}
-	return out
-}
-
-// ChildrenBulk returns the child edges of every edge in es at the given
-// level, semantically len(es) Children calls but with every distinct
-// line fetched once through the batch read path. The returned edges are
-// borrowed — they own no references.
-func ChildrenBulk(m word.Mem, es []Edge, level int) [][]Edge {
-	arity := m.LineWords()
-	out := make([][]Edge, len(es))
-	var sc pool.Scratch
-	defer sc.Release()
-	plids := poolPLIDs.GetCap(&sc, len(es))
-	at := poolPlidAt.Get(&sc)
-	for i, e := range es {
-		if e.T == word.TagPLID && e.W != 0 {
-			p := word.PLID(e.W)
-			if _, ok := at[p]; !ok {
-				at[p] = len(plids)
-				plids = append(plids, p)
-			}
-			continue
-		}
-		// Zero, inline and compact edges expand without memory accesses.
-		out[i] = Children(m, e, level)
-	}
-	if len(plids) == 0 {
-		return out
-	}
-	contents := poolContents.Get(&sc, len(plids))
-	m.ReadLineBatchInto(plids, contents)
-	for i, e := range es {
-		if e.T != word.TagPLID || e.W == 0 {
-			continue
-		}
-		c := contents[at[word.PLID(e.W)]]
-		kids := make([]Edge, arity)
-		for j := 0; j < arity; j++ {
-			kids[j] = Edge{W: c.W[j], T: c.T[j]}
-		}
-		out[i] = kids
 	}
 	return out
 }

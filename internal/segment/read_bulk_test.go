@@ -110,29 +110,6 @@ func TestGatherRangesMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestChildrenBulkMatchesSerial(t *testing.T) {
-	for _, m := range machines(t) {
-		rng := rand.New(rand.NewSource(46))
-		s, _ := randSeg(m, rng, 600)
-		es := []Edge{PLIDEdge(s.Root), PLIDEdge(s.Root), ZeroEdge}
-		level := s.Height
-		for level > 0 && len(es) > 0 {
-			got := ChildrenBulk(m, es, level)
-			var next []Edge
-			for i, e := range es {
-				want := Children(m, e, level)
-				for j := range want {
-					if got[i][j] != want[j] {
-						t.Fatalf("arity %d: level %d: edge %d child %d differs", m.LineWords(), level, i, j)
-					}
-				}
-				next = append(next, want...)
-			}
-			es, level = next, level-1
-		}
-	}
-}
-
 // countingMem wraps a Mem and counts line reads, the unit of DAG-walk
 // cost a read path pays: one per ReadLine, one per element of a batch.
 type countingMem struct {

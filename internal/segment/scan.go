@@ -30,7 +30,7 @@ type ScanStats struct {
 	Emitted   uint64 // callback invocations
 }
 
-// DefaultScanWindow is the lookahead bound of ScanWords/ScanBytes in
+// DefaultScanWindow is the lookahead bound of ScanWords in
 // logical words: one chunk of frontier covers at most this many words
 // (window-sized runs of a dense segment, far more of a sparse one, since
 // elided zero subtrees cost nothing to "cover").
@@ -335,46 +335,4 @@ func (sc *scanner) expand(nodes []scanNode, fn func(idx uint64, w uint64, t word
 		}
 	}
 	return true
-}
-
-// ScanBytes streams n bytes of s starting at byte offset off to fn in
-// window-sized chunks, each materialized through the level-order bulk
-// reader — the streaming counterpart of ReadBytesBulk for consumers that
-// may stop early. fn receives the starting byte offset of each chunk.
-// The chunk is borrowed pooled scratch, valid only for the duration of
-// the callback (like bufio.Scanner's token): consumers that keep bytes
-// past the callback must copy them. Emitted counts bytes delivered;
-// line accounting is charged to the machine as usual.
-func ScanBytes(m word.Mem, s Seg, off, n uint64, fn func(off uint64, chunk []byte) bool) ScanStats {
-	var st ScanStats
-	const windowBytes = DefaultScanWindow * 8
-	var sc pool.Scratch
-	defer sc.Release()
-	// One chunk buffer and one word buffer serve every window: the word
-	// span of a window is at most windowBytes/8 + 1 lines' worth of
-	// straddle.
-	bufAll := poolBytes.Get(&sc, windowBytes)
-	wsAll := poolU64.Get(&sc, DefaultScanWindow+1)
-	for n > 0 {
-		take := n
-		if take > windowBytes {
-			take = windowBytes
-		}
-		w0 := off / 8
-		ws := wsAll[:(off+take+7)/8-w0]
-		ReadWordsBulkInto(m, s, w0, ws)
-		buf := bufAll[:take]
-		for i := uint64(0); i < take; i++ {
-			b := off + i
-			buf[i] = byte(ws[b/8-w0] >> (8 * (b % 8)))
-		}
-		st.Chunks++
-		st.Emitted += take
-		if !fn(off, buf) {
-			break
-		}
-		off += take
-		n -= take
-	}
-	return st
 }

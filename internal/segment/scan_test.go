@@ -163,40 +163,6 @@ func TestScanEarlyStopBoundedByWindow(t *testing.T) {
 	}
 }
 
-func TestScanBytesMatchesReadBytes(t *testing.T) {
-	for _, m := range machines(t) {
-		data := make([]byte, 9001)
-		rand.New(rand.NewSource(405)).Read(data)
-		s := BuildBytes(m, data)
-		for _, off := range []uint64{0, 1, 13, 8000} {
-			want := ReadBytes(m, s, off, uint64(len(data))-off)
-			var got []byte
-			st := ScanBytes(m, s, off, uint64(len(data))-off, func(o uint64, chunk []byte) bool {
-				if o != off+uint64(len(got)) {
-					t.Fatalf("chunk offset %d, want %d", o, off+uint64(len(got)))
-				}
-				got = append(got, chunk...)
-				return true
-			})
-			if string(got) != string(want) {
-				t.Fatalf("arity %d off %d: ScanBytes mismatch", m.LineWords(), off)
-			}
-			if st.Emitted != uint64(len(want)) {
-				t.Fatalf("Emitted = %d, want %d", st.Emitted, len(want))
-			}
-		}
-		// Early stop: one chunk only.
-		calls := 0
-		ScanBytes(m, s, 0, uint64(len(data)), func(uint64, []byte) bool {
-			calls++
-			return false
-		})
-		if calls != 1 {
-			t.Fatalf("early-stopped ScanBytes made %d calls, want 1", calls)
-		}
-	}
-}
-
 // diffEmit records one reported difference.
 type diffEmit struct {
 	idx    uint64

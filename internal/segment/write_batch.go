@@ -8,24 +8,24 @@ import (
 	"repro/internal/word"
 )
 
-// Wave-ordered bulk writes. A Txn commits one root-to-leaf path walk per
-// transient node, depth-first; k independent Set-style updates therefore
-// cost k path rebuilds even when they land in sibling slots of the same
-// lines. WriteBatch applies a whole update set against one root in two
-// level-order sweeps instead: a top-down descent that expands only the
-// touched sub-DAG (every distinct line fetched once per level through the
-// batch read path) and a bottom-up canonicalization that resolves each
-// level's fresh lines in a single batch lookup. Untouched sub-DAGs pass
-// through by PLID — zero reads, zero reference-count traffic — which is
-// the write-side half of the paper's claim that segment updates cost
-// O(changed paths), not O(size) (§3.3–3.4).
+// Wave-ordered bulk writes: the one write engine (§3.3's transient lines
+// converted to permanent ones at commit). WriteBatch applies a whole
+// update set against one root in two level-order sweeps: a top-down
+// descent that expands only the touched sub-DAG (every distinct line
+// fetched once per level through the batch read path) and a bottom-up
+// canonicalization that resolves each level's fresh lines in a single
+// batch lookup. Untouched sub-DAGs pass through by PLID — zero reads,
+// zero reference-count traffic — which is the write-side half of the
+// paper's claim that segment updates cost O(changed paths), not O(size)
+// (§3.3–3.4).
 //
-// The result is bit-identical to buffering the same writes in a Txn and
-// committing: same canonical rules (zero elision, inlining, path
-// compaction), same growth re-rooting, same reference-count ownership —
-// so the root PLID, and with an ample LLC the simulated-DRAM accounting,
-// match the serial path-by-path commit exactly when no two updates share
-// line content (and come out strictly cheaper when they do).
+// The result is bit-identical to committing the same writes one
+// root-to-leaf path at a time (the serial Txn reference in the tests):
+// same canonical rules (zero elision, inlining, path compaction), same
+// growth re-rooting, same reference-count ownership — so the root PLID,
+// and with an ample LLC the simulated-DRAM accounting, match the
+// path-by-path commit exactly when no two updates share line content
+// (and come out strictly cheaper when they do).
 
 // Update is one word write for WriteBatch: set the tagged word at Idx.
 // Later updates to the same index win, like sequential WriteWord calls.
@@ -108,9 +108,9 @@ func getWnode(level, arity int) *wnode {
 
 // WriteBatch applies ups to s as one wave-ordered bulk commit and returns
 // the new segment; the caller owns one reference on its root and keeps
-// ownership of s (exactly the Txn.Commit contract). The segment grows to
-// fit out-of-capacity indices the way Txn.grow re-roots. An empty update
-// set retains and returns s unchanged.
+// ownership of s. The segment grows to fit out-of-capacity indices by
+// re-rooting through zero-padded parents (§4.1). An empty update set
+// retains and returns s unchanged.
 func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 	var st WriteStats
 	st.Updates = uint64(len(ups))
@@ -139,7 +139,7 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 	// PathsRebuilt + SiblingCoalesced == Updates always holds.
 	st.SiblingCoalesced = uint64(len(ups) - len(uniq))
 
-	// Grow the logical height until every index fits (Txn.grow).
+	// Grow the logical height until every index fits.
 	height := s.Height
 	for uniq[len(uniq)-1].Idx >= capacity(arity, height) {
 		height++
@@ -162,8 +162,11 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 		add(root)
 	} else {
 		// Growth re-rooting: a spine of synthetic nodes whose child 0
-		// carries the zero-extended original segment, mirroring the
-		// transient parents Txn.grow stacks above the old root.
+		// carries the zero-extended original segment. The old root joins
+		// the wave as an ordinary node even when no update lands under
+		// it: as a child edge it must be re-canonicalized (a single-child
+		// root compacts into its parent's edge, an inlinable leaf root
+		// inlines), or the grown DAG would not be canonical.
 		root = getWnode(height, arity)
 		root.pre, root.ups = true, uniq
 		add(root)
@@ -176,7 +179,13 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 			add(kid)
 			cur = kid
 		}
-		cur.edges[0] = PLIDEdge(s.Root)
+		if s.Root != word.Zero {
+			old := getWnode(s.Height, arity)
+			old.e = PLIDEdge(s.Root)
+			cur.slots = append(cur.slots, 0)
+			cur.kids = append(cur.kids, old)
+			add(old)
+		}
 	}
 
 	// Top-down descent: expand each level's touched nodes (one deduped
@@ -227,8 +236,10 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 				for _, u := range n.ups {
 					n.edges[int(u.Idx)] = Edge{W: u.W, T: u.T}
 				}
-				st.PathsRebuilt++
-				st.SiblingCoalesced += uint64(len(n.ups)) - 1
+				if len(n.ups) > 0 {
+					st.PathsRebuilt++
+					st.SiblingCoalesced += uint64(len(n.ups)) - 1
+				}
 				continue
 			}
 			// Partition the node's updates over its children; contiguous
@@ -245,7 +256,7 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 					childUps[i].Idx -= uint64(slot) * sub
 				}
 				if kid := n.kidAt(slot); kid != nil {
-					kid.ups = childUps // pre-linked growth spine child
+					kid.ups = childUps // pre-linked growth spine or old root
 				} else {
 					kid := getWnode(lvl-1, arity)
 					kid.e, kid.ups = n.edges[slot], childUps

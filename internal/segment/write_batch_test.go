@@ -94,6 +94,56 @@ func TestWriteBatchMatchesTxn(t *testing.T) {
 	}
 }
 
+// TestWriteBatchGrowthRecanonicalizesOldRoot pins growth when no update
+// lands under the old root. A segment root is always a materialized
+// line, but under the grown spine it becomes a child edge, which must
+// take its canonical form: a single-child root compacts, an inlinable
+// leaf root inlines. The result must equal the serial commit and a
+// fresh build of the same words.
+func TestWriteBatchGrowthRecanonicalizesOldRoot(t *testing.T) {
+	for _, m := range machines(t) {
+		arity := m.LineWords()
+		for _, tc := range []struct {
+			name string
+			base []Update
+			h    int
+		}{
+			{"single-child root", []Update{{Idx: 1, W: 1 << 40}}, 2},
+			{"two-word subtree root", []Update{{Idx: 1, W: 1}, {Idx: uint64(arity) + 1, W: 7}}, 3},
+			{"inlinable leaf root", []Update{{Idx: 0, W: 5}}, 0},
+		} {
+			base, _ := WriteBatch(m, NewSparse(tc.h), tc.base)
+			far := base.Capacity(arity) * 4
+			ups := []Update{{Idx: far, W: 42}}
+			got, st := WriteBatch(m, base, ups)
+			want := applySerial(m, base, ups)
+			if !got.Equal(want) {
+				t.Fatalf("arity %d %s: wave root %#x/h%d != serial %#x/h%d",
+					arity, tc.name, got.Root, got.Height, want.Root, want.Height)
+			}
+			ws := make([]uint64, far+1)
+			for _, u := range append(tc.base, ups...) {
+				ws[u.Idx] = u.W
+			}
+			built := BuildWords(m, ws, nil)
+			if !got.Equal(built) {
+				t.Fatalf("arity %d %s: grown root %#x/h%d != built %#x/h%d",
+					arity, tc.name, got.Root, got.Height, built.Root, built.Height)
+			}
+			if st.PathsRebuilt+st.SiblingCoalesced != st.Updates {
+				t.Fatalf("arity %d %s: updates %d != paths %d + coalesced %d",
+					arity, tc.name, st.Updates, st.PathsRebuilt, st.SiblingCoalesced)
+			}
+			for _, s := range []Seg{got, want, built, base} {
+				ReleaseSeg(m, s)
+			}
+		}
+		if live := m.LiveLines(); live != 0 {
+			t.Fatalf("arity %d: %d lines leaked", arity, live)
+		}
+	}
+}
+
 func TestWriteBatchEmptyAndZeroRoot(t *testing.T) {
 	for _, m := range machines(t) {
 		base, _ := randSeg(m, rand.New(rand.NewSource(7)), 100)

@@ -117,27 +117,6 @@ func SpMVHicamp(cfg core.Config, m *Matrix) (uint64, []float64) {
 	return dram, y
 }
 
-// SpMVHicampGather is SpMVHicamp with the breadth-first MulVecGather
-// kernel: same tree, same accounting window, but vector and tree lines
-// resolve through the bulk read pipeline.
-func SpMVHicampGather(cfg core.Config, m *Matrix) (uint64, []float64) {
-	mach := core.NewMachine(cfg)
-	q := BuildQTS(mach, m)
-	x := testVector(m.Cols)
-	xseg := BuildXSegment(mach, x)
-
-	q.MulVecGather(mach, xseg, m.Cols) // cold pass: warm the LLC
-	mach.FlushCache()
-	mach.ResetStats()
-	y := q.MulVecGather(mach, xseg, m.Cols)
-	mach.FlushCache()
-	dram := mach.Stats().Store.Total()
-	dram += uint64((8*m.Rows + cfg.LineBytes - 1) / cfg.LineBytes) // y writeback
-	q.Release(mach)
-	segment.ReleaseSeg(mach, xseg)
-	return dram, y
-}
-
 // MeasureTraffic produces one Figure 7 point at the paper's cache sizes
 // (4 MB L2 both sides). The paper restricts Figure 7 to matrices larger
 // than the L2; use MeasureTrafficWith to scale the caches down when the

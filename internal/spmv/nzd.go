@@ -163,97 +163,6 @@ func (z *NZD) MulVec(m word.Mem, xseg segment.Seg, xlen int) []float64 {
 	return y
 }
 
-// nzdVisit is one quadrant visit in the breadth-first multiply.
-type nzdVisit struct {
-	e      segment.Edge
-	r0, c0 int
-}
-
-// MulVecBulk computes y = A*x like MulVec, but expands the pattern tree
-// in level-order waves through ChildrenBulk — every distinct pattern
-// line fetched once per wave however many quadrants share it, which is
-// where pattern self-similarity concentrates the accesses — and
-// materializes the dense vector and the whole value segment through two
-// up-front bulk reads instead of per-value iterator seeks. Every pattern
-// leaf sits at the same depth and the wave preserves the 11,12,21,22
-// child order, so the leaf wave is exactly MulVec's depth-first leaf
-// order: values are consumed by popcount prefix order and the
-// accumulation sequence — hence the floating-point result — is
-// bit-identical to MulVec's.
-func (z *NZD) MulVecBulk(m word.Mem, xseg segment.Seg, xlen int) []float64 {
-	y := make([]float64, z.Rows)
-	if z.Pattern == word.Zero {
-		return y
-	}
-	xw := segment.ReadWordsBulk(m, xseg, 0, uint64(xlen))
-	vals := segment.ReadWordsBulk(m, z.Values, 0, uint64(z.NVals))
-	arity := m.LineWords()
-	wave := []nzdVisit{{e: segment.PLIDEdge(z.Pattern)}}
-	for size := z.Dim; size > nzdBlock && len(wave) > 0; size /= 2 {
-		h := size / 2
-		edges := make([]segment.Edge, len(wave))
-		for i, v := range wave {
-			edges[i] = v.e
-		}
-		var quads [][]segment.Edge // e11, e12, e21, e22 per visit
-		if arity >= 4 {
-			quads = segment.ChildrenBulk(m, edges, 1)
-		} else {
-			top := segment.ChildrenBulk(m, edges, 2)
-			halves := make([]segment.Edge, 2*len(wave))
-			for i, kids := range top {
-				halves[2*i], halves[2*i+1] = kids[0], kids[1]
-			}
-			sub := segment.ChildrenBulk(m, halves, 1)
-			quads = make([][]segment.Edge, len(wave))
-			for i := range wave {
-				l, r := sub[2*i], sub[2*i+1]
-				quads[i] = []segment.Edge{l[0], l[1], r[0], r[1]}
-			}
-		}
-		next := make([]nzdVisit, 0, 2*len(wave))
-		for i, v := range wave {
-			add := func(e segment.Edge, r0, c0 int) {
-				if !e.IsZero() {
-					next = append(next, nzdVisit{e: e, r0: r0, c0: c0})
-				}
-			}
-			add(quads[i][0], v.r0, v.c0)
-			add(quads[i][1], v.r0, v.c0+h)
-			add(quads[i][2], v.r0+h, v.c0)
-			add(quads[i][3], v.r0+h, v.c0+h)
-		}
-		wave = next
-	}
-	// Leaf wave: one bulk fetch of the surviving mask words.
-	edges := make([]segment.Edge, len(wave))
-	for i, v := range wave {
-		edges[i] = v.e
-	}
-	ws := segment.ChildrenBulk(m, edges, 0)
-	cursor := 0
-	for bi, v := range wave {
-		mask := ws[bi][0].W
-		for b := 0; b < 64; b++ {
-			if mask&(1<<b) == 0 {
-				continue
-			}
-			bits := vals[cursor]
-			cursor++
-			i, j := mortonCell(b)
-			rr := v.r0 + i
-			if rr < len(y) {
-				var xv float64
-				if c := v.c0 + j; c < xlen {
-					xv = math.Float64frombits(xw[c])
-				}
-				y[rr] += math.Float64frombits(bits) * xv
-			}
-		}
-	}
-	return y
-}
-
 func (z *NZD) mulPat(m word.Mem, e segment.Edge, r0, c0, size int, x *xReader, y []float64, vit *iterreg.Iterator, cursor *uint64) {
 	if e.IsZero() {
 		return

@@ -340,119 +340,6 @@ func (q *QTS) mulLeaf(m word.Mem, e segment.Edge, r0, c0 int, trans bool, x *xRe
 	}
 }
 
-// gatherVisit is one quadrant visit in the breadth-first multiply: the
-// stored edge, its actual position, and whether it stores the transpose.
-type gatherVisit struct {
-	e      segment.Edge
-	r0, c0 int
-	trans  bool
-}
-
-// MulVecGather computes y = A*x like MulVec, but breadth-first through
-// the bulk read pipeline: the dense vector materializes once up front
-// via ReadWordsBulk (instead of MulVec's per-value-line re-walk of the x
-// segment), and each tree level expands through one ChildrenBulk wave —
-// every distinct line fetched once however many quadrant visits share
-// it, which is exactly where QTS sharing (repeated blocks, the symmetric
-// A12/A21^T collapse) concentrates the accesses. Accumulation order is
-// level-order rather than MulVec's depth-first order, so the two agree
-// only up to floating-point rounding.
-func (q *QTS) MulVecGather(m word.Mem, xseg segment.Seg, xlen int) []float64 {
-	y := make([]float64, q.Rows)
-	xw := segment.ReadWordsBulk(m, xseg, 0, uint64(xlen))
-	if q.Root == word.Zero {
-		return y
-	}
-	arity := m.LineWords()
-	wave := []gatherVisit{{e: segment.PLIDEdge(q.Root)}}
-	for size := q.Dim; size > 2 && len(wave) > 0; size /= 2 {
-		h := size / 2
-		edges := make([]segment.Edge, len(wave))
-		for i, v := range wave {
-			edges[i] = v.e
-		}
-		var quads [][]segment.Edge // e11, e22, e12, e21t per visit
-		if arity >= 4 {
-			quads = segment.ChildrenBulk(m, edges, 1)
-		} else {
-			top := segment.ChildrenBulk(m, edges, 2)
-			halves := make([]segment.Edge, 2*len(wave))
-			for i, kids := range top {
-				halves[2*i], halves[2*i+1] = kids[0], kids[1]
-			}
-			sub := segment.ChildrenBulk(m, halves, 1)
-			quads = make([][]segment.Edge, len(wave))
-			for i := range wave {
-				l, r := sub[2*i], sub[2*i+1]
-				quads[i] = []segment.Edge{l[0], l[1], r[0], r[1]}
-			}
-		}
-		next := make([]gatherVisit, 0, 2*len(wave))
-		for i, v := range wave {
-			add := func(e segment.Edge, r0, c0 int, trans bool) {
-				if !e.IsZero() {
-					next = append(next, gatherVisit{e: e, r0: r0, c0: c0, trans: trans})
-				}
-			}
-			add(quads[i][0], v.r0, v.c0, v.trans)
-			add(quads[i][1], v.r0+h, v.c0+h, v.trans)
-			if !v.trans {
-				add(quads[i][2], v.r0, v.c0+h, false)
-				add(quads[i][3], v.r0+h, v.c0, true)
-			} else {
-				add(quads[i][2], v.r0+h, v.c0, true)
-				add(quads[i][3], v.r0, v.c0+h, false)
-			}
-		}
-		wave = next
-	}
-	// Leaf wave: every surviving 2x2 block materializes through one more
-	// bulk level (two for 2-word lines), then accumulates.
-	edges := make([]segment.Edge, len(wave))
-	for i, v := range wave {
-		edges[i] = v.e
-	}
-	blocks := make([][4]uint64, len(wave))
-	if arity >= 4 {
-		ws := segment.ChildrenBulk(m, edges, 0)
-		for i := range wave {
-			for j := 0; j < 4; j++ {
-				blocks[i][j] = ws[i][j].W
-			}
-		}
-	} else {
-		rows := segment.ChildrenBulk(m, edges, 1)
-		flat := make([]segment.Edge, 2*len(wave))
-		for i, r := range rows {
-			flat[2*i], flat[2*i+1] = r[0], r[1]
-		}
-		ws := segment.ChildrenBulk(m, flat, 0)
-		for i := range wave {
-			blocks[i][0], blocks[i][1] = ws[2*i][0].W, ws[2*i][1].W
-			blocks[i][2], blocks[i][3] = ws[2*i+1][0].W, ws[2*i+1][1].W
-		}
-	}
-	for bi, v := range wave {
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				bits := blocks[bi][i*2+j]
-				if bits == 0 {
-					continue
-				}
-				val := math.Float64frombits(bits)
-				rr, cc := v.r0+i, v.c0+j
-				if v.trans {
-					rr, cc = v.r0+j, v.c0+i
-				}
-				if rr < len(y) && cc < xlen {
-					y[rr] += val * math.Float64frombits(xw[cc])
-				}
-			}
-		}
-	}
-	return y
-}
-
 // xReader reads the dense vector x from a segment with a tiny software
 // cache of the last line, standing in for the iterator register the
 // hardware would dedicate to the vector.

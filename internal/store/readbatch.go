@@ -17,32 +17,25 @@ var (
 	poolSigs   = pool.NewSlice[uint8]("store.sig")
 )
 
-// ReadBatch returns the content of every line in ps, the bulk read-path
-// primitive behind core.Machine.ReadLineBatch: PLIDs are grouped by
-// bucket stripe so each stripe's reader lock is taken once per batch (not
-// once per line), and the data-read accounting is accumulated locally and
-// flushed with one atomic add per stripe group. Results are positional
-// with the exact semantics of Read — zero PLIDs resolve to all-zero
-// content with no DRAM access, reading a freed PLID panics — and the
-// accounting is pinned identical to len(ps) serial Read calls: the same
-// DataReads per stats shard, and row-buffer touches replayed in input
-// order so the activation/open-row-hit sequence matches what the serial
-// loop would have produced.
+// ReadBatchInto writes the content of every line in ps into out
+// (len(out) == len(ps)), the bulk read-path primitive behind
+// core.Machine.ReadLineBatchInto: PLIDs are grouped by bucket stripe so
+// each stripe's reader lock is taken once per batch (not once per line),
+// and the data-read accounting is accumulated locally and flushed with
+// one atomic add per stripe group. Results are positional with the exact
+// semantics of Read — zero PLIDs resolve to all-zero content with no
+// DRAM access, reading a freed PLID panics — and the accounting is
+// pinned identical to len(ps) serial Read calls: the same DataReads per
+// stats shard, and row-buffer touches replayed in input order so the
+// activation/open-row-hit sequence matches what the serial loop would
+// have produced. The grouping scratch is pooled, so a steady-state call
+// allocates nothing.
 //
 // Stripe groups are processed in ascending stripe order with the overflow
 // lock taken on its own (never nested inside a stripe lock), so
 // concurrent batches, lookups and releases cannot deadlock. Duplicate
 // PLIDs within one batch are safe: both land in the same group and read
 // the same line under one shared lock.
-func (s *Store) ReadBatch(ps []word.PLID) []word.Content {
-	out := make([]word.Content, len(ps))
-	s.ReadBatchInto(ps, out)
-	return out
-}
-
-// ReadBatchInto is ReadBatch writing into a caller-supplied buffer of
-// length len(ps) — the allocation-free batch read: the internal grouping
-// scratch is pooled, so a steady-state call allocates nothing.
 func (s *Store) ReadBatchInto(ps []word.PLID, out []word.Content) {
 	n := len(ps)
 	if len(out) != n {

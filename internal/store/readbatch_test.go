@@ -20,7 +20,7 @@ func populate(s *Store, n int) []word.PLID {
 }
 
 // TestReadBatchChargesLikeSerialRead pins the satellite requirement:
-// ReadBatch must report exactly the same DRAM-access and row-buffer
+// ReadBatchInto must report exactly the same DRAM-access and row-buffer
 // counters as N serial Reads — the batch saves lock round trips, never
 // simulated memory traffic.
 func TestReadBatchChargesLikeSerialRead(t *testing.T) {
@@ -57,7 +57,8 @@ func TestReadBatchChargesLikeSerialRead(t *testing.T) {
 	for i, p := range req {
 		wantC[i] = serial.Read(p)
 	}
-	gotC := batch.ReadBatch(req)
+	gotC := make([]word.Content, len(req))
+	batch.ReadBatchInto(req, gotC)
 	for i := range req {
 		if gotC[i] != wantC[i] {
 			t.Fatalf("content mismatch at %d (PLID %#x)", i, uint64(req[i]))
@@ -104,10 +105,11 @@ func diffRows(before, after RowStats) RowStats {
 
 func TestReadBatchZeroAndEmpty(t *testing.T) {
 	s := New(testConfig())
-	if out := s.ReadBatch(nil); len(out) != 0 {
-		t.Fatal("empty batch returned entries")
-	}
-	out := s.ReadBatch([]word.PLID{word.Zero, word.Zero})
+	s.ReadBatchInto(nil, nil) // an empty batch is a no-op
+	// Stale content in the buffer must be overwritten with zero lines.
+	stale := word.Content{W: [word.MaxWords]uint64{1, 2}, N: 2}
+	out := []word.Content{stale, stale}
+	s.ReadBatchInto([]word.PLID{word.Zero, word.Zero}, out)
 	for _, c := range out {
 		if !c.IsZero() {
 			t.Fatal("zero PLID must read as zero content")
@@ -124,8 +126,8 @@ func TestReadBatchFreedPanics(t *testing.T) {
 	s.Release(p)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ReadBatch of a freed PLID must panic")
+			t.Fatal("ReadBatchInto of a freed PLID must panic")
 		}
 	}()
-	s.ReadBatch([]word.PLID{p})
+	s.ReadBatchInto([]word.PLID{p}, make([]word.Content, 1))
 }
