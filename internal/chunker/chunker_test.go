@@ -360,16 +360,16 @@ func packLE(b []byte) []uint64 {
 	return ws
 }
 
-// ingestSerial is the line-at-a-time reference replay of IngestBytes:
-// the same chunking, each chunk built via BuildWordsSerial, the index
-// likewise — the semantic and accounting baseline.
+// ingestSerial is the per-chunk reference replay of IngestBytes: the
+// same chunking, each chunk built on its own via segment.BuildWords, the
+// index likewise — the semantic and accounting baseline.
 func ingestSerial(m word.Mem, cfg Config, data []byte) Blob {
 	norm, _, _ := cfg.norm()
 	iw := []uint64{uint64(len(data)), 0}
 	it := []word.Tag{word.TagRaw, word.TagRaw}
 	var roots []segment.Seg
 	norm.Split(data, func(c []byte) bool {
-		s := segment.BuildWordsSerial(m, packLE(c), nil)
+		s := segment.BuildWords(m, packLE(c), nil)
 		roots = append(roots, s)
 		if s.Root != word.Zero {
 			iw = append(iw, uint64(s.Root))
@@ -383,7 +383,7 @@ func ingestSerial(m word.Mem, cfg Config, data []byte) Blob {
 		return true
 	})
 	iw[1] = uint64(len(roots))
-	idx := segment.BuildWordsSerial(m, iw, it)
+	idx := segment.BuildWords(m, iw, it)
 	for _, s := range roots {
 		segment.ReleaseSeg(m, s)
 	}

@@ -85,6 +85,7 @@ type Machine struct {
 	setMask   uint64
 	lookupOps atomic.Uint64
 	readOps   atomic.Uint64
+	rc        store.RCSink // m.rcTouch, bound once: each event probes the LLC
 }
 
 func (c Config) storeConfig() store.Config {
@@ -131,7 +132,7 @@ func NewMachine(cfg Config) *Machine {
 		m.llc = cachesim.New(sets, cfg.CacheWays)
 		m.setMask = uint64(sets - 1)
 	}
-	m.store.OnRCTouch = m.rcTouch
+	m.rc = m.rcTouch
 	return m
 }
 
@@ -187,13 +188,16 @@ func (m *Machine) FlushCache() {
 }
 
 // LookupLine implements word.Mem: lookup-by-content through the LLC.
-func (m *Machine) LookupLine(c word.Content) word.PLID {
+func (m *Machine) LookupLine(c word.Content) word.PLID { return m.lookupLine(c, m.rc) }
+
+// lookupLine is LookupLine reporting reference-count events to rc.
+func (m *Machine) lookupLine(c word.Content, rc store.RCSink) word.PLID {
 	m.lookupOps.Add(1)
 	if c.IsZero() {
 		return word.Zero
 	}
 	if m.llc == nil {
-		p, existed := m.store.Lookup(c)
+		p, existed := m.store.LookupTo(c, rc)
 		if !existed {
 			m.store.Writeback(p)
 		}
@@ -201,10 +205,10 @@ func (m *Machine) LookupLine(c word.Content) word.PLID {
 	}
 	var t cachesim.Tally
 	set := int(c.Hash() & m.setMask)
-	p, ok := m.probeContent(set, &c, &t)
+	p, ok := m.probeContent(set, &c, &t, rc)
 	if !ok {
 		var existed bool
-		p, existed = m.store.Lookup(c)
+		p, existed = m.store.LookupTo(c, rc)
 		// A fresh allocation stays dirty in the cache and reaches DRAM only
 		// on eviction (§3.1); an existing line is clean by construction — it
 		// can only have left the cache through a writeback.
@@ -219,9 +223,9 @@ func (m *Machine) LookupLine(c word.Content) word.PLID {
 // but only if the line is still live with this content. A concurrent
 // release may have freed it (the invalidation races the probe), in which
 // case the caller's authoritative DRAM lookup settles it.
-func (m *Machine) probeContent(set int, c *word.Content, t *cachesim.Tally) (word.PLID, bool) {
+func (m *Machine) probeContent(set int, c *word.Content, t *cachesim.Tally, rc store.RCSink) (word.PLID, bool) {
 	id, ok := m.llc.LookupData(set, c, t)
-	if ok && m.store.RetainIfContent(word.PLID(id), *c) {
+	if ok && m.store.RetainIfContentTo(word.PLID(id), *c, rc) {
 		return word.PLID(id), true
 	}
 	return word.Zero, false
@@ -251,6 +255,12 @@ func (m *Machine) LookupLineBatch(cs []word.Content) []word.PLID {
 // bucket's low hash bits, or for an overflow line the hash itself), so
 // the set a miss probed is the set it is filled into.
 func (m *Machine) LookupLineBatchInto(cs []word.Content, out []word.PLID) {
+	m.lookupLineBatchInto(cs, out, m.rc)
+}
+
+// lookupLineBatchInto is LookupLineBatchInto reporting reference-count
+// events to rc.
+func (m *Machine) lookupLineBatchInto(cs []word.Content, out []word.PLID, rc store.RCSink) {
 	if len(out) != len(cs) {
 		panic("core: LookupLineBatchInto buffer length mismatch")
 	}
@@ -276,7 +286,7 @@ func (m *Machine) LookupLineBatchInto(cs []word.Content, out []word.PLID) {
 		set := 0
 		if m.llc != nil {
 			set = int(c.Hash() & m.setMask)
-			if p, ok := m.probeContent(set, c, &t); ok {
+			if p, ok := m.probeContent(set, c, &t, rc); ok {
 				out[i] = p
 				continue
 			}
@@ -288,7 +298,7 @@ func (m *Machine) LookupLineBatchInto(cs []word.Content, out []word.PLID) {
 	if len(missCs) > 0 {
 		plids := poolPLIDs.Get(&sc, len(missCs))
 		existed := poolBools.Get(&sc, len(missCs))
-		m.store.LookupBatchInto(missCs, plids, existed)
+		m.store.LookupBatchTo(missCs, plids, existed, rc)
 		for j, i := range missIdx {
 			out[i] = plids[j]
 			switch {
@@ -427,9 +437,7 @@ func (m *Machine) ReadLineBatchInto(ps []word.PLID, out []word.Content) {
 }
 
 // Retain implements word.Mem.
-func (m *Machine) Retain(p word.PLID) {
-	m.store.Retain(p)
-}
+func (m *Machine) Retain(p word.PLID) { m.store.RetainTo(p, m.rc) }
 
 // RetainIfContent implements word.Mem: it acquires a
 // reference on p only if the line is still live with content c. This is
@@ -437,7 +445,7 @@ func (m *Machine) Retain(p word.PLID) {
 // accounting (one RC touch), so a caller-side content memo (for example
 // segment.Builder's) charges exactly what an LLC content hit would.
 func (m *Machine) RetainIfContent(p word.PLID, c word.Content) bool {
-	return m.store.RetainIfContent(p, c)
+	return m.store.RetainIfContentTo(p, c, m.rc)
 }
 
 // RetainDeferred bumps p's reference count immediately but hands the
@@ -452,8 +460,11 @@ func (m *Machine) RetainDeferred(p word.PLID) func() {
 
 // Release implements word.Mem. Freed lines are invalidated in the cache;
 // a line that never left the cache is dropped without ever touching DRAM.
-func (m *Machine) Release(p word.PLID) {
-	freed := m.store.Release(p)
+func (m *Machine) Release(p word.PLID) { m.release(p, m.rc) }
+
+// release is Release reporting reference-count events to rc.
+func (m *Machine) release(p word.PLID, rc store.RCSink) {
+	freed := m.store.ReleaseTo(p, rc)
 	if m.llc == nil {
 		return
 	}
@@ -504,19 +515,26 @@ func (m *Machine) fill(set int, p word.PLID, c *word.Content, dirty bool, t *cac
 // Dirty eviction later costs one RC-line write. The store invokes this
 // callback with none of its locks held, so the eviction path may write
 // back into the store.
-func (m *Machine) rcTouch(p word.PLID, init bool) {
+func (m *Machine) rcTouch(p word.PLID, init bool) { m.touchRC(m.rcRow(p), init) }
+
+// rcRow names the RC line holding p's count: its bucket row's (Figure 2),
+// or for an overflow line one of the overflow area's RC rows.
+func (m *Machine) rcRow(p word.PLID) uint64 {
+	if b, ok := m.store.BucketOf(p); ok {
+		return b
+	}
+	return 1<<40 | uint64(p)>>4
+}
+
+// touchRC charges one access to RC line id: a cached count update, or
+// with no LLC one DRAM write (after a read, unless init).
+func (m *Machine) touchRC(id uint64, init bool) {
 	if m.llc == nil {
 		if !init {
 			m.store.RCLineRead()
 		}
 		m.store.RCLineWrite()
 		return
-	}
-	var id uint64
-	if b, ok := m.store.BucketOf(p); ok {
-		id = b
-	} else {
-		id = 1<<40 | uint64(p)>>4 // overflow RC rows
 	}
 	var t cachesim.Tally
 	hit, victim, dirty := m.llc.TouchRC(int(id&m.setMask), id, &t)

@@ -46,12 +46,15 @@ type ApplyOptions struct {
 // pipeline, memoized across pairs), every slot is buffered in one
 // iterator register, and the whole batch canonicalizes in a single
 // bottom-up wave commit (segment.WriteBatch) published according to
-// opts.
+// opts. The whole update, retries included, runs in one netting scope
+// (core.Scope), as CompareApply, Set, Delete and Ordered.Apply do.
 func (mp *Map) Apply(pairs []Pair, opts ApplyOptions) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	keys, vals, release := mp.buildPairs(pairs)
+	sc := mp.h.M.Scope()
+	defer sc.Close()
+	keys, vals, release := mp.buildPairs(sc, pairs)
 	if opts.ErrorOnDup {
 		seen := make(map[uint64]struct{}, len(pairs))
 		for i := range keys {
@@ -64,7 +67,7 @@ func (mp *Map) Apply(pairs []Pair, opts ApplyOptions) error {
 		}
 	}
 	err := retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(mp.h.M, mp.h.SM, mp.vsid)
+		it, err := iterreg.Open(sc, mp.h.SM, mp.vsid)
 		if err != nil {
 			return false, err
 		}
@@ -80,14 +83,14 @@ func (mp *Map) Apply(pairs []Pair, opts ApplyOptions) error {
 	return err
 }
 
-// buildPairs constructs every pair's key and value string through one
-// shared bulk builder (tombstones build only the key) and returns the
+// buildPairs constructs every pair's key and value string over m through
+// one shared bulk builder (tombstones build only the key) and returns the
 // release closure dropping the builder's references once the committed
 // map DAG holds its own.
-func (mp *Map) buildPairs(pairs []Pair) (keys, vals []String, release func()) {
+func (mp *Map) buildPairs(m word.Mem, pairs []Pair) (keys, vals []String, release func()) {
 	keys = make([]String, len(pairs))
 	vals = make([]String, len(pairs))
-	b := segment.NewBuilder(mp.h.M, 0)
+	b := segment.NewBuilder(m, 0)
 	for i, p := range pairs {
 		keys[i] = String{Seg: b.BuildBytes(p.Key), Len: uint64(len(p.Key))}
 		if !p.Delete {
@@ -97,9 +100,9 @@ func (mp *Map) buildPairs(pairs []Pair) (keys, vals []String, release func()) {
 	b.Close()
 	return keys, vals, func() {
 		for i := range pairs {
-			keys[i].Release(mp.h)
+			segment.ReleaseSeg(m, keys[i].Seg)
 			if !pairs[i].Delete {
-				vals[i].Release(mp.h)
+				segment.ReleaseSeg(m, vals[i].Seg)
 			}
 		}
 	}
@@ -167,7 +170,9 @@ func (mp *Map) CompareApply(orig segment.Seg, size uint64, pairs []Pair, opts Ap
 	if len(pairs) == 0 {
 		return nil
 	}
-	keys, vals, release := mp.buildPairs(pairs)
+	sc := mp.h.M.Scope()
+	defer sc.Close()
+	keys, vals, release := mp.buildPairs(sc, pairs)
 	defer release()
 	if opts.ErrorOnDup {
 		seen := make(map[uint64]struct{}, len(pairs))
@@ -183,7 +188,7 @@ func (mp *Map) CompareApply(orig segment.Seg, size uint64, pairs []Pair, opts Ap
 	// snapshot (last write to a slot wins, as in Apply) and converts them
 	// in one wave commit; ownership of the resulting root passes to the
 	// publish below.
-	it := iterreg.NewSegmentIterator(mp.h.M, orig)
+	it := iterreg.NewSegmentIterator(sc, orig)
 	mp.storePairs(it, pairs, keys, vals)
 	next := it.CommitSegment()
 	if opts.Stats != nil {
@@ -191,12 +196,12 @@ func (mp *Map) CompareApply(orig segment.Seg, size uint64, pairs []Pair, opts Ap
 	}
 	if opts.NoMerge {
 		if !mp.h.SM.CAS(mp.vsid, orig, next, size) {
-			segment.ReleaseSeg(mp.h.M, next)
+			segment.ReleaseSeg(sc, next)
 			return ErrStale
 		}
 		return nil
 	}
-	_, err := merge.MCAS(mp.h.M, mp.h.SM, mp.vsid, orig, next, size, nil)
+	_, err := merge.MCAS(sc, mp.h.SM, mp.vsid, orig, next, size, nil)
 	return err
 }
 
@@ -215,16 +220,18 @@ func (o *Ordered) Apply(items []Item, opts ApplyOptions) error {
 			seen[item.Key] = struct{}{}
 		}
 	}
+	sc := o.h.M.Scope()
+	defer sc.Close()
 	vals := make([]String, len(items))
 	{
-		b := segment.NewBuilder(o.h.M, 0)
+		b := segment.NewBuilder(sc, 0)
 		for i, item := range items {
 			vals[i] = String{Seg: b.BuildBytes(item.Value), Len: uint64(len(item.Value))}
 		}
 		b.Close()
 	}
 	err := retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(o.h.M, o.h.SM, o.vsid)
+		it, err := iterreg.Open(sc, o.h.SM, o.vsid)
 		if err != nil {
 			return false, err
 		}
@@ -245,7 +252,7 @@ func (o *Ordered) Apply(items []Item, opts ApplyOptions) error {
 		return ok, err
 	})
 	for i := range vals {
-		vals[i].Release(o.h)
+		segment.ReleaseSeg(sc, vals[i].Seg)
 	}
 	return err
 }

@@ -41,8 +41,10 @@ type String struct {
 
 // NewString builds (or re-finds, thanks to deduplication) the string b.
 // The caller owns one reference, dropped with Release.
-func NewString(h *Heap, b []byte) String {
-	return String{Seg: segment.BuildBytes(h.M, b), Len: uint64(len(b))}
+func NewString(h *Heap, b []byte) String { return buildString(h.M, b) }
+
+func buildString(m word.Mem, b []byte) String {
+	return String{Seg: segment.BuildBytes(m, b), Len: uint64(len(b))}
 }
 
 // Bytes materializes the string's content.

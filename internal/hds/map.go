@@ -149,8 +149,27 @@ func heightForBytes(h *Heap, n uint64) int {
 // an internal retry. The caller keeps ownership of key and value strings
 // (the map DAG takes its own references).
 func (mp *Map) Set(key, value String) error {
+	sc := mp.h.M.Scope()
+	defer sc.Close()
+	return mp.set(sc, key, value)
+}
+
+// SetBytes builds key and value and binds them in one netting scope with
+// the update, so dropping the request-local string references the map
+// DAG supersedes costs no RC-line traffic.
+func (mp *Map) SetBytes(key, value []byte) error {
+	sc := mp.h.M.Scope()
+	defer sc.Close()
+	k, v := buildString(sc, key), buildString(sc, value)
+	err := mp.set(sc, k, v)
+	segment.ReleaseSeg(sc, k.Seg)
+	segment.ReleaseSeg(sc, v.Seg)
+	return err
+}
+
+func (mp *Map) set(m word.Mem, key, value String) error {
 	return retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(mp.h.M, mp.h.SM, mp.vsid)
+		it, err := iterreg.Open(m, mp.h.SM, mp.vsid)
 		if err != nil {
 			return false, err
 		}
@@ -176,8 +195,10 @@ func (mp *Map) Set(key, value String) error {
 
 // Delete removes key's binding. Deleting an absent key is a no-op.
 func (mp *Map) Delete(key String) error {
+	sc := mp.h.M.Scope()
+	defer sc.Close()
 	return retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(mp.h.M, mp.h.SM, mp.vsid)
+		it, err := iterreg.Open(sc, mp.h.SM, mp.vsid)
 		if err != nil {
 			return false, err
 		}

@@ -43,15 +43,10 @@ func NewHicampServer(cfg core.Config) *HicampServer {
 // Set stores a key-value pair. Building the value into content-unique
 // lines is the set path's dominant memory cost, exactly as the paper's
 // §5.1.1 analysis assumes; the map update itself touches log(N) lines.
+// The strings are built, bound and released in one netting scope
+// (hds.Map.SetBytes).
 func (s *HicampServer) Set(key, value []byte) error {
-	k := hds.NewString(s.Heap, key)
-	v := hds.NewString(s.Heap, value)
-	err := s.NamespaceFor(key).Set(k, v)
-	// The map's DAG now owns the value (and the key is findable by
-	// content); drop the request-local references.
-	k.Release(s.Heap)
-	v.Release(s.Heap)
-	if err != nil {
+	if err := s.NamespaceFor(key).SetBytes(key, value); err != nil {
 		return err
 	}
 	return s.AckDurable()

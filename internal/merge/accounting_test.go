@@ -42,11 +42,9 @@ func mergeTriple(m *core.Machine, n, k int, seed int64) (orig, mod, cur segment.
 	for i := range ws {
 		ws[i] = rng.Uint64() % 1000
 	}
-	// Built single-threaded: accounting is a pure function of a
-	// serialized op schedule, and the parallel Builder behind
-	// segment.BuildWords would let the scheduler order the twins'
-	// allocations (hence their row-buffer and overflow charges) apart.
-	orig = segment.BuildWordsSerial(m, ws, nil)
+	// BuildWords runs one serialized schedule, so the twins' allocations
+	// (hence their row-buffer and overflow charges) cannot drift apart.
+	orig = segment.BuildWords(m, ws, nil)
 	ups := func(off int) []segment.Update {
 		out := make([]segment.Update, k)
 		for i := range out {

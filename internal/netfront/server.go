@@ -617,6 +617,12 @@ func (s *Server) appendStats(dst []byte) []byte {
 
 	cs := s.store.Stats()
 	dst = appendStat(dst, "hicamp_dram_accesses", cs.DRAMAccesses())
+	// Its five Figure 6 terms, which sum to it.
+	dst = appendStat(dst, "hicamp_dram_sig", cs.Store.SigReads+cs.Store.SigWrites)
+	dst = appendStat(dst, "hicamp_dram_lookup", cs.Store.LookupReads)
+	dst = appendStat(dst, "hicamp_dram_data", cs.Store.DataReads+cs.Store.DataWrites)
+	dst = appendStat(dst, "hicamp_dram_rc", cs.Store.RCTraffic())
+	dst = appendStat(dst, "hicamp_dram_dealloc", cs.Store.DeallocOps)
 	dst = appendStat(dst, "hicamp_live_lines", s.store.Heap.M.LiveLines())
 	dst = appendStat(dst, "hicamp_llc_hits", cs.Cache.Hits)
 	dst = appendStat(dst, "hicamp_llc_misses", cs.Cache.Misses)

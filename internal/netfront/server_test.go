@@ -151,6 +151,18 @@ func TestLoopbackProtocol(t *testing.T) {
 				t.Fatalf("stats: %s = %d (present %v), want 0", k, v, ok)
 			}
 		}
+		// The served DRAM split: the five Figure 6 terms sum to the total.
+		var sum uint64
+		for _, k := range []string{"hicamp_dram_sig", "hicamp_dram_lookup", "hicamp_dram_data", "hicamp_dram_rc", "hicamp_dram_dealloc"} {
+			v, ok := st[k]
+			if !ok {
+				t.Fatalf("stats: %s missing", k)
+			}
+			sum += v
+		}
+		if total := st["hicamp_dram_accesses"]; total == 0 || sum != total {
+			t.Fatalf("stats: DRAM split sums to %d, hicamp_dram_accesses = %d", sum, total)
+		}
 	})
 }
 

@@ -6,87 +6,23 @@ import (
 	"repro/internal/word"
 )
 
-// bulkMinLeaves is the leaf count at which BuildWords switches from the
-// serial line-at-a-time loop to the batch pipeline: below it the batch
-// bookkeeping costs more than the lock round trips it saves.
-const bulkMinLeaves = 8
-
 // BuildWords builds the canonical segment holding the given tagged words.
 // The segment's height is the minimum covering len(ws); trailing capacity
 // reads as zero. The returned segment owns one reference on its root.
 // Passing nil tags treats every word as raw data.
 //
-// Large inputs route through one pooled CanonBatch (one batched store
-// lookup per level); small ones use the serial loop. Both produce the
-// same canonical root. The batch carries no memo: a one-shot build cannot
-// amortize the memo's per-line table inserts, and within-level duplicates
-// are deduplicated by the batch itself. Bulk producers that build many
-// segments should hold their own Builder so its memo persists across
-// calls.
+// Every build, one word or a million, routes through one pooled
+// CanonBatch: one batched store lookup per level, within-level duplicate
+// lines deduplicated by the batch (the duplicate retains its twin's line
+// instead of looking it up again), and each level's children released
+// once their parents hold their own references. The batch carries no
+// memo: a one-shot build cannot amortize the memo's per-line table
+// inserts. Bulk producers that build many segments should hold their own
+// Builder so its memo persists across calls.
 func BuildWords(m word.Mem, ws []uint64, ts []word.Tag) Seg {
-	if (len(ws)+m.LineWords()-1)/m.LineWords() >= bulkMinLeaves {
-		cb := AcquireCanonBatch(m)
-		defer cb.Close()
-		return buildLevels(cb, ws, ts)
-	}
-	return BuildWordsSerial(m, ws, ts)
-}
-
-// BuildWordsSerial is the line-at-a-time reference implementation of
-// BuildWords: one lookup-by-content per line, in canonical order. It is
-// kept as the semantic baseline the Builder is verified (and benchmarked)
-// against.
-func BuildWordsSerial(m word.Mem, ws []uint64, ts []word.Tag) Seg {
-	arity := m.LineWords()
-	n := uint64(len(ws))
-	if n == 0 {
-		return Seg{Root: word.Zero, Height: 0}
-	}
-	height := HeightFor(arity, n)
-
-	tagAt := func(i int) word.Tag {
-		if ts == nil {
-			return word.TagRaw
-		}
-		return ts[i]
-	}
-
-	// Level 0: leaves, filled left to right (§2.2 canonical rule).
-	leaves := int((n + uint64(arity) - 1) / uint64(arity))
-	edges := make([]Edge, leaves)
-	lw := make([]uint64, arity)
-	lt := make([]word.Tag, arity)
-	for l := 0; l < leaves; l++ {
-		for i := 0; i < arity; i++ {
-			j := l*arity + i
-			if j < len(ws) {
-				lw[i], lt[i] = ws[j], tagAt(j)
-			} else {
-				lw[i], lt[i] = 0, word.TagRaw
-			}
-		}
-		edges[l] = CanonLeaf(m, lw, lt)
-	}
-
-	// Interior levels.
-	kids := make([]Edge, arity)
-	for level := 1; level <= height; level++ {
-		parents := (len(edges) + arity - 1) / arity
-		next := make([]Edge, parents)
-		for p := 0; p < parents; p++ {
-			for i := 0; i < arity; i++ {
-				if j := p*arity + i; j < len(edges) {
-					kids[i] = edges[j]
-				} else {
-					kids[i] = ZeroEdge
-				}
-			}
-			next[p] = CanonNode(m, kids)
-			releaseAll(m, kids[:min(arity, len(edges)-p*arity)])
-		}
-		edges = next
-	}
-	return Seg{Root: materializeRoot(m, edges[0]), Height: height}
+	cb := AcquireCanonBatch(m)
+	defer cb.Close()
+	return buildLevels(cb, ws, ts)
 }
 
 // BuildBytes builds the canonical segment holding the byte string b,

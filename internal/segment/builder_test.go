@@ -67,6 +67,12 @@ func TestBuilderMatchesSerial(t *testing.T) {
 				t.Fatalf("arity %d n=%d: memoized rebuild root %#x != %#x",
 					arity, n, again.Root, want.Root)
 			}
+			// The memo-less package-level build, at every size.
+			one := BuildWords(m, ws, nil)
+			if !one.Equal(want) {
+				t.Fatalf("arity %d n=%d: BuildWords root %#x != %#x", arity, n, one.Root, want.Root)
+			}
+			ReleaseSeg(m, one)
 			ReleaseSeg(m, want)
 			ReleaseSeg(m, got)
 			ReleaseSeg(m, again)

@@ -23,9 +23,14 @@ import (
 // builds them), one WriteBatch per window into a map-shaped segment,
 // DiffWords between successive versions, ScanWords, GatherWordsInto,
 // ReadBytesBulk of stored values and merge.Merge of two disjoint forks.
-// The constants were recorded on the commit before word.Mem lost its
-// optional-capability probe and the Builder its adaptive memo; a change
-// that moves any of them changed what the engines ask of memory.
+// Each window's build, commit and release of the build references and of
+// the displaced version run in one netting scope (core.Scope), as
+// hds.Apply runs a published update. The constants were recorded on the
+// commit before word.Mem lost its optional-capability probe and the
+// Builder its adaptive memo, and re-recorded when the scope came in: every
+// PLID, word and content in the digest stayed the same, only the traffic
+// counters moved. A change that moves any of them changed what the
+// engines ask of memory.
 
 // engineTrace folds everything the script observes into one FNV-1a digest.
 type engineTrace struct{ h uint64 }
@@ -100,7 +105,8 @@ func runEngineGolden(t *testing.T, lineBytes int) engineGolden {
 		// Build: a fresh Builder per window, one worker (served windows
 		// never reach the parallel threshold), keys and values interleaved.
 		n := 1 + rng.Intn(goldenMaxWindow)
-		b := segment.NewBuilder(m, 1)
+		sc := m.Scope()
+		b := segment.NewBuilder(sc, 1)
 		var built []segment.Seg
 		var ups []segment.Update
 		for i := 0; i < n; i++ {
@@ -135,11 +141,11 @@ func runEngineGolden(t *testing.T, lineBytes int) engineGolden {
 
 		// Write: one wave commit of the window, then drop the build
 		// references (the map DAG holds its own).
-		next, ws := segment.WriteBatch(m, cur, ups)
+		next, ws := segment.WriteBatch(sc, cur, ups)
 		g.add('W', uint64(next.Root), uint64(next.Height))
 		g.text('w', ws)
 		for _, s := range built {
-			segment.ReleaseSeg(m, s)
+			segment.ReleaseSeg(sc, s)
 		}
 
 		// Diff the versions around the commit.
@@ -148,7 +154,8 @@ func runEngineGolden(t *testing.T, lineBytes int) engineGolden {
 			return true
 		})
 		g.text('d', ds)
-		segment.ReleaseSeg(m, cur)
+		segment.ReleaseSeg(sc, cur)
+		sc.Close()
 		cur = next
 
 		// Scan from a random index, sometimes stopping early.
@@ -235,23 +242,23 @@ func runEngineGolden(t *testing.T, lineBytes int) engineGolden {
 
 func TestEngineTransparencyGolden(t *testing.T) {
 	want := map[int]engineGolden{
-		16: {digest: 0xa337d95ed40e2be6, stats: core.Stats{
-			Store: store.Stats{SigReads: 0x9f04, SigWrites: 0x8987, DataReads: 0xb0ce, LookupReads: 0x1aea, DataWrites: 0x893b,
-				RCReads: 0x7fef, RCWrites: 0xc9b2, DeallocOps: 0x8987, Lookups: 0x9f04, LookupHits: 0x157d, Allocs: 0x8987,
-				Frees: 0x8987, FalseSig: 0x56d, Overflows: 0x2267},
-			Cache:     cachesim.Stats{Hits: 0x28041, Misses: 0x217af, Inserts: 0x217af, Evictions: 0x214a1, DirtyEvts: 0x14b37},
+		16: {digest: 0x422ced9f8b4d1c23, stats: core.Stats{
+			Store: store.Stats{SigReads: 0x9e5a, SigWrites: 0x8987, DataReads: 0xa2c0, LookupReads: 0x1a3e, DataWrites: 0x893a,
+				RCReads: 0x2d67, RCWrites: 0x3554, DeallocOps: 0x8987, Lookups: 0x9e5a, LookupHits: 0x14d3, Allocs: 0x8987,
+				Frees: 0x8987, FalseSig: 0x56b, Overflows: 0x2267},
+			Cache:     cachesim.Stats{Hits: 0x318b, Misses: 0x17650, Inserts: 0x17650, Evictions: 0x163d0, DirtyEvts: 0xb673},
 			LookupOps: 0xa6c4, ReadOps: 0xbe18}},
-		32: {digest: 0xb6988f2cb5586890, stats: core.Stats{
-			Store: store.Stats{SigReads: 0x3dea, SigWrites: 0x32ab, DataReads: 0x3908, LookupReads: 0xc57, DataWrites: 0x3247,
-				RCReads: 0x34b1, RCWrites: 0x54bc, DeallocOps: 0x32ab, Lookups: 0x3dea, LookupHits: 0xb3f, Allocs: 0x32ab,
+		32: {digest: 0x2888eb627c6d6bdc, stats: core.Stats{
+			Store: store.Stats{SigReads: 0x3dde, SigWrites: 0x32ab, DataReads: 0x2c0c, LookupReads: 0xc4b, DataWrites: 0x31af,
+				RCReads: 0x1a99, RCWrites: 0x23f6, DeallocOps: 0x32ab, Lookups: 0x3dde, LookupHits: 0xb33, Allocs: 0x32ab,
 				Frees: 0x32ab, FalseSig: 0x118, Overflows: 0x4e},
-			Cache:     cachesim.Stats{Hits: 0x104e6, Misses: 0xc61a, Inserts: 0xc61a, Evictions: 0xc194, DirtyEvts: 0x73cb},
+			Cache:     cachesim.Stats{Hits: 0x26a5, Misses: 0x8d2c, Inserts: 0x8d2c, Evictions: 0x7f29, DirtyEvts: 0x421e},
 			LookupOps: 0x3e20, ReadOps: 0x492a}},
-		64: {digest: 0x83700c08d0b0769b, stats: core.Stats{
-			Store: store.Stats{SigReads: 0x2849, SigWrites: 0x1ef6, DataReads: 0x1c8c, LookupReads: 0x9ab, DataWrites: 0x1e67,
-				RCReads: 0x270b, RCWrites: 0x3e9f, DeallocOps: 0x1ef6, Lookups: 0x2849, LookupHits: 0x953, Allocs: 0x1ef6,
+		64: {digest: 0x3f8a5525398ebb0c, stats: core.Stats{
+			Store: store.Stats{SigReads: 0x280b, SigWrites: 0x1ef6, DataReads: 0x1205, LookupReads: 0x96d, DataWrites: 0x1d2e,
+				RCReads: 0x12c3, RCWrites: 0x1d73, DeallocOps: 0x1ef6, Lookups: 0x280b, LookupHits: 0x915, Allocs: 0x1ef6,
 				Frees: 0x1ef6, FalseSig: 0x58, Overflows: 0x0},
-			Cache:     cachesim.Stats{Hits: 0xb83e, Misses: 0x7b1d, Inserts: 0x7b1d, Evictions: 0x76db, DirtyEvts: 0x4400},
+			Cache:     cachesim.Stats{Hits: 0x2252, Misses: 0x55c7, Inserts: 0x55c7, Evictions: 0x4ac5, DirtyEvts: 0x2176},
 			LookupOps: 0x2895, ReadOps: 0x2b9e}},
 	}
 	for _, lineBytes := range []int{16, 32, 64} {

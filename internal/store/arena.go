@@ -96,9 +96,9 @@ func (s *Store) record(h uint32) rowRef {
 
 // arena is the handle on one store's reservation. It is an object of its
 // own, referenced only by its Store and referencing nothing, because the
-// reservation is released by the handle's finalizer: a Store and its
-// core.Machine point at each other through OnRCTouch, and a finalizer set
-// on a member of a cycle never runs.
+// reservation is released by the handle's finalizer: a Store's OnRCTouch
+// sink may close over the Store's owner, and a finalizer set on a member
+// of a cycle never runs.
 //
 // Every table access happens under a stripe lock, and the locks live in
 // the Store, so the Store — and through it the handle — is reachable for

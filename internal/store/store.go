@@ -24,8 +24,9 @@
 // acquired only while at most one bucket stripe is held (the fixed order
 // stripe → overflow rules out deadlock). Counters live in per-stripe
 // shards updated with atomic adds and merged by StatsSnapshot, and no
-// internal lock is ever held across a call into another package: the
-// OnRCTouch callback fires only after every stripe has been released.
+// internal lock is ever held across a call into another package:
+// reference-count events reach their RCSink only after every stripe has
+// been released.
 package store
 
 import (
@@ -154,8 +155,8 @@ type stripe struct {
 // ovShard is the stats shard charged for overflow-area operations.
 const ovShard = numStripes
 
-// rcEvent records one reference-count mutation to be reported through
-// OnRCTouch after every internal lock has been released.
+// rcEvent records one reference-count mutation to be reported to an
+// RCSink after every internal lock has been released.
 type rcEvent struct {
 	p    word.PLID
 	init bool
@@ -198,23 +199,28 @@ type Store struct {
 	rows      rowTracker
 	shards    [numStripes + 1]statsShard
 
-	// OnRCTouch, when non-nil, is invoked for every reference-count
-	// mutation with the PLID whose count changed. The cache layer uses
-	// it to model reference-count line traffic (§3.1: counts are cached
-	// in the HICAMP cache and written to DRAM on eviction). init marks
-	// the count initialization of a fresh allocation, which is written
-	// straight into the cache without fetching the line from DRAM
-	// (§3.1: "when the line is allocated by lookup operation its
-	// reference count is written in the LLC and propagated to DRAM only
-	// when the line is evicted"). The callback always runs with no store
-	// lock held, so it may call back into any Store method.
-	OnRCTouch func(p word.PLID, init bool)
+	// OnRCTouch, when non-nil, is the RCSink of the methods that take
+	// none (Lookup, LookupBatchInto, Retain, RetainIfContent, Release);
+	// their ...To forms report to the sink the caller passes instead.
+	OnRCTouch RCSink
 
 	// journal, when set, observes line liveness transitions for the
 	// write-ahead log (see durable.go). Atomic because the durable layer
 	// detaches it on Close while writers may still be allocating.
 	journal atomic.Pointer[Journal]
 }
+
+// RCSink receives every reference-count mutation with the PLID whose
+// count changed. The cache layer uses it to model reference-count line
+// traffic (§3.1: counts are cached in the HICAMP cache and written to
+// DRAM on eviction). init marks the count initialization of a fresh
+// allocation, which is written straight into the cache without fetching
+// the line from DRAM (§3.1: "when the line is allocated by lookup
+// operation its reference count is written in the LLC and propagated to
+// DRAM only when the line is evicted"). A sink always runs with no store
+// lock held, so it may call back into any Store method. A nil sink
+// drops the events.
+type RCSink func(p word.PLID, init bool)
 
 func (s *Store) bump(shard, counter int) {
 	atomic.AddUint64(&s.shards[shard].c[counter], 1)
@@ -226,22 +232,11 @@ func (s *Store) bumpN(shard, counter, n int) {
 	}
 }
 
-// fire reports collected reference-count events; the caller must hold no
-// store lock.
-func (s *Store) fire(events []rcEvent) {
-	if s.OnRCTouch == nil {
-		return
-	}
-	for _, e := range events {
-		s.OnRCTouch(e.p, e.init)
-	}
-}
-
 // fire1 reports a single reference-count event without building a slice;
 // the caller must hold no store lock.
-func (s *Store) fire1(p word.PLID, init bool) {
-	if s.OnRCTouch != nil {
-		s.OnRCTouch(p, init)
+func fire1(p word.PLID, init bool, rc RCSink) {
+	if rc != nil {
+		rc(p, init)
 	}
 }
 
@@ -509,7 +504,10 @@ func badPLID(p word.PLID) {
 // is what keeps content unique under concurrency: two racing lookups of
 // the same content serialize on the same stripe, so the second always
 // finds the first's line.
-func (s *Store) Lookup(c word.Content) (word.PLID, bool) {
+func (s *Store) Lookup(c word.Content) (word.PLID, bool) { return s.LookupTo(c, s.OnRCTouch) }
+
+// LookupTo is Lookup reporting its reference-count events to rc.
+func (s *Store) LookupTo(c word.Content, rc RCSink) (word.PLID, bool) {
 	if c.IsZero() {
 		panic("store: Lookup of zero content (use word.Zero)")
 	}
@@ -526,7 +524,7 @@ func (s *Store) Lookup(c word.Content) (word.PLID, bool) {
 	// already resident and only need an rc increment, which the shared
 	// stripe lock plus an atomic add allow without excluding concurrent
 	// hits on the same (hot, because deduplicated) bucket.
-	if p, ok := s.lookupFast(bkt, st, &c, sig); ok {
+	if p, ok := s.lookupFast(bkt, st, &c, sig, rc); ok {
 		return p, true
 	}
 
@@ -536,12 +534,12 @@ func (s *Store) Lookup(c word.Content) (word.PLID, bool) {
 	p, existed, ev := s.lookupLocked(bkt, &c, sig, &acc)
 	mu.Unlock()
 	s.flush(st, &acc)
-	s.fire1(ev.p, ev.init)
+	fire1(ev.p, ev.init, rc)
 	if !existed {
 		// The line's own references on its children. The caller holds a
 		// reference on every child it placed in c, so the children cannot
 		// be reclaimed between the allocation above and these retains.
-		s.retainChildren(c)
+		s.retainChildren(c, rc)
 	}
 	return p, existed
 }
@@ -576,6 +574,12 @@ func (s *Store) LookupBatch(cs []word.Content) (plids []word.PLID, existed []boo
 // event scratch is pooled, so a steady-state call (every content already
 // resident) allocates nothing.
 func (s *Store) LookupBatchInto(cs []word.Content, plids []word.PLID, existed []bool) {
+	s.LookupBatchTo(cs, plids, existed, s.OnRCTouch)
+}
+
+// LookupBatchTo is LookupBatchInto reporting its reference-count events
+// to rc.
+func (s *Store) LookupBatchTo(cs []word.Content, plids []word.PLID, existed []bool, rc RCSink) {
 	n := len(cs)
 	if len(plids) != n || len(existed) != n {
 		panic("store: LookupBatchInto buffer length mismatch")
@@ -630,9 +634,9 @@ func (s *Store) LookupBatchInto(cs []word.Content, plids []word.PLID, existed []
 		s.flush(st, &acc)
 	}
 	for i := range cs {
-		s.fire1(events[i].p, events[i].init)
+		fire1(events[i].p, events[i].init, rc)
 		if !existed[i] {
-			s.retainChildren(cs[i])
+			s.retainChildren(cs[i], rc)
 		}
 	}
 }
@@ -653,7 +657,7 @@ func (s *Store) flush(shard int, acc *[statCount]uint64) {
 // exclusive path — which re-runs the full protocol — never double-charges.
 // While the shared lock is held a used line cannot be freed, so the
 // atomic rc increment cannot resurrect a dead line.
-func (s *Store) lookupFast(bkt uint64, st int, c *word.Content, sig uint8) (word.PLID, bool) {
+func (s *Store) lookupFast(bkt uint64, st int, c *word.Content, sig uint8, rc RCSink) (word.PLID, bool) {
 	mu := &s.stripes[st].mu
 	mu.RLock()
 	row, ok := s.bucketRow(bkt)
@@ -673,7 +677,7 @@ func (s *Store) lookupFast(bkt uint64, st int, c *word.Content, sig uint8) (word
 			mu.RUnlock()
 			s.chargeHit(bkt, st, reads, reads-1)
 			p := s.plidFor(bkt, w)
-			s.fire1(p, false)
+			fire1(p, false, rc)
 			return p, true
 		}
 	}
@@ -692,7 +696,7 @@ func (s *Store) lookupFast(bkt uint64, st int, c *word.Content, sig uint8) (word
 		return 0, false
 	}
 	s.chargeHit(bkt, st, reads+1, reads)
-	s.fire1(p, false)
+	fire1(p, false, rc)
 	return p, true
 }
 
@@ -824,13 +828,13 @@ func (s *Store) growOverflow(n uint32) {
 	s.ovSlots = max(s.ovSlots, n)
 }
 
-func (s *Store) retainChildren(c word.Content) {
+func (s *Store) retainChildren(c word.Content, rc RCSink) {
 	for i := 0; i < int(c.N); i++ {
 		switch c.T[i] {
 		case word.TagPLID:
-			s.Retain(word.PLID(c.W[i]))
+			s.RetainTo(word.PLID(c.W[i]), rc)
 		case word.TagCompact:
-			s.Retain(word.CompactPLID(c.W[i], s.PLIDBits()))
+			s.RetainTo(word.CompactPLID(c.W[i], s.PLIDBits()), rc)
 		}
 	}
 }
@@ -890,15 +894,18 @@ func (s *Store) RefCount(p word.PLID) uint64 {
 // caller models the reference-count line traffic (they are cached). Only
 // a shared lock is needed: the caller already holds a reference (so the
 // line cannot die), and the increment itself is atomic.
-func (s *Store) Retain(p word.PLID) {
+func (s *Store) Retain(p word.PLID) { s.RetainTo(p, s.OnRCTouch) }
+
+// RetainTo is Retain reporting its reference-count event to rc.
+func (s *Store) RetainTo(p word.PLID, rc RCSink) {
 	if p == word.Zero {
 		return
 	}
 	s.RetainQuiet(p)
-	s.fire1(p, false)
+	fire1(p, false, rc)
 }
 
-// RetainQuiet is Retain without the OnRCTouch callback: the caller takes
+// RetainQuiet is Retain reporting to no sink: the caller takes
 // responsibility for reporting the reference-count traffic afterwards.
 // It exists so a caller holding its own lock can take a reference
 // atomically with its read while keeping the callback's cache traffic out
@@ -924,6 +931,12 @@ func (s *Store) RetainQuiet(p word.PLID) {
 // concurrent release, in which case the caller must fall back to the
 // authoritative lookup path.
 func (s *Store) RetainIfContent(p word.PLID, c word.Content) bool {
+	return s.RetainIfContentTo(p, c, s.OnRCTouch)
+}
+
+// RetainIfContentTo is RetainIfContent reporting its reference-count
+// event to rc.
+func (s *Store) RetainIfContentTo(p word.PLID, c word.Content, rc RCSink) bool {
 	if p == word.Zero {
 		return false
 	}
@@ -937,7 +950,7 @@ func (s *Store) RetainIfContent(p word.PLID, c word.Content) bool {
 	// and cannot be freed until the lock drops, so the increment is safe.
 	atomic.AddUint64(ln.rc(), 1)
 	unlock()
-	s.fire1(p, false)
+	fire1(p, false, rc)
 	return true
 }
 
@@ -959,11 +972,14 @@ type Freed struct {
 // stripes at once; a freed parent's reference keeps each child alive until
 // the worklist reaches it, so the per-line locking cannot race with a
 // concurrent lookup re-allocating the child.
-func (s *Store) Release(p word.PLID) []Freed {
+func (s *Store) Release(p word.PLID) []Freed { return s.ReleaseTo(p, s.OnRCTouch) }
+
+// ReleaseTo is Release reporting its reference-count events to rc.
+func (s *Store) ReleaseTo(p word.PLID, rc RCSink) []Freed {
 	if p == word.Zero {
 		return nil
 	}
-	if s.releaseFast(p) {
+	if s.releaseFast(p, rc) {
 		return nil
 	}
 	// The worklists start on the stack: a freed line queues at most arity
@@ -1021,7 +1037,9 @@ func (s *Store) Release(p word.PLID) []Freed {
 		unlock()
 		freed = append(freed, Freed{P: cur, H: c.Hash()})
 	}
-	s.fire(events)
+	for _, e := range events {
+		fire1(e.p, e.init, rc)
+	}
 	return freed
 }
 
@@ -1033,7 +1051,7 @@ func (s *Store) Release(p word.PLID) []Freed {
 // underneath us because freeing requires the exclusive lock. If the count
 // is 1 (this caller holds the last reference — nobody else can be
 // releasing it), the caller falls back to the exclusive free path.
-func (s *Store) releaseFast(p word.PLID) bool {
+func (s *Store) releaseFast(p word.PLID, rc RCSink) bool {
 	unlock := s.rlockLine(p)
 	ln := s.lineAt(p)
 	if !ln.used() {
@@ -1048,7 +1066,7 @@ func (s *Store) releaseFast(p word.PLID) bool {
 		}
 		if atomic.CompareAndSwapUint64(ln.rc(), v, v-1) {
 			unlock()
-			s.fire1(p, false)
+			fire1(p, false, rc)
 			return true
 		}
 	}
