@@ -122,10 +122,10 @@ func TestRunFig6Shape(t *testing.T) {
 		}
 		// Paper: "the number of off-chip DRAM accesses for HICAMP is
 		// comparable or smaller than for a conventional memory system".
-		// With RC traffic netted per published update it is no larger at
-		// any line size.
-		if r.HicampTotal() > r.ConvTotal() {
-			t.Fatalf("%dB: HICAMP %d vs conv %d breaks the comparable-or-smaller shape",
+		// With RC traffic netted per published update and per read, it
+		// is at most 0.85x conventional at every line size.
+		if 100*r.HicampTotal() > 85*r.ConvTotal() {
+			t.Fatalf("%dB: HICAMP %d vs conv %d is above 0.85x conventional",
 				r.LineBytes, r.HicampTotal(), r.ConvTotal())
 		}
 	}

@@ -1,9 +1,7 @@
 package hds
 
 import (
-	"repro/internal/iterreg"
 	"repro/internal/pool"
-	"repro/internal/segmap"
 	"repro/internal/segment"
 	"repro/internal/word"
 )
@@ -21,48 +19,6 @@ type Pair struct {
 type Item struct {
 	Key   uint64
 	Value []byte
-}
-
-// NewStrings builds many strings through one segment.Builder, so repeated
-// strings and shared prefixes hit the builder's memo instead of issuing
-// per-line store lookups. The caller owns one reference per string.
-func NewStrings(h *Heap, bss [][]byte) []String {
-	b := segment.NewBuilder(h.M, 0)
-	defer b.Close()
-	out := make([]String, len(bss))
-	for i, bs := range bss {
-		out[i] = String{Seg: b.BuildBytes(bs), Len: uint64(len(bs))}
-	}
-	return out
-}
-
-// GetMany returns the values bound to the given keys in one consistent
-// snapshot — the read-side counterpart of Apply and the shape of a
-// memcached multi-get. All slot words are resolved through one
-// level-order gather (segment.GatherWords), so the map DAG's root path
-// and the interior nodes shared between slots are fetched once per wave
-// instead of once per key. Results are positional; each found value is
-// retained for the caller (release with Release).
-func (mp *Map) GetMany(keys []String) ([]String, []bool) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	snap, err := iterreg.Open(mp.h.M, mp.h.SM, segmap.ReadOnlyRef(mp.vsid))
-	if err != nil {
-		return make([]String, len(keys)), make([]bool, len(keys))
-	}
-	defer snap.Close()
-	return mp.GetManyAt(snap.Seg(), keys)
-}
-
-// GetManyAt is GetMany against a caller-pinned snapshot seg (from
-// Snapshot or SnapshotEntry) — the network front end's gets/mget path,
-// where one pinned root must serve both the gather and a later
-// CompareApply against the same version. Results are positional; found
-// values are retained for the caller (the snapshot must still be pinned
-// at call time, but the values outlive its release).
-func (mp *Map) GetManyAt(seg segment.Seg, keys []String) ([]String, []bool) {
-	return mp.GetManyAtInto(seg, keys, make([]String, 0, len(keys)), make([]bool, 0, len(keys)))
 }
 
 // BytesMany materializes many strings through one level-order bulk read:
@@ -94,11 +50,16 @@ var (
 	poolTags   = pool.NewSlice[word.Tag]("hds.tags")
 )
 
-// NewStringsInto is NewStrings appending into out, which is reused
-// across calls (the caller keeps ownership of one reference per string,
-// exactly as NewStrings).
+// NewStringsInto builds many strings through one segment.Builder,
+// appending into out, which is reused across calls: repeated strings and
+// shared prefixes hit the builder's memo instead of issuing per-line
+// store lookups. The caller owns one reference per string.
 func NewStringsInto(h *Heap, bss [][]byte, out []String) []String {
-	b := segment.NewBuilder(h.M, 0)
+	return newStringsInto(h.M, bss, out)
+}
+
+func newStringsInto(m word.Mem, bss [][]byte, out []String) []String {
+	b := segment.NewBuilder(m, 0)
 	defer b.Close()
 	out = out[:0]
 	for _, bs := range bss {
@@ -107,11 +68,19 @@ func NewStringsInto(h *Heap, bss [][]byte, out []String) []String {
 	return out
 }
 
-// GetManyAtInto is GetManyAt appending into caller-retained result
-// slices with every gather buffer pooled — the aggregation loop's
-// steady-state-zero-allocation read. Found values are retained exactly
-// as in GetManyAt.
+// GetManyAtInto returns the values bound to keys in seg, a snapshot the
+// caller pinned (SnapshotEntry), appending into caller-retained result
+// slices with every gather buffer pooled. All slot words resolve through
+// one level-order gather, so the map DAG's root path and the interior
+// lines shared between slots are fetched once per wave instead of once
+// per key. Results are positional; each found value is retained for the
+// caller (the snapshot must still be pinned at call time, but the values
+// outlive its release).
 func (mp *Map) GetManyAtInto(seg segment.Seg, keys []String, vals []String, found []bool) ([]String, []bool) {
+	return mp.getManyAtInto(mp.h.M, seg, keys, vals, found)
+}
+
+func (mp *Map) getManyAtInto(m word.Mem, seg segment.Seg, keys []String, vals []String, found []bool) ([]String, []bool) {
 	vals, found = vals[:0], found[:0]
 	if len(keys) == 0 {
 		return vals, found
@@ -126,7 +95,7 @@ func (mp *Map) GetManyAtInto(seg segment.Seg, keys []String, vals []String, foun
 	}
 	ws := poolIdxs.Get(&sc, len(idxs))
 	ts := poolTags.Get(&sc, len(idxs))
-	segment.GatherWordsInto(mp.h.M, seg, idxs, ws, ts)
+	segment.GatherWordsInto(m, seg, idxs, ws, ts)
 	for i := range keys {
 		lenPlus := ws[2*i+1]
 		if lenPlus == 0 || (ws[2*i] != 0 && ts[2*i] != word.TagPLID) {
@@ -135,10 +104,45 @@ func (mp *Map) GetManyAtInto(seg segment.Seg, keys []String, vals []String, foun
 		}
 		n := lenPlus - 1
 		val := String{Seg: segment.Seg{Root: word.PLID(ws[2*i]), Height: heightForBytes(mp.h, n)}, Len: n}
-		val.Retain(mp.h) // under the snapshot, which pins the value
+		segment.RetainSeg(m, val.Seg) // under the snapshot, which pins the value
 		vals, found = append(vals, val), append(found, true)
 	}
 	return vals, found
+}
+
+// ReadBuf is GetBytesAtInto's reusable scratch and result. Vals and
+// Found are positional; Vals alias the buffer's storage and stay valid
+// until its next read. Strs holds the values' strings, which only the
+// snapshot the read ran against pins.
+type ReadBuf struct {
+	Vals  [][]byte
+	Found []bool
+	Strs  []String
+	ks    []String
+	flat  []byte
+}
+
+// GetBytesAtInto is the map's read: it builds keys, gathers their slots
+// in seg (a snapshot the caller pinned), retains and materializes the
+// values they bind, and releases keys and values, all in one netting
+// scope (core.Scope). Per key, those four ownership hand-offs net to
+// zero, so they cost no RC-line traffic: only the caller's snapshot pin
+// does (§3.1). A caller that keeps r across calls reads with no per-key
+// allocation.
+func (mp *Map) GetBytesAtInto(seg segment.Seg, keys [][]byte, r *ReadBuf) {
+	sc := mp.h.M.Scope()
+	defer sc.Close()
+	r.ks = newStringsInto(sc, keys, r.ks)
+	r.Strs, r.Found = mp.getManyAtInto(sc, seg, r.ks, r.Strs, r.Found)
+	for _, k := range r.ks {
+		segment.ReleaseSeg(sc, k.Seg)
+	}
+	r.Vals, r.flat = BytesManyInto(mp.h, r.Strs, r.flat, r.Vals)
+	for i, ok := range r.Found {
+		if ok {
+			segment.ReleaseSeg(sc, r.Strs[i].Seg)
+		}
+	}
 }
 
 // BytesManyInto is BytesMany materializing into caller storage: every

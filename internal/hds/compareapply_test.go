@@ -255,7 +255,7 @@ func TestApplyDeleteAbsentIsNoOp(t *testing.T) {
 	}
 }
 
-// GetManyAt against a pinned snapshot must keep answering from that
+// GetManyAtInto against a pinned snapshot must keep answering from that
 // version while the live map moves on, and its values must outlive the
 // snapshot's release.
 func TestGetManyAtPinnedSnapshot(t *testing.T) {
@@ -274,7 +274,7 @@ func TestGetManyAtPinnedSnapshot(t *testing.T) {
 	defer k1.Release(h)
 	defer k2.Release(h)
 
-	vals, found := mp.GetManyAt(seg, []String{k1, k2})
+	vals, found := mp.GetManyAtInto(seg, []String{k1, k2}, nil, nil)
 	for i, ok := range found {
 		if !ok {
 			t.Fatalf("key %d missing under snapshot", i)

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/segment"
 )
 
 func TestGetManyMatchesSequentialGet(t *testing.T) {
@@ -23,66 +25,80 @@ func TestGetManyMatchesSequentialGet(t *testing.T) {
 	}
 
 	// Present keys, absent keys, and duplicates in one batch.
-	var keys []String
+	var keys [][]byte
 	var wantVal [][]byte
 	var wantOK []bool
 	for i := 0; i < 100; i++ {
 		switch {
 		case i%5 == 4:
-			keys = append(keys, NewString(h, []byte(fmt.Sprintf("missing-%03d", i))))
+			keys = append(keys, []byte(fmt.Sprintf("missing-%03d", i)))
 			wantVal, wantOK = append(wantVal, nil), append(wantOK, false)
 		default:
 			p := pairs[(i*13)%len(pairs)]
-			keys = append(keys, NewString(h, p.Key))
+			keys = append(keys, p.Key)
 			wantVal, wantOK = append(wantVal, p.Value), append(wantOK, true)
 		}
 	}
-	vals, found := mp.GetMany(keys)
-	bss := BytesMany(h, vals)
+	seg, _, err := mp.SnapshotEntry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer segment.ReleaseSeg(h.M, seg)
+	var r ReadBuf
+	mp.GetBytesAtInto(seg, keys, &r)
 	for i := range keys {
-		if found[i] != wantOK[i] {
-			t.Fatalf("key %d: found = %v, want %v", i, found[i], wantOK[i])
+		if r.Found[i] != wantOK[i] {
+			t.Fatalf("key %d: found = %v, want %v", i, r.Found[i], wantOK[i])
 		}
-		if !found[i] {
+		if !r.Found[i] {
 			continue
 		}
-		one, ok := mp.Get(keys[i])
-		if !ok || !vals[i].Equal(one) {
-			t.Fatalf("key %d: GetMany disagrees with Get", i)
+		k := NewString(h, keys[i])
+		one, ok := mp.Get(k)
+		if !ok || !r.Strs[i].Equal(one) {
+			t.Fatalf("key %d: GetBytesAtInto disagrees with Get", i)
 		}
-		if !bytes.Equal(bss[i], wantVal[i]) {
-			t.Fatalf("key %d: bytes = %q, want %q", i, bss[i], wantVal[i])
+		if !bytes.Equal(r.Vals[i], wantVal[i]) {
+			t.Fatalf("key %d: bytes = %q, want %q", i, r.Vals[i], wantVal[i])
 		}
 		one.Release(h)
-		vals[i].Release(h)
-	}
-	for i := range keys {
-		keys[i].Release(h)
+		k.Release(h)
 	}
 }
 
 func TestGetManyEmptyAndEmptyValue(t *testing.T) {
 	h := heap()
 	mp := NewMap(h)
-	if vals, found := mp.GetMany(nil); len(vals) != 0 || len(found) != 0 {
+	var r ReadBuf
+	seg, _, err := mp.SnapshotEntry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mp.GetBytesAtInto(seg, nil, &r); len(r.Vals) != 0 || len(r.Found) != 0 {
 		t.Fatal("empty batch returned entries")
 	}
+	segment.ReleaseSeg(h.M, seg)
 	k := NewString(h, []byte("key-of-empty"))
 	defer k.Release(h)
 	if err := mp.Set(k, NewString(h, nil)); err != nil {
 		t.Fatal(err)
 	}
-	vals, found := mp.GetMany([]String{k})
-	if !found[0] || vals[0].Len != 0 {
-		t.Fatalf("empty value: found=%v len=%d", found[0], vals[0].Len)
+	if seg, _, err = mp.SnapshotEntry(); err != nil {
+		t.Fatal(err)
 	}
-	if bss := BytesMany(h, vals); len(bss[0]) != 0 {
+	defer segment.ReleaseSeg(h.M, seg)
+	mp.GetBytesAtInto(seg, [][]byte{[]byte("key-of-empty")}, &r)
+	if !r.Found[0] || r.Strs[0].Len != 0 {
+		t.Fatalf("empty value: found=%v len=%d", r.Found[0], r.Strs[0].Len)
+	}
+	if len(r.Vals[0]) != 0 {
 		t.Fatal("empty value materialized non-empty")
 	}
 }
 
 // TestConcurrentGetManyApply is the -race stress satellite: readers
-// streaming multi-gets while a writer rebinds the same keys in bulk.
+// streaming multi-gets (GetBytesAtInto, each in its own netting scope)
+// while a writer rebinds the same keys in bulk.
 // Every returned value must be a committed version — either the preload
 // value or some writer generation — never a torn mix.
 func TestConcurrentGetManyApply(t *testing.T) {
@@ -123,31 +139,33 @@ func TestConcurrentGetManyApply(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			var r ReadBuf
 			for iter := 0; iter < 60; iter++ {
-				ks := make([]String, 8)
+				ks := make([][]byte, 8)
 				idx := make([]int, 8)
 				for i := range ks {
 					idx[i] = rng.Intn(nKeys)
-					ks[i] = NewString(h, keysB[idx[i]])
+					ks[i] = keysB[idx[i]]
 				}
-				vals, found := mp.GetMany(ks)
-				bss := BytesMany(h, vals)
+				seg, _, err := mp.SnapshotEntry()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mp.GetBytesAtInto(seg, ks, &r)
+				segment.ReleaseSeg(h.M, seg)
 				for i := range ks {
-					if !found[i] {
+					if !r.Found[i] {
 						t.Errorf("key %d vanished", idx[i])
 						continue
 					}
 					ok := false
 					for g := 0; g <= gens && !ok; g++ {
-						ok = bytes.Equal(bss[i], valueOf(g, idx[i]))
+						ok = bytes.Equal(r.Vals[i], valueOf(g, idx[i]))
 					}
 					if !ok {
-						t.Errorf("key %d: torn value %q", idx[i], bss[i])
+						t.Errorf("key %d: torn value %q", idx[i], r.Vals[i])
 					}
-					vals[i].Release(h)
-				}
-				for i := range ks {
-					ks[i].Release(h)
 				}
 			}
 		}(int64(100 + r))

@@ -195,11 +195,10 @@ func TestMapSnapshotReaderUnaffectedByWrites(t *testing.T) {
 	}
 	defer snap.Close()
 	m.Set(k, NewString(h, []byte("v2")))
-	got, ok := GetFrom(h, snap, k)
-	if !ok || string(got.Bytes(h)) != "v1" {
-		t.Fatalf("snapshot read %q, %v; want v1", got.Bytes(h), ok)
+	got, ok := GetBytesFrom(h, snap, []byte("config"))
+	if !ok || string(got) != "v1" {
+		t.Fatalf("snapshot read %q, %v; want v1", got, ok)
 	}
-	got.Release(h)
 }
 
 func TestCounterConcurrentAdds(t *testing.T) {

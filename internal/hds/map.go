@@ -70,7 +70,7 @@ func (mp *Map) Get(key String) (String, bool) {
 		return String{}, false
 	}
 	defer snap.Close()
-	return getFrom(mp.h, snap, key)
+	return getFrom(mp.h, mp.h.M, snap, key)
 }
 
 // Has reports whether key is bound in the map's current version. Unlike
@@ -114,13 +114,26 @@ func (mp *Map) ChangedSince(orig segment.Seg, key String) bool {
 	return false
 }
 
-// GetFrom reads through an already-open iterator (snapshot), the §4.4
-// client-thread pattern: reload once per request, then access directly.
-func GetFrom(h *Heap, it *iterreg.Iterator, key String) (String, bool) {
-	return getFrom(h, it, key)
+// GetBytesFrom returns the bytes bound to key through an already-open
+// iterator (snapshot), the §4.4 client-thread pattern: reload once per
+// request, then access directly. Like GetBytesAtInto it runs in one
+// netting scope, so building the key, retaining the value under the
+// snapshot and releasing both cost no RC-line traffic.
+func GetBytesFrom(h *Heap, it *iterreg.Iterator, key []byte) ([]byte, bool) {
+	sc := h.M.Scope()
+	defer sc.Close()
+	k := buildString(sc, key)
+	defer segment.ReleaseSeg(sc, k.Seg)
+	v, ok := getFrom(h, sc, it, k)
+	if !ok {
+		return nil, false
+	}
+	defer segment.ReleaseSeg(sc, v.Seg)
+	return segment.ReadBytes(sc, v.Seg, 0, v.Len), true
 }
 
-func getFrom(h *Heap, it *iterreg.Iterator, key String) (String, bool) {
+// getFrom reads key's binding through it and retains the value over m.
+func getFrom(h *Heap, m word.Mem, it *iterreg.Iterator, key String) (String, bool) {
 	slot := slotFor(key)
 	lenPlus, _ := it.Load(slot + slotValLen)
 	if lenPlus == 0 {
@@ -132,7 +145,7 @@ func getFrom(h *Heap, it *iterreg.Iterator, key String) (String, bool) {
 		return String{}, false // corrupt slot; impossible by construction
 	}
 	val := String{Seg: segment.Seg{Root: word.PLID(v), Height: heightForBytes(h, n)}, Len: n}
-	val.Retain(h)
+	segment.RetainSeg(m, val.Seg)
 	return val, true
 }
 

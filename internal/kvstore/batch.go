@@ -3,6 +3,7 @@ package kvstore
 import (
 	"repro/internal/chunker"
 	"repro/internal/hds"
+	"repro/internal/segment"
 )
 
 // The unified batch surface. Every batched verb speaks one vocabulary: a
@@ -114,37 +115,25 @@ func (s *HicampServer) Write(b Batch) error {
 }
 
 // Read resolves a batch of keys in place — the memcached multi-get.
-// Per namespace it costs one snapshot, one level-order slot gather and
-// one bulk materialization, so map interiors shared between slots and
-// lines shared between values are fetched once per wave instead of once
-// per key. b[i].Value and b[i].Found carry the results positionally;
-// Value is nil when the key is unbound.
+// Per namespace it costs one snapshot pin and one Map.GetBytesAtInto:
+// one level-order slot gather and one bulk materialization, so map
+// interiors shared between slots and lines shared between values are
+// fetched once per wave instead of once per key. b[i].Value and
+// b[i].Found carry the results positionally; Value is nil when the key
+// is unbound.
 func (s *HicampServer) Read(b Batch) {
 	if len(b) == 0 {
 		return
 	}
 	for _, g := range groupBatch(b, s.Namespace) {
-		keys := make([][]byte, len(g.kvs))
-		for i, kv := range g.kvs {
-			keys[i] = kv.Key
-		}
-		ks := hds.NewStrings(s.Heap, keys)
-		vals, oks := g.mp.GetMany(ks)
-		for i := range ks {
-			ks[i].Release(s.Heap)
-		}
-		bss := hds.BytesMany(s.Heap, vals)
-		for i, ok := range oks {
-			j := i
-			if g.pos != nil {
-				j = g.pos[i]
+		var r hds.ReadBuf
+		segment.ReleaseSeg(s.Heap.M, g.read(&r))
+		for i := range g.kvs {
+			j := g.at(i)
+			b[j].Value, b[j].Found = nil, false
+			if r.Found[i] {
+				b[j].Value, b[j].Found = r.Vals[i], true
 			}
-			if !ok {
-				b[j].Value, b[j].Found = nil, false
-				continue
-			}
-			b[j].Value, b[j].Found = bss[i], true
-			vals[i].Release(s.Heap)
 		}
 	}
 }
@@ -183,36 +172,51 @@ func (s *HicampServer) BlobWrite(b Batch) error {
 
 // BlobRead resolves a batch of blob keys in place: per namespace one
 // snapshot gather finds every index segment, then each found blob
-// reassembles through one cross-chunk gather wave.
+// reassembles through one cross-chunk gather wave under the same pin.
 func (s *HicampServer) BlobRead(b Batch) {
 	if len(b) == 0 {
 		return
 	}
 	for _, g := range groupBatch(b, s.blobNamespace) {
-		keys := make([][]byte, len(g.kvs))
-		for i, kv := range g.kvs {
-			keys[i] = kv.Key
-		}
-		ks := hds.NewStrings(s.Heap, keys)
-		vals, oks := g.mp.GetMany(ks)
-		for i := range ks {
-			ks[i].Release(s.Heap)
-		}
-		for i, ok := range oks {
-			j := i
-			if g.pos != nil {
-				j = g.pos[i]
-			}
+		var r hds.ReadBuf
+		seg := g.read(&r)
+		for i := range g.kvs {
+			j := g.at(i)
 			b[j].Value, b[j].Found = nil, false
-			if !ok {
+			if !r.Found[i] {
 				continue
 			}
-			if blob, ok := chunker.BlobFromSeg(s.Heap.M, vals[i].Seg); ok {
+			if blob, ok := chunker.BlobFromSeg(s.Heap.M, r.Strs[i].Seg); ok {
 				if data, ok := chunker.ReadBlob(s.Heap.M, blob); ok {
 					b[j].Value, b[j].Found = data, true
 				}
 			}
-			vals[i].Release(s.Heap)
 		}
+		segment.ReleaseSeg(s.Heap.M, seg)
 	}
+}
+
+// read pins the group's snapshot and reads its keys into r; if the pin
+// fails, every key reads as absent. The caller releases the returned
+// pin.
+func (g batchGroup) read(r *hds.ReadBuf) segment.Seg {
+	seg, _, err := g.mp.SnapshotEntry()
+	if err != nil {
+		r.Found = make([]bool, len(g.kvs))
+		return segment.Seg{}
+	}
+	keys := make([][]byte, len(g.kvs))
+	for i, kv := range g.kvs {
+		keys[i] = kv.Key
+	}
+	g.mp.GetBytesAtInto(seg, keys, r)
+	return seg
+}
+
+// at maps group position i back to its batch index.
+func (g batchGroup) at(i int) int {
+	if g.pos != nil {
+		return g.pos[i]
+	}
+	return i
 }

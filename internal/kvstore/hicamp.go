@@ -67,15 +67,7 @@ func (s *HicampServer) GetVia(it *iterreg.Iterator, key []byte) ([]byte, bool) {
 	if err := it.Reload(); err != nil {
 		return nil, false
 	}
-	k := hds.NewString(s.Heap, key)
-	defer k.Release(s.Heap)
-	v, ok := hds.GetFrom(s.Heap, it, k)
-	if !ok {
-		return nil, false
-	}
-	out := v.Bytes(s.Heap)
-	v.Release(s.Heap)
-	return out, true
+	return hds.GetBytesFrom(s.Heap, it, key)
 }
 
 // OpenReader returns a read-only iterator register bound to the map, for

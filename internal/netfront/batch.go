@@ -14,10 +14,10 @@ import (
 // instead of one store operation per request:
 //
 //   - all reads in the window, across every connection, resolve per
-//     namespace through ONE pinned snapshot + ONE level-order gather
-//     (Map.GetManyAt) + ONE bulk materialization — the map's root path
-//     and interior lines shared between the window's keys are fetched
-//     once per wave, not once per request;
+//     namespace through ONE pinned snapshot + ONE Map.GetBytesAtInto
+//     (one level-order gather, one bulk materialization, one netting
+//     scope) — the map's root path and interior lines shared between the
+//     window's keys are fetched once per wave, not once per request;
 //   - all sets and deletes in the window coalesce per namespace into ONE
 //     Apply batch — one bottom-up wave commit publishing one version for
 //     the whole window, with tombstones riding the same commit;
@@ -60,33 +60,27 @@ func newDispatcher(s *Server) *dispatcher {
 type windowGroup struct {
 	mp *hds.Map
 
-	// Read side. vals aliases valflat; both are retained across windows
-	// so steady-state materialization reuses their storage.
-	rkeys   [][]byte
-	ks      []hds.String
-	vstrs   []hds.String
-	vals    [][]byte
-	valflat []byte
-	found   []bool
-	tok     uint64
-	rerr    error // snapshot open failed; the group's reads answer SERVER_ERROR
-	rcur    int
+	// Read side. rb is retained across windows so steady-state reads
+	// reuse its storage; the delete pre-check borrows it too.
+	rkeys [][]byte
+	rb    hds.ReadBuf
+	tok   uint64
+	rerr  error // snapshot open failed; the group's reads answer SERVER_ERROR
+	rcur  int
 
 	// Write side.
 	pairs   []hds.Pair
 	delKeys [][]byte
-	dfound  []bool
 	werr    error
 	dcur    int
 }
 
 func (g *windowGroup) reset() {
 	g.mp = nil
-	g.rkeys, g.ks, g.vstrs, g.vals = g.rkeys[:0], g.ks[:0], g.vstrs[:0], g.vals[:0]
-	g.found = g.found[:0]
+	g.rkeys = g.rkeys[:0]
 	g.tok, g.rerr, g.rcur = 0, nil, 0
 	g.pairs, g.delKeys = g.pairs[:0], g.delKeys[:0]
-	g.dfound, g.werr, g.dcur = g.dfound[:0], nil, 0
+	g.werr, g.dcur = nil, 0
 }
 
 func (d *dispatcher) run() {
@@ -177,8 +171,8 @@ func (d *dispatcher) execBatch(batch []*op) {
 	}
 }
 
-// execReadWindow serves every read op of the window: one snapshot pin,
-// one gather, one bulk materialization per namespace, then a positional
+// execReadWindow serves every read op of the window: one snapshot pin
+// and one Map.GetBytesAtInto per namespace, then a positional
 // scatter back to each op's response in arrival order. If any op in the
 // window is a gets/mget, the namespace's pinned snapshot is registered
 // as a cas token shared by the whole window (one pin names the version
@@ -201,23 +195,11 @@ func (d *dispatcher) execReadWindow(reads []*op) {
 			// the scatter pass answers SERVER_ERROR, not a silent all-miss.
 			s.c.snapshotErrors.Add(1)
 			g.rerr = err
-			g.vals = append(g.vals[:0], make([][]byte, len(g.rkeys))...)
-			g.found = append(g.found[:0], make([]bool, len(g.rkeys))...)
+			g.rb.Vals = append(g.rb.Vals[:0], make([][]byte, len(g.rkeys))...)
+			g.rb.Found = append(g.rb.Found[:0], make([]bool, len(g.rkeys))...)
 			continue
 		}
-		g.ks = hds.NewStringsInto(s.store.Heap, g.rkeys, g.ks)
-		var vals []hds.String
-		vals, g.found = g.mp.GetManyAtInto(seg, g.ks, g.vstrs[:0], g.found[:0])
-		g.vstrs = vals
-		for i := range g.ks {
-			g.ks[i].Release(s.store.Heap)
-		}
-		g.vals, g.valflat = hds.BytesManyInto(s.store.Heap, vals, g.valflat, g.vals)
-		for i, ok := range g.found {
-			if ok {
-				vals[i].Release(s.store.Heap)
-			}
-		}
+		g.mp.GetBytesAtInto(seg, g.rkeys, &g.rb)
 		if withCas {
 			g.tok = s.toks.Register(g.mp, seg, size) // owns seg now
 		} else {
@@ -235,7 +217,7 @@ func (d *dispatcher) execReadWindow(reads []*op) {
 		var rerr error
 		for _, key := range o.keys {
 			g := d.groups[s.store.NamespaceFor(key)]
-			v, ok := g.vals[g.rcur], g.found[g.rcur]
+			v, ok := g.rb.Vals[g.rcur], g.rb.Found[g.rcur]
 			g.rcur++
 			if g.rerr != nil {
 				rerr = g.rerr
@@ -264,8 +246,10 @@ func (d *dispatcher) execReadWindow(reads []*op) {
 // execWriteWindow coalesces the window's sets and deletes into one Apply
 // wave commit per namespace — sets bind, tombstones unbind, the whole
 // window publishes as a single version. DELETED/NOT_FOUND answers come
-// from a pre-commit existence gather, corrected by in-window bindings so
-// a delete following a same-window set still answers DELETED.
+// from a pre-commit read of the deleted keys (Map.GetBytesAtInto, which
+// also materializes the values it finds), corrected by in-window
+// bindings so a delete following a same-window set still answers
+// DELETED.
 func (d *dispatcher) execWriteWindow(writes []*op) {
 	s := d.s
 	anyDelete := false
@@ -284,26 +268,14 @@ func (d *dispatcher) execWriteWindow(writes []*op) {
 	}
 	for _, g := range d.order {
 		if len(g.delKeys) > 0 {
-			g.dfound = g.dfound[:0]
 			seg, _, err := g.mp.SnapshotEntry()
 			if err != nil {
 				// The Apply below still commits the tombstones; only the
 				// DELETED/NOT_FOUND answer degrades. Count the fault.
 				s.c.snapshotErrors.Add(1)
-				g.dfound = append(g.dfound, make([]bool, len(g.delKeys))...)
+				g.rb.Found = append(g.rb.Found[:0], make([]bool, len(g.delKeys))...)
 			} else {
-				g.ks = hds.NewStringsInto(s.store.Heap, g.delKeys, g.ks)
-				var vals []hds.String
-				vals, g.dfound = g.mp.GetManyAtInto(seg, g.ks, g.vstrs[:0], g.dfound)
-				g.vstrs = vals
-				for i := range g.ks {
-					g.ks[i].Release(s.store.Heap)
-				}
-				for i, ok := range g.dfound {
-					if ok {
-						vals[i].Release(s.store.Heap)
-					}
-				}
+				g.mp.GetBytesAtInto(seg, g.delKeys, &g.rb)
 				segment.ReleaseSeg(s.store.Heap.M, seg)
 			}
 		}
@@ -340,7 +312,7 @@ func (d *dispatcher) execWriteWindow(writes []*op) {
 			o.finish()
 			continue
 		}
-		existed := g.dfound[g.dcur]
+		existed := g.rb.Found[g.dcur]
 		g.dcur++
 		if b, ok := bound[string(key)]; ok {
 			existed = b

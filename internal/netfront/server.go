@@ -541,17 +541,11 @@ func (s *Server) execCas(o *op) {
 	s.c.cmdCas.Add(1)
 	key := o.keys[0]
 	mp := s.store.NamespaceFor(key)
-	k := hds.NewString(s.store.Heap, key)
-	defer k.Release(s.store.Heap)
-	if !mp.Has(k) { // non-retaining probe: Get would hand us a value reference to release
+	pin, found, ok := s.casPin(mp, key, o.casTok)
+	if !found {
 		s.c.casNotFound.Add(1)
 		o.out = respNotFound
 		return
-	}
-	pin, ok := s.toks.Acquire(o.casTok)
-	if ok && (pin.mp != mp || mp.ChangedSince(pin.seg, k)) {
-		segment.ReleaseSeg(s.store.Heap.M, pin.seg)
-		ok = false
 	}
 	if !ok {
 		// Evicted or foreign token — the version it named is gone, so the
@@ -578,6 +572,26 @@ func (s *Server) execCas(o *op) {
 	default:
 		o.out = appendErrorResponse(o.grab(64), err)
 	}
+}
+
+// casPin reports whether key is bound in mp and, if so, acquires the
+// token's snapshot when it is mp's and key's binding has not moved since
+// it. The request-local key string is built, probed and released in one
+// netting scope; the token pin stays on the Machine, outside it.
+func (s *Server) casPin(mp *hds.Map, key []byte, tok uint64) (pin tokenPin, found, ok bool) {
+	sc := s.store.Heap.M.Scope()
+	defer sc.Close()
+	k := hds.String{Seg: segment.BuildBytes(sc, key), Len: uint64(len(key))}
+	defer segment.ReleaseSeg(sc, k.Seg)
+	if !mp.Has(k) { // non-retaining probe: Get would hand us a value reference to release
+		return pin, false, false
+	}
+	pin, ok = s.toks.Acquire(tok)
+	if ok && (pin.mp != mp || mp.ChangedSince(pin.seg, k)) {
+		segment.ReleaseSeg(s.store.Heap.M, pin.seg)
+		ok = false
+	}
+	return pin, true, ok
 }
 
 // goHeapBytes returns the bytes of live and not-yet-swept heap objects.

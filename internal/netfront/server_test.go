@@ -510,3 +510,47 @@ func TestCloseWithLiveConns(t *testing.T) {
 		t.Fatal("Close hung with a live connection")
 	}
 }
+
+// A read-only mget window charges RC-line traffic for its snapshot pin
+// only: the per-key key strings and value references it hands off run in
+// one netting scope (hds.Map.GetBytesAtInto) and net to zero. Filler
+// written after the keys pushes their RC lines out of the LLC, so an
+// unnetted per-key RC event would miss and show up in hicamp_dram_rc.
+func TestReadScopeMGetWindowChargesOnlyRootPin(t *testing.T) {
+	s, addr := startServer(t, DefaultOptions())
+	c := dialOrFatal(t, addr)
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("scoped-%02d", i)
+		if err := c.Set(keys[i], []byte(fmt.Sprintf("value of %s, long enough for a few lines", keys[i]))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var filler kvstore.Batch
+	for i := 0; i < 2000; i++ {
+		filler = filler.Set([]byte(fmt.Sprintf("filler-%04d", i)), []byte(fmt.Sprintf("filler value %04d, padded past a few lines", i)))
+	}
+	if err := s.Store().Write(filler); err != nil {
+		t.Fatal(err)
+	}
+	s.Store().Heap.M.FlushCache() // the mget's fills then evict only clean lines
+	st0, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SendMGet(keys...); err != nil {
+		t.Fatal(err)
+	}
+	c.Flush()
+	vals, err := c.ReadValues()
+	if err != nil || len(vals) != len(keys) {
+		t.Fatalf("mget: %d values, err %v", len(vals), err)
+	}
+	st1, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := st1["hicamp_dram_rc"] - st0["hicamp_dram_rc"]; d > 2 {
+		t.Fatalf("mget of %d keys charged %d RC-line DRAM accesses, want <= 2 (the root pin and its release)", len(keys), d)
+	}
+}
