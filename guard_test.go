@@ -23,6 +23,9 @@ import (
 //     and server surfaces report, and sync.Pool's GC draining breaks the
 //     deterministic accounting the pinning tests rely on. (The
 //     internal/pool freelists deliberately do not use sync.Pool.)
+//
+// The last row, NoCodeOnlyTestsReach, is not a pattern: it walks the
+// call graph from the binaries (reach_test.go).
 var sourceGuards = []struct {
 	name   string
 	re     *regexp.Regexp
@@ -72,6 +75,7 @@ func TestSourceGuards(t *testing.T) {
 			}
 		})
 	}
+	t.Run("NoCodeOnlyTestsReach", checkReachability)
 }
 
 // goFilesOutside lists the tree's .go files, skipping .git, the exempt

@@ -172,12 +172,6 @@ func New(sets, ways int) *Cache {
 	}
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.heads) }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // SetMask returns the index mask (Sets-1).
 func (c *Cache) SetMask() uint64 { return uint64(len(c.heads) - 1) }
 

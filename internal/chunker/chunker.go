@@ -137,16 +137,3 @@ func (c Config) Cut(data []byte) int {
 	}
 	return n
 }
-
-// Split calls fn for each chunk of data in order; chunks concatenate
-// exactly to data. fn returning false stops the walk. Split allocates
-// nothing — fn receives subslices of data.
-func (c Config) Split(data []byte, fn func(chunk []byte) bool) {
-	for len(data) > 0 {
-		n := c.Cut(data)
-		if !fn(data[:n]) {
-			return
-		}
-		data = data[n:]
-	}
-}

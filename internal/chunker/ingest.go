@@ -1,7 +1,6 @@
 package chunker
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/pool"
@@ -13,9 +12,9 @@ import (
 // words reference the chunk sub-DAGs by PLID, so the whole blob is one
 // canonical DAG — two blobs with equal content have equal index roots,
 // and near-duplicate blobs share every unchanged chunk sub-DAG. The
-// Blob owns one reference on the index root (ReleaseBlob drops it); the
-// index lines own the chunk references, so chunks live exactly as long
-// as some index (or other DAG) points at them.
+// Blob owns one reference on the index root; the index lines own the
+// chunk references, so chunks live exactly as long as some index (or
+// other DAG) points at them.
 //
 // Index layout, 2 header words then 2 words per chunk:
 //
@@ -29,25 +28,9 @@ type Blob struct {
 	Chunks int
 }
 
-// IndexWords returns the logical word length of the index segment.
-func (b Blob) IndexWords() uint64 { return 2 + 2*uint64(b.Chunks) }
-
-// IndexBytes returns the index segment's logical size in bytes — the
-// length a map binding stores so the blob round-trips through hds.
-func (b Blob) IndexBytes() uint64 { return 8 * b.IndexWords() }
-
 func (b Blob) String() string {
 	return fmt.Sprintf("chunker.Blob(len=%d chunks=%d root=%#x)", b.Len, b.Chunks, uint64(b.Index.Root))
 }
-
-// ReleaseBlob drops the blob's index-root reference; the chunk sub-DAGs
-// are released recursively by the reference-count machinery once nothing
-// else points at them.
-func ReleaseBlob(m word.Mem, b Blob) { segment.ReleaseSeg(m, b.Index) }
-
-// RetainBlob acquires an extra index-root reference (e.g. when a blob is
-// handed to another owner).
-func RetainBlob(m word.Mem, b Blob) { segment.RetainSeg(m, b.Index) }
 
 // memoEntry is one remembered chunk→PLID association. Entries hold NO
 // references (the exact discipline of the segment.Builder memo): the
@@ -100,8 +83,7 @@ func (s IngestStats) HitRate() float64 {
 // document runs Builder waves only for the edit region's chunks.
 //
 // An Ingestor is NOT safe for concurrent use (same rule as
-// segment.Builder): give each goroutine its own, or serialize access
-// (kvstore's blob layer holds one behind a mutex).
+// segment.Builder): give each goroutine its own, or serialize access.
 type Ingestor struct {
 	m   word.Mem
 	b   *segment.Builder
@@ -125,33 +107,12 @@ func NewIngestor(m word.Mem, cfg Config) *Ingestor {
 	}
 }
 
-// SetMemoLimit bounds the chunk memo: at most entries associations
-// holding at most byteCap key bytes. entries <= 0 disables the memo
-// entirely (every chunk builds; used by the accounting-equivalence
-// pins); byteCap <= 0 keeps the current byte bound.
-func (g *Ingestor) SetMemoLimit(entries, byteCap int) {
-	g.memoEntries = entries
-	if entries <= 0 {
-		g.memo = nil
-		g.memoBytes = 0
-	}
-	if byteCap > 0 {
-		g.memoByteCap = byteCap
-	}
-}
-
 // Config returns the normalized chunking geometry this ingestor cuts
 // with.
 func (g *Ingestor) Config() Config { return g.cfg }
 
 // Stats returns the ingest telemetry.
 func (g *Ingestor) Stats() IngestStats { return g.stats }
-
-// MemoSize returns the number of memoized chunks (tests, telemetry).
-func (g *Ingestor) MemoSize() int { return len(g.memo) }
-
-// BuilderStats exposes the shared Builder's memo telemetry.
-func (g *Ingestor) BuilderStats() segment.BuilderStats { return g.b.Stats() }
 
 // Close drops the memo (entries hold no references, so nothing is
 // released) and the Builder's scratch. The Ingestor is reusable
@@ -256,85 +217,4 @@ func (g *Ingestor) memoAdd(chunk []byte, s segment.Seg) {
 	g.memo[string(chunk)] = e
 	g.memoBytes += len(chunk)
 	g.stats.MemoInserts++
-}
-
-// BlobFromSeg reconstructs a Blob from a stored index segment (e.g. a
-// value loaded back out of an hds map) by reading the header words. It
-// reports false when the header cannot describe a blob held by this
-// segment (chunk count beyond the segment's capacity).
-func BlobFromSeg(m word.Mem, s segment.Seg) (Blob, bool) {
-	hdr := segment.ReadWordsBulk(m, s, 0, 2)
-	n, chunks := hdr[0], hdr[1]
-	if 2+2*chunks > s.Capacity(m.LineWords()) {
-		return Blob{}, false
-	}
-	return Blob{Index: s, Len: n, Chunks: int(chunks)}, true
-}
-
-// ReadBlob materializes the blob's content: one gather over the index,
-// then one GatherRanges wave walk across every chunk sub-DAG — lines
-// shared between chunks (and between blobs resident in the same
-// machine) are fetched once per wave, not once per chunk. It reports
-// false when the index is not a well-formed blob (chunk lengths that do
-// not sum to the header length, or a chunk root that is not a PLID
-// word) — possible only for a segment that was never built by an
-// Ingestor.
-func ReadBlob(m word.Mem, b Blob) ([]byte, bool) {
-	arity := m.LineWords()
-	nw := int(b.IndexWords())
-	var sc pool.Scratch
-	defer sc.Release()
-	idxs := poolU64.Get(&sc, nw)
-	for i := range idxs {
-		idxs[i] = uint64(i)
-	}
-	vals := poolU64.Get(&sc, nw)
-	tags := poolTags.Get(&sc, nw)
-	segment.GatherWordsInto(m, b.Index, idxs, vals, tags)
-	if vals[0] != b.Len || vals[1] != uint64(b.Chunks) {
-		return nil, false
-	}
-	ranges := poolRanges.GetCap(&sc, b.Chunks)
-	total := uint64(0)
-	for i := 0; i < b.Chunks; i++ {
-		root, clen := vals[2+2*i], vals[3+2*i]
-		if total+clen < total || total+clen > b.Len {
-			return nil, false
-		}
-		if root != 0 {
-			if tags[2+2*i] != word.TagPLID {
-				return nil, false
-			}
-			words := (clen + 7) / 8
-			ranges = append(ranges, segment.Range{
-				Seg: segment.Seg{Root: word.PLID(root), Height: segment.HeightFor(arity, words)},
-				N:   words,
-			})
-		}
-		total += clen
-	}
-	if total != b.Len {
-		return nil, false
-	}
-	out := make([]byte, b.Len)
-	chunkWords := segment.GatherRanges(m, ranges)
-	ri := 0
-	off := uint64(0)
-	for i := 0; i < b.Chunks; i++ {
-		root, clen := vals[2+2*i], vals[3+2*i]
-		if root != 0 {
-			ws := chunkWords[ri]
-			ri++
-			full := clen / 8
-			for j := uint64(0); j < full; j++ {
-				binary.LittleEndian.PutUint64(out[off+8*j:], ws[j])
-			}
-			for j := full * 8; j < clen; j++ {
-				out[off+j] = byte(ws[j/8] >> (8 * (j % 8)))
-			}
-		}
-		// An all-zero chunk reads as the zeros out already holds.
-		off += clen
-	}
-	return out, true
 }

@@ -306,11 +306,3 @@ func (d *DB) Close() error {
 	d.sm.SetJournal(nil)
 	return d.lw.Close()
 }
-
-// setDiscard is the allocation-pin test hook: appended frames are
-// dropped at encode time so the measured path is the encode alone.
-func (d *DB) setDiscard(on bool) {
-	d.lw.mu.Lock()
-	d.lw.discard = on
-	d.lw.mu.Unlock()
-}

@@ -47,10 +47,6 @@ func init() {
 	}
 }
 
-// FaultPointsCrossed reports how many fault points this process has
-// crossed while DURABLE_FAULT_COUNT is set.
-func FaultPointsCrossed() int64 { return faultCrossed.Load() }
-
 // faultPoint is crossed at every crash-relevant I/O step.
 func faultPoint() {
 	if faultCounting.Load() {

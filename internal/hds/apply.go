@@ -47,7 +47,7 @@ type ApplyOptions struct {
 // iterator register, and the whole batch canonicalizes in a single
 // bottom-up wave commit (segment.WriteBatch) published according to
 // opts. The whole update, retries included, runs in one netting scope
-// (core.Scope), as CompareApply, Set, Delete and Ordered.Apply do.
+// (core.Scope), as CompareApply, Set and Delete do.
 func (mp *Map) Apply(pairs []Pair, opts ApplyOptions) error {
 	if len(pairs) == 0 {
 		return nil
@@ -202,58 +202,6 @@ func (mp *Map) CompareApply(orig segment.Seg, size uint64, pairs []Pair, opts Ap
 		return nil
 	}
 	_, err := merge.MCAS(sc, mp.h.SM, mp.vsid, orig, next, size, nil)
-	return err
-}
-
-// Apply binds every item in one committed update — the bulk mutation
-// entry point, with the same options as Map.Apply.
-func (o *Ordered) Apply(items []Item, opts ApplyOptions) error {
-	if len(items) == 0 {
-		return nil
-	}
-	if opts.ErrorOnDup {
-		seen := make(map[uint64]struct{}, len(items))
-		for _, item := range items {
-			if _, dup := seen[item.Key]; dup {
-				return ErrDuplicateKey
-			}
-			seen[item.Key] = struct{}{}
-		}
-	}
-	sc := o.h.M.Scope()
-	defer sc.Close()
-	vals := make([]String, len(items))
-	{
-		b := segment.NewBuilder(sc, 0)
-		for i, item := range items {
-			vals[i] = String{Seg: b.BuildBytes(item.Value), Len: uint64(len(item.Value))}
-		}
-		b.Close()
-	}
-	err := retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(sc, o.h.SM, o.vsid)
-		if err != nil {
-			return false, err
-		}
-		for i, item := range items {
-			value := vals[i]
-			if value.Seg.Root != word.Zero {
-				it.Store(2*item.Key, uint64(value.Seg.Root), word.TagPLID)
-			} else {
-				it.Store(2*item.Key, 0, word.TagRaw)
-			}
-			it.Store(2*item.Key+1, value.Len+1, word.TagRaw)
-		}
-		ok, err := commitApply(it, opts)
-		it.Close()
-		if err == merge.ErrConflict {
-			return false, nil
-		}
-		return ok, err
-	})
-	for i := range vals {
-		segment.ReleaseSeg(sc, vals[i].Seg)
-	}
 	return err
 }
 

@@ -180,8 +180,8 @@ func TestConcurrentApplyScan(t *testing.T) {
 					v.Release(h)
 				}
 				k.Release(h)
-				if err := mp.ForEach(func(key, val String) bool { return true }); err != nil {
-					t.Errorf("ForEach: %v", err)
+				if err := mp.BytesScan(func(key, val []byte) bool { return true }); err != nil {
+					t.Errorf("BytesScan: %v", err)
 					return
 				}
 			}

@@ -15,33 +15,6 @@ type Pair struct {
 	Delete     bool
 }
 
-// Item is one numeric-key binding for bulk ordered loading.
-type Item struct {
-	Key   uint64
-	Value []byte
-}
-
-// BytesMany materializes many strings through one level-order bulk read:
-// lines shared across strings — deduplicated fragments, repeated values —
-// are fetched once per wave instead of once per string. Results are
-// positional.
-func BytesMany(h *Heap, ss []String) [][]byte {
-	rs := make([]segment.Range, len(ss))
-	for i, s := range ss {
-		rs[i] = segment.Range{Seg: s.Seg, N: (s.Len + 7) / 8}
-	}
-	words := segment.GatherRanges(h.M, rs)
-	out := make([][]byte, len(ss))
-	for i, s := range ss {
-		b := make([]byte, s.Len)
-		for j := uint64(0); j < s.Len; j++ {
-			b[j] = byte(words[i][j/8] >> (8 * (j % 8)))
-		}
-		out[i] = b
-	}
-	return out
-}
-
 // poolRanges, poolIdxs and poolTags back the Into-variants' per-call
 // gather scratch.
 var (
@@ -145,8 +118,10 @@ func (mp *Map) GetBytesAtInto(seg segment.Seg, keys [][]byte, r *ReadBuf) {
 	}
 }
 
-// BytesManyInto is BytesMany materializing into caller storage: every
-// value is carved out of flat (grown once if needed) and the positional
+// BytesManyInto materializes many strings through one level-order bulk
+// read — lines shared across strings (deduplicated fragments, repeated
+// values) are fetched once per wave instead of once per string — into
+// caller storage: every value is carved out of flat (grown once if needed) and the positional
 // subslices are appended into out — so a steady-state caller that keeps
 // both slices across calls pays zero per-value allocations. The returned
 // flat slice must be retained by the caller for reuse; the out entries

@@ -32,11 +32,11 @@ func TestApplyMatchesSequentialSet(t *testing.T) {
 		t.Fatalf("Apply: %v", err)
 	}
 
-	seqSeg, err := h.SM.Load(seq.VSID())
+	seqSeg, err := h.SM.Load(seq.vsid)
 	if err != nil {
 		t.Fatalf("load seq: %v", err)
 	}
-	bulkSeg, err := h.SM.Load(bulk.VSID())
+	bulkSeg, err := h.SM.Load(bulk.vsid)
 	if err != nil {
 		t.Fatalf("load bulk: %v", err)
 	}
@@ -107,8 +107,8 @@ func TestOrderedApplyMatchesSequentialPut(t *testing.T) {
 		t.Fatalf("Apply: %v", err)
 	}
 
-	seqSeg, _ := h.SM.Load(seq.VSID())
-	bulkSeg, _ := h.SM.Load(bulk.VSID())
+	seqSeg, _ := h.SM.Load(seq.vsid)
+	bulkSeg, _ := h.SM.Load(bulk.vsid)
 	if !seqSeg.Seg.Equal(bulkSeg.Seg) {
 		t.Fatalf("bulk ordered root %#x != sequential %#x", bulkSeg.Seg.Root, seqSeg.Seg.Root)
 	}

@@ -1,16 +1,13 @@
-// Package hds provides the HICAMP programming model of paper §4: software
-// data structures — strings, arrays, maps, counters and queues — mapped
-// onto segments, iterator registers and merge-update. Every object is a
-// segment named by a VSID; object references are VSIDs; updates commit
-// with CAS or merge-update, so every structure here is concurrency-safe
-// by construction with snapshot-isolated readers.
+// Package hds provides the HICAMP programming model of paper §4 that the
+// served system runs on: immutable strings and the key-value map (§4.4),
+// mapped onto segments, iterator registers and merge-update. Every object
+// is a segment named by a VSID; updates commit with CAS or merge-update,
+// so the map is concurrency-safe by construction with snapshot-isolated
+// readers.
 package hds
 
 import (
-	"fmt"
-
 	"repro/internal/core"
-	"repro/internal/iterreg"
 	"repro/internal/segmap"
 	"repro/internal/segment"
 	"repro/internal/word"
@@ -61,93 +58,3 @@ func (s String) Key() word.PLID { return s.Seg.Root }
 // Retain and Release manage the string's root reference.
 func (s String) Retain(h *Heap)  { segment.RetainSeg(h.M, s.Seg) }
 func (s String) Release(h *Heap) { segment.ReleaseSeg(h.M, s.Seg) }
-
-// Array is a dynamically growable array of tagged words backed by one
-// segment-map entry (§4.1: it extends without reallocation or copy, and
-// out-of-range writes cannot corrupt neighbouring objects).
-type Array struct {
-	h    *Heap
-	vsid word.VSID
-}
-
-// NewArray allocates an empty array.
-func NewArray(h *Heap) *Array {
-	v := h.SM.Create(segmap.Entry{Seg: segment.NewSparse(0)})
-	return &Array{h: h, vsid: v}
-}
-
-// VSID returns the array's object identity.
-func (a *Array) VSID() word.VSID { return a.vsid }
-
-// Len returns the logical element count (highest committed Set + 1).
-func (a *Array) Len() uint64 {
-	e, err := a.h.SM.Load(a.vsid)
-	if err != nil {
-		return 0
-	}
-	defer segment.ReleaseSeg(a.h.M, e.Seg)
-	return e.Size
-}
-
-// At reads element i of the current version.
-func (a *Array) At(i uint64) uint64 {
-	e, err := a.h.SM.Load(a.vsid)
-	if err != nil {
-		return 0
-	}
-	defer segment.ReleaseSeg(a.h.M, e.Seg)
-	v, _ := segment.ReadWord(a.h.M, e.Seg, i)
-	return v
-}
-
-// Set writes element i atomically (bounded CAS retry loop).
-func (a *Array) Set(i, v uint64) error {
-	return retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(a.h.M, a.h.SM, a.vsid)
-		if err != nil {
-			return false, err
-		}
-		it.Store(i, v, word.TagRaw)
-		size := it.Size()
-		if i+1 > size {
-			size = i + 1
-		}
-		ok, err := it.TryCommit(size)
-		it.Close()
-		return ok, err
-	})
-}
-
-// Append adds v at the end, returning its index.
-func (a *Array) Append(v uint64) (uint64, error) {
-	var idx uint64
-	err := retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(a.h.M, a.h.SM, a.vsid)
-		if err != nil {
-			return false, err
-		}
-		i := it.Size()
-		it.Store(i, v, word.TagRaw)
-		ok, err := it.TryCommit(i + 1)
-		it.Close()
-		if ok {
-			idx = i
-		}
-		return ok, err
-	})
-	return idx, err
-}
-
-// Snapshot returns a stable point-in-time view; callers release it.
-func (a *Array) Snapshot() (segment.Seg, uint64, error) {
-	e, err := a.h.SM.Load(a.vsid)
-	if err != nil {
-		return segment.Seg{}, 0, err
-	}
-	return e.Seg, e.Size, nil
-}
-
-// Release drops the array object.
-func (a *Array) Release() error { return a.h.SM.Delete(a.vsid) }
-
-func (a *Array) String() string { return fmt.Sprintf("hds.Array(vsid=%d)", a.vsid) }

@@ -232,8 +232,7 @@ func (mp *Map) Delete(key String) error {
 	})
 }
 
-// Len counts bound keys in the current version (a full scan; maps that
-// need O(1) size pair with a Counter).
+// Len counts bound keys in the current version (a full scan).
 func (mp *Map) Len() uint64 {
 	it, err := iterreg.Open(mp.h.M, mp.h.SM, segmap.ReadOnlyRef(mp.vsid))
 	if err != nil {
@@ -255,155 +254,3 @@ func (mp *Map) Len() uint64 {
 // Release drops the map object (values are reclaimed recursively by the
 // hardware reference-count machinery).
 func (mp *Map) Release() error { return mp.h.SM.Delete(mp.vsid) }
-
-// Counter is a segment of 64-bit counters (§4.3). Add publishes with
-// plain CAS on a re-read value, not merge-update: an increment is a
-// delta, and under content-unique versions two identical concurrent
-// deltas build the same modified version, which a three-way merge takes
-// for one change already merged and absorbs (see package merge). CAS
-// serializes them; the loser re-reads and adds to the new value.
-type Counter struct {
-	h    *Heap
-	vsid word.VSID
-}
-
-// NewCounter allocates a counter array.
-func NewCounter(h *Heap) *Counter {
-	v := h.SM.Create(segmap.Entry{Seg: segment.NewSparse(0)})
-	return &Counter{h: h, vsid: v}
-}
-
-// Add atomically adds delta to counter i and reports the updated value as
-// of this thread's commit (later adds may add more).
-func (c *Counter) Add(i uint64, delta uint64) (uint64, error) {
-	var sum uint64
-	err := retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(c.h.M, c.h.SM, c.vsid)
-		if err != nil {
-			return false, err
-		}
-		cur, _ := it.Load(i)
-		sum = cur + delta
-		it.Store(i, sum, word.TagRaw)
-		ok, err := it.TryCommit(it.Size())
-		it.Close()
-		return ok, err
-	})
-	return sum, err
-}
-
-// Value reads counter i.
-func (c *Counter) Value(i uint64) uint64 {
-	e, err := c.h.SM.Load(c.vsid)
-	if err != nil {
-		return 0
-	}
-	defer segment.ReleaseSeg(c.h.M, e.Seg)
-	v, _ := segment.ReadWord(c.h.M, e.Seg, i)
-	return v
-}
-
-// Release drops the counter object.
-func (c *Counter) Release() error { return c.h.SM.Delete(c.vsid) }
-
-// Queue is a multi-producer multi-consumer queue of strings (§4.3):
-// head and tail counters plus a data region in one segment. Both ends
-// publish with plain CAS on re-read counters, not merge-update: the
-// counters move by deltas, and two producers of equal strings at one tail
-// (or two consumers at one head) write identical changes, which a
-// three-way merge would accept as one — losing an element, or returning
-// one twice. CAS serializes them; the loser retries at the new tail or
-// head.
-type Queue struct {
-	h    *Heap
-	vsid word.VSID
-}
-
-const (
-	qHead = 0
-	qTail = 1
-	qBase = 2 // first data slot (two words per element: root, length)
-)
-
-// NewQueue allocates an empty queue.
-func NewQueue(h *Heap) *Queue {
-	v := h.SM.Create(segmap.Entry{Seg: segment.NewSparse(0)})
-	return &Queue{h: h, vsid: v}
-}
-
-// Enqueue appends s. The queue takes its own reference on the string.
-func (q *Queue) Enqueue(s String) error {
-	return retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(q.h.M, q.h.SM, q.vsid)
-		if err != nil {
-			return false, err
-		}
-		tail, _ := it.Load(qTail)
-		if s.Seg.Root != word.Zero {
-			it.Store(qBase+2*tail, uint64(s.Seg.Root), word.TagPLID)
-		}
-		it.Store(qBase+2*tail+1, s.Len+1, word.TagRaw)
-		it.Store(qTail, tail+1, word.TagRaw)
-		ok, err := it.TryCommit(0)
-		it.Close()
-		return ok, err // !ok: lost the slot race; retry at the new tail
-	})
-}
-
-// Dequeue removes and returns the oldest element; ok is false when the
-// queue is empty. The caller receives ownership of the string reference.
-func (q *Queue) Dequeue() (String, bool, error) {
-	var got String
-	var nonEmpty bool
-	err := retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(q.h.M, q.h.SM, q.vsid)
-		if err != nil {
-			return false, err
-		}
-		head, _ := it.Load(qHead)
-		tail, _ := it.Load(qTail)
-		if head == tail {
-			it.Close()
-			return true, nil // empty: done, nonEmpty stays false
-		}
-		root, _ := it.Load(qBase + 2*head)
-		lenPlus, _ := it.Load(qBase + 2*head + 1)
-		if lenPlus == 0 {
-			it.Close()
-			return true, nil
-		}
-		n := lenPlus - 1
-		out := String{Seg: segment.Seg{Root: word.PLID(root), Height: heightForBytes(q.h, n)}, Len: n}
-		out.Retain(q.h) // caller's reference, before the slot is cleared
-		it.Store(qBase+2*head, 0, word.TagRaw)
-		it.Store(qBase+2*head+1, 0, word.TagRaw)
-		it.Store(qHead, head+1, word.TagRaw)
-		ok, err := it.TryCommit(0)
-		it.Close()
-		if err != nil || !ok {
-			out.Release(q.h)
-			return false, err
-		}
-		got, nonEmpty = out, true
-		return true, nil
-	})
-	if err != nil {
-		return String{}, false, err
-	}
-	return got, nonEmpty, nil
-}
-
-// Len returns the current element count.
-func (q *Queue) Len() uint64 {
-	e, err := q.h.SM.Load(q.vsid)
-	if err != nil {
-		return 0
-	}
-	defer segment.ReleaseSeg(q.h.M, e.Seg)
-	head, _ := segment.ReadWord(q.h.M, e.Seg, qHead)
-	tail, _ := segment.ReadWord(q.h.M, e.Seg, qTail)
-	return tail - head
-}
-
-// Release drops the queue object.
-func (q *Queue) Release() error { return q.h.SM.Delete(q.vsid) }

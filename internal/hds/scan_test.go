@@ -1,7 +1,9 @@
 package hds
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/segment"
@@ -29,11 +31,11 @@ func fillMap(t *testing.T, h *Heap, mp *Map, n int) map[string]string {
 
 type pair struct{ k, v string }
 
-func forEachPairs(t *testing.T, h *Heap, mp *Map) []pair {
+func scanPairs(t *testing.T, mp *Map) []pair {
 	t.Helper()
 	var out []pair
-	if err := mp.ForEach(func(key, val String) bool {
-		out = append(out, pair{string(key.Bytes(h)), string(val.Bytes(h))})
+	if err := mp.BytesScan(func(key, val []byte) bool {
+		out = append(out, pair{string(key), string(val)})
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -45,38 +47,48 @@ func TestMapForEachMatchesGet(t *testing.T) {
 	h := heap()
 	mp := NewMap(h)
 	want := fillMap(t, h, mp, 150)
-	got := forEachPairs(t, h, mp)
+	got := scanPairs(t, mp)
 	if len(got) != len(want) {
-		t.Fatalf("ForEach yielded %d bindings, want %d", len(got), len(want))
+		t.Fatalf("BytesScan yielded %d bindings, want %d", len(got), len(want))
 	}
 	for _, p := range got {
 		if want[p.k] != p.v {
-			t.Fatalf("ForEach: key %q -> %q, want %q", p.k, p.v, want[p.k])
+			t.Fatalf("BytesScan: key %q -> %q, want %q", p.k, p.v, want[p.k])
 		}
 		delete(want, p.k)
 	}
 	if len(want) != 0 {
-		t.Fatalf("ForEach missed %d bindings", len(want))
+		t.Fatalf("BytesScan missed %d bindings", len(want))
 	}
 }
 
-// TestMapScanVariantsAgree pins that BytesScan emits exactly ForEach's
-// sequence — same pairs, same ascending slot order.
+// TestMapScanVariantsAgree pins BytesScan against point reads: it emits
+// exactly the bindings Get finds, in ascending slot (key-PLID) order.
 func TestMapScanVariantsAgree(t *testing.T) {
 	h := heap()
 	mp := NewMap(h)
-	fillMap(t, h, mp, 300)
-	want := forEachPairs(t, h, mp)
-
-	var viaBytes []pair
-	if err := mp.BytesScan(func(key, val []byte) bool {
-		viaBytes = append(viaBytes, pair{string(key), string(val)})
-		return true
-	}); err != nil {
-		t.Fatal(err)
+	type slotted struct {
+		slot uint64
+		p    pair
 	}
-	if fmt.Sprint(viaBytes) != fmt.Sprint(want) {
-		t.Fatalf("BytesScan order/content diverges from ForEach (%d vs %d pairs)", len(viaBytes), len(want))
+	var want []slotted
+	for k := range fillMap(t, h, mp, 300) {
+		ks := NewString(h, []byte(k))
+		v, ok := mp.Get(ks)
+		if !ok {
+			t.Fatalf("Get(%q) missing", k)
+		}
+		want = append(want, slotted{slotFor(ks), pair{k, string(v.Bytes(h))}})
+		v.Release(h)
+		ks.Release(h)
+	}
+	slices.SortFunc(want, func(a, b slotted) int { return cmp.Compare(a.slot, b.slot) })
+	var wantPairs []pair
+	for _, w := range want {
+		wantPairs = append(wantPairs, w.p)
+	}
+	if got := scanPairs(t, mp); fmt.Sprint(got) != fmt.Sprint(wantPairs) {
+		t.Fatalf("BytesScan order/content diverges from Get in slot order (%d vs %d pairs)", len(got), len(wantPairs))
 	}
 }
 
@@ -84,21 +96,10 @@ func TestMapScanEarlyStop(t *testing.T) {
 	h := heap()
 	mp := NewMap(h)
 	fillMap(t, h, mp, 200)
-	for name, run := range map[string]func(stop int) int{
-		"ForEach": func(stop int) int {
-			calls := 0
-			mp.ForEach(func(key, val String) bool { calls++; return calls < stop })
-			return calls
-		},
-		"BytesScan": func(stop int) int {
-			calls := 0
-			mp.BytesScan(func(key, val []byte) bool { calls++; return calls < stop })
-			return calls
-		},
-	} {
-		if got := run(5); got != 5 {
-			t.Fatalf("%s: early stop made %d calls, want 5", name, got)
-		}
+	calls := 0
+	mp.BytesScan(func(key, val []byte) bool { calls++; return calls < 5 })
+	if calls != 5 {
+		t.Fatalf("BytesScan: early stop made %d calls, want 5", calls)
 	}
 }
 
@@ -198,7 +199,7 @@ func TestDiffSnapshotsIdentical(t *testing.T) {
 	}
 }
 
-// TestOrderedRangeMatchesGet pins the streamed Range rewrite against the
+// TestOrderedRangeMatchesGet pins Range's next-non-zero walk against the
 // point-read path: same elements, same order, same values.
 func TestOrderedRangeMatchesGet(t *testing.T) {
 	h := heap()

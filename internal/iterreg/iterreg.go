@@ -25,8 +25,6 @@ type Stats struct {
 	Seeks       uint64 // positioning operations
 	LineLoads   uint64 // DAG lines loaded into the register
 	PathReuses  uint64 // levels reused from the cached path
-	Scans       uint64 // streaming Scan calls
-	ScanLines   uint64 // lines the streaming scans fetched
 	Commits     uint64 // publishes (and detached conversions) that succeeded
 	CommitFails uint64 // publishes whose CAS/merge lost or conflicted
 	Aborts      uint64
@@ -75,9 +73,6 @@ func Open(m word.Mem, sm *segmap.Map, vsid word.VSID) (*Iterator, error) {
 
 // Seg returns the snapshot the iterator reads (pending writes excluded).
 func (it *Iterator) Seg() segment.Seg { return it.entry.Seg }
-
-// Entry returns the snapshotted segment-map entry.
-func (it *Iterator) Entry() segmap.Entry { return it.entry }
 
 // Size returns the snapshotted logical byte size.
 func (it *Iterator) Size() uint64 { return it.entry.Size }
@@ -203,71 +198,6 @@ func (it *Iterator) NextNonZero(from uint64) (uint64, bool) {
 		return oIdx, true
 	}
 	return 0, false
-}
-
-// Scan streams every non-zero tagged word of the snapshot at index >=
-// from to fn in ascending index order — the same elements a
-// NextNonZero/Load loop visits, without the per-element root-to-leaf
-// re-descent: the frontier expands in level-order waves through the
-// batch read path (segment.ScanWords). fn returning false stops the
-// scan; the bounded lookahead window caps how far past the stop the
-// scanner fetched. With pending writes the sorted write buffer is
-// interleaved with the snapshot stream — buffered values shadow the
-// snapshot's at equal indexes, zero writes suppress, and buffered
-// indexes past the snapshot's last element are emitted as a tail.
-func (it *Iterator) Scan(from uint64, fn func(idx uint64, w uint64, t word.Tag) bool) segment.ScanStats {
-	it.Stats.Scans++
-	if len(it.writes) == 0 {
-		st := segment.ScanWords(it.m, it.entry.Seg, from, fn)
-		it.Stats.ScanLines += st.LineReads
-		return st
-	}
-	over := it.sortedWrites()
-	pos := sort.Search(len(over), func(i int) bool { return over[i].Idx >= from })
-	emitted := uint64(0)
-	stopped := false
-	emit := func(idx, w uint64, t word.Tag) bool {
-		emitted++
-		if !fn(idx, w, t) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-	// Drains the overlay up to (exclusive) bound, skipping zero writes.
-	drain := func(bound uint64) bool {
-		for pos < len(over) && over[pos].Idx < bound {
-			u := over[pos]
-			pos++
-			if u.W == 0 && u.T == word.TagRaw {
-				continue
-			}
-			if !emit(u.Idx, u.W, u.T) {
-				return false
-			}
-		}
-		return true
-	}
-	st := segment.ScanWords(it.m, it.entry.Seg, from, func(idx uint64, w uint64, t word.Tag) bool {
-		if !drain(idx) {
-			return false
-		}
-		if pos < len(over) && over[pos].Idx == idx {
-			u := over[pos]
-			pos++
-			if u.W == 0 && u.T == word.TagRaw {
-				return true // overwritten to zero: suppress
-			}
-			return emit(idx, u.W, u.T)
-		}
-		return emit(idx, w, t)
-	})
-	if !stopped {
-		drain(^uint64(0))
-	}
-	st.Emitted = emitted
-	it.Stats.ScanLines += st.LineReads
-	return st
 }
 
 // Store buffers a write at idx (§3.3: updates go to transient state).

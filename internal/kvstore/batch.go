@@ -1,16 +1,13 @@
 package kvstore
 
 import (
-	"repro/internal/chunker"
 	"repro/internal/hds"
 	"repro/internal/segment"
 )
 
-// The unified batch surface. Every batched verb speaks one vocabulary: a
-// Batch of KV operations, routed per tenant namespace with positional
-// results written back in place. The string-map verbs (Write, Read) and
-// the blob verbs (BlobWrite, BlobRead) share the same grouping, so a
-// batch mixing tenants still costs one wave (or one gather) per
+// The batch surface: a Batch of KV operations, routed per tenant
+// namespace with positional results written back in place, so a batch
+// mixing tenants still costs one wave (Write) or one gather (Read) per
 // namespace.
 
 // KV is one key's operation — and, for reads, its result — in a Batch.
@@ -18,8 +15,8 @@ type KV struct {
 	// Key routes the operation: a "tenant/" prefix selects the tenant's
 	// namespace, bare keys the root map.
 	Key []byte
-	// Value is the payload to store (Write, BlobWrite) or the result
-	// slot filled in place (Read, BlobRead; nil when not found).
+	// Value is the payload to store (Write) or the result slot filled in
+	// place (Read; nil when not found).
 	Value []byte
 	// Delete marks a tombstone in a write batch: the key is unbound in
 	// the same published version that binds its siblings.
@@ -38,11 +35,6 @@ func (b Batch) Set(key, value []byte) Batch {
 	return append(b, KV{Key: key, Value: value})
 }
 
-// Del appends a tombstone and returns the extended batch.
-func (b Batch) Del(key []byte) Batch {
-	return append(b, KV{Key: key, Delete: true})
-}
-
 // Get appends a read of key and returns the extended batch.
 func (b Batch) Get(key []byte) Batch {
 	return append(b, KV{Key: key})
@@ -57,11 +49,10 @@ type batchGroup struct {
 	pos []int
 }
 
-// groupBatch partitions a batch by tenant namespace, resolving each
-// tenant through mapFor — the string-map registry for Write/Read, the
-// blob-map registry for BlobWrite/BlobRead. The uniform case (all keys
-// one namespace) returns a single group aliasing b with no copying.
-func groupBatch(b Batch, mapFor func(ns string) *hds.Map) []batchGroup {
+// groupBatch partitions a batch by tenant namespace. The uniform case
+// (all keys one namespace) returns a single group aliasing b with no
+// copying.
+func (s *HicampServer) groupBatch(b Batch) []batchGroup {
 	first := SplitNamespace(b[0].Key)
 	uniform := true
 	for i := 1; i < len(b); i++ {
@@ -71,7 +62,7 @@ func groupBatch(b Batch, mapFor func(ns string) *hds.Map) []batchGroup {
 		}
 	}
 	if uniform {
-		return []batchGroup{{mp: mapFor(first), kvs: b}}
+		return []batchGroup{{mp: s.Namespace(first), kvs: b}}
 	}
 	order := make([]string, 0, 4)
 	groups := make(map[string]*batchGroup, 4)
@@ -79,7 +70,7 @@ func groupBatch(b Batch, mapFor func(ns string) *hds.Map) []batchGroup {
 		ns := SplitNamespace(kv.Key)
 		g := groups[ns]
 		if g == nil {
-			g = &batchGroup{mp: mapFor(ns)}
+			g = &batchGroup{mp: s.Namespace(ns)}
 			groups[ns] = g
 			order = append(order, ns)
 		}
@@ -102,7 +93,7 @@ func (s *HicampServer) Write(b Batch) error {
 	if len(b) == 0 {
 		return nil
 	}
-	for _, g := range groupBatch(b, s.Namespace) {
+	for _, g := range s.groupBatch(b) {
 		pairs := make([]hds.Pair, len(g.kvs))
 		for i, kv := range g.kvs {
 			pairs[i] = hds.Pair{Key: kv.Key, Value: kv.Value, Delete: kv.Delete}
@@ -125,7 +116,7 @@ func (s *HicampServer) Read(b Batch) {
 	if len(b) == 0 {
 		return
 	}
-	for _, g := range groupBatch(b, s.Namespace) {
+	for _, g := range s.groupBatch(b) {
 		var r hds.ReadBuf
 		segment.ReleaseSeg(s.Heap.M, g.read(&r))
 		for i := range g.kvs {
@@ -135,64 +126,6 @@ func (s *HicampServer) Read(b Batch) {
 				b[j].Value, b[j].Found = r.Vals[i], true
 			}
 		}
-	}
-}
-
-// BlobWrite applies a batch of blob puts and tombstones through the
-// same namespace grouping as Write, against the per-tenant blob maps.
-// Values ingest through the shared content-defined chunker (unchanged
-// chunks of near-duplicate values resolve from the warm memo) and each
-// namespace's bindings publish through its own blob map.
-func (s *HicampServer) BlobWrite(b Batch) error {
-	if len(b) == 0 {
-		return nil
-	}
-	for _, g := range groupBatch(b, s.blobNamespace) {
-		for _, kv := range g.kvs {
-			k := hds.NewString(s.Heap, kv.Key)
-			var err error
-			if kv.Delete {
-				err = g.mp.Delete(k)
-			} else {
-				s.blobs.ingMu.Lock()
-				blob := s.ingestor().IngestBytes(kv.Value)
-				s.blobs.ingMu.Unlock()
-				v := hds.String{Seg: blob.Index, Len: blob.IndexBytes()}
-				err = g.mp.Set(k, v)
-				chunker.ReleaseBlob(s.Heap.M, blob)
-			}
-			k.Release(s.Heap)
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return s.AckDurable()
-}
-
-// BlobRead resolves a batch of blob keys in place: per namespace one
-// snapshot gather finds every index segment, then each found blob
-// reassembles through one cross-chunk gather wave under the same pin.
-func (s *HicampServer) BlobRead(b Batch) {
-	if len(b) == 0 {
-		return
-	}
-	for _, g := range groupBatch(b, s.blobNamespace) {
-		var r hds.ReadBuf
-		seg := g.read(&r)
-		for i := range g.kvs {
-			j := g.at(i)
-			b[j].Value, b[j].Found = nil, false
-			if !r.Found[i] {
-				continue
-			}
-			if blob, ok := chunker.BlobFromSeg(s.Heap.M, r.Strs[i].Seg); ok {
-				if data, ok := chunker.ReadBlob(s.Heap.M, blob); ok {
-					b[j].Value, b[j].Found = data, true
-				}
-			}
-		}
-		segment.ReleaseSeg(s.Heap.M, seg)
 	}
 }
 

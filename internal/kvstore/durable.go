@@ -15,15 +15,15 @@ import (
 // label bindings, and a write acknowledgement waits for its group
 // commit (DB.Sync; a memory-only server has no DB and acks at once).
 //
-// Labels name the server's maps across restarts: the root string map is
-// "kv:root", tenant string maps are "ns:<tenant>", the root blob map is
-// "blob:" and tenant blob maps "blob:<tenant>". Namespace creation
+// Labels name the server's maps across restarts: the root map is
+// "kv:root" and tenant maps are "ns:<tenant>". Namespace creation
 // consults the binding first, so a restarted server re-adopts a
-// tenant's map the first time any key routes to it.
+// tenant's map the first time any key routes to it. A label no server
+// asks for (such as the "blob:" maps of older data directories) stays
+// an unused binding.
 const (
 	labelRoot = "kv:root"
 	labelNS   = "ns:"
-	labelBlob = "blob:"
 )
 
 // ServerOptions selects persistence for a HicampServer. The zero value

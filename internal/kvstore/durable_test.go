@@ -6,12 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hds"
+	"repro/internal/segment"
 )
 
 // TestDurableServerRestart round-trips a server through its data
 // directory: string keys on the root map, tenant keys on their own
-// VSIDs, chunked blobs, and deletes all survive a close/reopen, and the
-// restarted server keeps accepting writes on the re-adopted maps.
+// VSIDs and deletes all survive a close/reopen, a label binding no
+// server asks for (the "blob:" maps of older data directories) recovers
+// as an unused binding, and the restarted server keeps accepting writes
+// on the re-adopted maps.
 func TestDurableServerRestart(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *HicampServer {
@@ -40,11 +44,14 @@ func TestDurableServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := bytes.Repeat([]byte("blob payload, chunked and deduplicated. "), 600)
-	if err := blobPut(s, []byte("img"), blob); err != nil {
+	stale := hds.NewMap(s.Heap)
+	if err := stale.SetBytes([]byte("img"), blob); err != nil {
 		t.Fatal(err)
 	}
-	if err := blobPut(s, []byte("acme/img"), blob); err != nil {
-		t.Fatal(err)
+	for _, label := range []string{"blob:", "blob:acme"} {
+		if err := s.db.Bind(label, stale.VSID()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -83,9 +90,20 @@ func TestDurableServerRestart(t *testing.T) {
 			t.Fatalf("Get(%s) = %q,%v after restart, want %q", key, v, ok, want)
 		}
 	}
-	for _, key := range []string{"img", "acme/img"} {
-		if v, ok := blobGet(r, []byte(key)); !ok || !bytes.Equal(v, blob) {
-			t.Fatalf("BlobRead(%s) after restart: found=%v len=%d want %d", key, ok, len(v), len(blob))
+	for _, label := range []string{"blob:", "blob:acme"} {
+		v, ok := r.db.Binding(label)
+		if !ok {
+			t.Fatalf("binding %q lost in recovery", label)
+		}
+		seg, _, err := hds.OpenMap(r.Heap, v).SnapshotEntry()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rb hds.ReadBuf
+		hds.OpenMap(r.Heap, v).GetBytesAtInto(seg, [][]byte{[]byte("img")}, &rb)
+		segment.ReleaseSeg(r.Heap.M, seg)
+		if !rb.Found[0] || !bytes.Equal(rb.Vals[0], blob) {
+			t.Fatalf("map bound to %q after restart: found=%v len=%d want %d", label, rb.Found[0], len(rb.Vals[0]), len(blob))
 		}
 	}
 	// Tenant isolation survives: re-adopted maps, not root fallbacks.

@@ -23,10 +23,9 @@ import (
 // prefix route to per-tenant maps on their own VSIDs (see namespace.go);
 // bare keys live on the root map.
 type HicampServer struct {
-	Heap  *hds.Heap
-	kvp   *hds.Map
-	ns    namespaces
-	blobs blobMaps
+	Heap *hds.Heap
+	kvp  *hds.Map
+	ns   namespaces
 
 	// db is the write-ahead persistence layer, nil on memory-only
 	// servers; write acknowledgements wait on it (see durable.go).

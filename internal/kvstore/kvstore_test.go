@@ -21,21 +21,13 @@ func get(s *HicampServer, key []byte) ([]byte, bool) {
 	return b[0].Value, b[0].Found
 }
 
+// Del appends a tombstone and returns the extended batch.
+func (b Batch) Del(key []byte) Batch {
+	return append(b, KV{Key: key, Delete: true})
+}
+
 // del is a one-key tombstone Write.
 func del(s *HicampServer, key []byte) error { return s.Write(Batch{}.Del(key)) }
-
-// blobPut, blobGet and blobDel are one-key BlobWrite/BlobRead batches.
-func blobPut(s *HicampServer, key, value []byte) error {
-	return s.BlobWrite(Batch{}.Set(key, value))
-}
-
-func blobGet(s *HicampServer, key []byte) ([]byte, bool) {
-	b := Batch{}.Get(key)
-	s.BlobRead(b)
-	return b[0].Value, b[0].Found
-}
-
-func blobDel(s *HicampServer, key []byte) error { return s.BlobWrite(Batch{}.Del(key)) }
 
 func TestHicampGetSetDelete(t *testing.T) {
 	s := NewHicampServer(testCfg())
@@ -253,4 +245,12 @@ func TestWorkloadDeterminism(t *testing.T) {
 			t.Fatal("trace not deterministic")
 		}
 	}
+}
+
+// SetMaxNamespaces adjusts the tenant-map bound (0 restores the default).
+// Call before serving traffic; already-created tenants are unaffected.
+func (s *HicampServer) SetMaxNamespaces(n int) {
+	s.ns.mu.Lock()
+	s.ns.max = n
+	s.ns.mu.Unlock()
 }

@@ -86,14 +86,6 @@ func (s *HicampServer) NamespaceFor(key []byte) *hds.Map {
 	return s.Namespace(SplitNamespace(key))
 }
 
-// SetMaxNamespaces adjusts the tenant-map bound (0 restores the default).
-// Call before serving traffic; already-created tenants are unaffected.
-func (s *HicampServer) SetMaxNamespaces(n int) {
-	s.ns.mu.Lock()
-	s.ns.max = n
-	s.ns.mu.Unlock()
-}
-
 // NamespaceInfo is one tenant's identity and conflict telemetry.
 type NamespaceInfo struct {
 	Name  string

@@ -23,7 +23,8 @@
 //     already merged — right when both writers stored the same thing,
 //     wrong when each added the same delta. A caller whose update is a
 //     delta (a counter, a queue's head and tail) must therefore publish
-//     with plain CAS on a re-read value, as hds.Counter and hds.Queue do;
+//     with plain CAS on a re-read value (the hds counter and queue test
+//     fixtures do);
 //   - a PLID or VSID word must match the original or the modified value
 //     on the current side (two threads must not store distinct new
 //     references into the same field), otherwise the merge fails.

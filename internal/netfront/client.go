@@ -283,17 +283,6 @@ func (c *Client) Stats() (map[string]uint64, error) {
 	}
 }
 
-// Version fetches the server version line.
-func (c *Client) Version() (string, error) {
-	if _, err := c.bw.WriteString("version\r\n"); err != nil {
-		return "", err
-	}
-	if err := c.Flush(); err != nil {
-		return "", err
-	}
-	return c.ReadReply()
-}
-
 // Quit sends quit and closes the connection.
 func (c *Client) Quit() error {
 	c.bw.WriteString("quit\r\n")

@@ -144,12 +144,6 @@ func WithClearOnPut() Option {
 	return func(c *config) { c.clearOnPut = true }
 }
 
-// WithKeepElems bounds each bin's dormant retention to n elements
-// (at least one buffer per bin is always kept).
-func WithKeepElems(n int) Option {
-	return func(c *config) { c.keepElems = n }
-}
-
 // binIndex maps a request size to its bin, or -1 for oversize.
 func binIndex(n int) int {
 	if n <= minBinSize {

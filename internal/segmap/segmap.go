@@ -13,13 +13,8 @@
 // Weak references are aliases that do not pin the segment: after the
 // target entry is deleted, loads through the alias return the zero
 // segment rather than keeping the DAG alive. Weak VSIDs carry no update
-// capability either: a CAS or batch store through a weak alias always
-// fails, like a read-only reference.
-//
-// The paper allows the map itself to live either in a HICAMP segment (so
-// several entries commit atomically) or in conventional memory. Batch
-// provides the former's semantics: a group of entry updates that commits
-// atomically, all-or-nothing, with write-write conflict detection.
+// capability either: a CAS through a weak alias always fails, like a
+// read-only reference.
 //
 // The map keeps per-VSID conflict telemetry — commit, conflict,
 // capability-denial and abort counts — exposed by Snapshot, the
@@ -75,10 +70,10 @@ type Entry struct {
 // VSIDStats counts the update outcomes observed through one VSID — the
 // per-entry conflict telemetry of the §5.1.1 analysis.
 type VSIDStats struct {
-	Commits   uint64 // successful CAS or batch publishes
+	Commits   uint64 // successful publishes
 	Conflicts uint64 // publishes lost to a concurrent committer (stale root)
 	Denied    uint64 // attempts rejected by capability checks (read-only/weak)
-	Aborts    uint64 // explicit batch aborts touching this entry
+	Aborts    uint64 // explicit aborts touching this entry (multi-entry batches only)
 }
 
 func (s VSIDStats) add(o VSIDStats) VSIDStats {
@@ -399,150 +394,4 @@ func (sm *Map) Snapshot() Snapshot {
 		}
 	}
 	return snap
-}
-
-// Batch is an atomic multi-entry update: the semantics of a segment map
-// that is itself a HICAMP segment, where revised entries become visible
-// only when the revised map commits (paper §2.3). Conflict detection is
-// per-entry: the batch fails if any written entry changed since the
-// batch snapshotted it. A Batch belongs to one thread (it models one
-// core's pending map revision); Commit and Abort serialize against the
-// map itself.
-type Batch struct {
-	sm     *Map
-	reads  map[word.VSID]word.PLID // root observed at first access
-	writes map[word.VSID]Entry
-}
-
-// Begin opens a batch.
-func (sm *Map) Begin() *Batch {
-	return &Batch{
-		sm:     sm,
-		reads:  make(map[word.VSID]word.PLID),
-		writes: make(map[word.VSID]Entry),
-	}
-}
-
-// Load reads an entry within the batch, recording its root for conflict
-// detection. The returned segment is retained like Map.Load.
-func (b *Batch) Load(v word.VSID) (Entry, error) {
-	if e, ok := b.writes[baseID(v)]; ok {
-		segment.RetainSeg(b.sm.mem, e.Seg)
-		return e, nil
-	}
-	e, err := b.sm.Load(v)
-	if err != nil {
-		return Entry{}, err
-	}
-	if _, seen := b.reads[baseID(v)]; !seen {
-		b.reads[baseID(v)] = e.Seg.Root
-	}
-	return e, nil
-}
-
-// Store buffers an entry update. Ownership of the caller's reference on
-// e.Seg.Root transfers to the batch (released if the batch fails). Like
-// Map.CAS, storing through a read-only or weak capability is rejected:
-// a weak alias is a non-updating reference, and following it to the
-// target at commit time would let the alias holder mutate an entry it
-// was never granted (§2.3: "CAS through a read-only or weak reference
-// always fails").
-func (b *Batch) Store(v word.VSID, e Entry) error {
-	if IsReadOnly(v) {
-		b.noteDenied(v)
-		return fmt.Errorf("segmap: batch store through read-only VSID %#x", uint64(v))
-	}
-	if IsWeak(v) {
-		b.noteDenied(v)
-		return fmt.Errorf("segmap: batch store through weak VSID %#x", uint64(v))
-	}
-	id := baseID(v)
-	if prev, ok := b.writes[id]; ok {
-		segment.ReleaseSeg(b.sm.mem, prev.Seg)
-	}
-	b.writes[id] = e
-	return nil
-}
-
-func (b *Batch) noteDenied(v word.VSID) {
-	sm := b.sm
-	sm.mu.Lock()
-	if s := sm.statSlot(v); s != nil {
-		s.stats.Denied++
-	}
-	sm.mu.Unlock()
-}
-
-// Commit applies every buffered store atomically if no written entry has
-// changed since the batch read it. On failure all buffered references are
-// released and no entry changes. It reports success.
-func (b *Batch) Commit() bool {
-	sm := b.sm
-	sm.mu.Lock()
-	for v := range b.writes {
-		s, err := sm.slotFor(v)
-		if err != nil || s == nil {
-			drop := b.takeWrites()
-			sm.mu.Unlock()
-			releaseAll(sm.mem, drop)
-			return false
-		}
-		if seen, ok := b.reads[v]; ok && s.e.Seg.Root != seen {
-			sm.casFail++
-			if st := sm.statSlot(v); st != nil {
-				st.stats.Conflicts++
-			}
-			drop := b.takeWrites()
-			sm.mu.Unlock()
-			releaseAll(sm.mem, drop)
-			return false
-		}
-	}
-	// The weak/read-only screen ran in Store, and slotFor above resolved
-	// plain live slots only, so every write lands on the entry it named.
-	var displaced []segment.Seg
-	for v, e := range b.writes {
-		s, _ := sm.slotFor(v)
-		displaced = append(displaced, s.e.Seg)
-		s.e = e
-		sm.casOK++
-		s.stats.Commits++
-		if sm.journal != nil {
-			sm.journal.JournalPublish(v, e)
-		}
-	}
-	b.writes = nil
-	sm.mu.Unlock()
-	releaseAll(sm.mem, displaced)
-	return true
-}
-
-// Abort releases all buffered references without applying anything.
-func (b *Batch) Abort() {
-	sm := b.sm
-	sm.mu.Lock()
-	for v := range b.writes {
-		if s := sm.statSlot(v); s != nil {
-			s.stats.Aborts++
-		}
-	}
-	drop := b.takeWrites()
-	sm.mu.Unlock()
-	releaseAll(sm.mem, drop)
-}
-
-// takeWrites detaches the buffered segments for release outside the lock.
-func (b *Batch) takeWrites() []segment.Seg {
-	segs := make([]segment.Seg, 0, len(b.writes))
-	for _, e := range b.writes {
-		segs = append(segs, e.Seg)
-	}
-	b.writes = nil
-	return segs
-}
-
-func releaseAll(mem word.Mem, segs []segment.Seg) {
-	for _, s := range segs {
-		segment.ReleaseSeg(mem, s)
-	}
 }

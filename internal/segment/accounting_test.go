@@ -48,7 +48,7 @@ func buildWordsAccounting(t *testing.T) accountingPin {
 		}
 	}
 	s := BuildWords(m, ws, nil)
-	if got := ReadWordsBulk(m, s, 0, uint64(len(ws))); len(got) != len(ws) || got[0] != ws[0] || got[len(ws)-1] != ws[len(ws)-1] {
+	if got := readWordsBulk(m, s, 0, uint64(len(ws))); len(got) != len(ws) || got[0] != ws[0] || got[len(ws)-1] != ws[len(ws)-1] {
 		t.Fatalf("BuildWords does not read back its input")
 	}
 	return finishAccounting(t, m, s.Root)

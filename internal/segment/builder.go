@@ -63,9 +63,6 @@ func NewBuilder(m word.Mem, workers int) *Builder {
 // memo).
 func (b *Builder) Close() { b.memo = nil }
 
-// MemoSize returns the number of memoized lines (for tests and telemetry).
-func (b *Builder) MemoSize() int { return len(b.memo) }
-
 // Stats returns the Builder's memo telemetry.
 func (b *Builder) Stats() BuilderStats { return b.stats }
 

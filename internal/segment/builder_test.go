@@ -10,6 +10,9 @@ import (
 	"repro/internal/word"
 )
 
+// MemoSize returns the number of memoized lines.
+func (b *Builder) MemoSize() int { return len(b.memo) }
+
 // randWords produces a word slice with zero runs and repeated blocks, the
 // shapes that exercise zero elision, inlining, compaction and the memo.
 func randWords(rng *rand.Rand, n int) []uint64 {
@@ -198,7 +201,7 @@ func TestBatchLookupChargesLikeSerialLookup(t *testing.T) {
 
 	sSerial := store.New(cfg)
 	for _, c := range mkContents(sSerial) {
-		sSerial.Lookup(c)
+		sSerial.LookupTo(c, sSerial.OnRCTouch)
 	}
 	serial := sSerial.StatsSnapshot()
 

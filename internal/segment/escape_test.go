@@ -39,7 +39,7 @@ func TestEscapeResultsDontAliasPooledScratch(t *testing.T) {
 	runAll := func(round string) ([]uint64, []word.Tag, []uint64, [][]uint64) {
 		vals, tags := GatherWords(m, seg, idxs)
 		expect(round+" gather", vals, idxs)
-		bulk := ReadWordsBulk(m, seg, 5, 40)
+		bulk := readWordsBulk(m, seg, 5, 40)
 		at := make([]uint64, 40)
 		for i := range at {
 			at[i] = uint64(5 + i)

@@ -215,16 +215,10 @@ func GatherWordsInto(m word.Mem, s Seg, idxs []uint64, vals []uint64, tags []wor
 	}
 }
 
-// ReadWordsBulk reads n words starting at off, the bulk counterpart of
-// ReadWords: one wave walk reading each distinct line once.
-func ReadWordsBulk(m word.Mem, s Seg, off, n uint64) []uint64 {
-	vals := make([]uint64, n)
-	ReadWordsBulkInto(m, s, off, vals)
-	return vals
-}
-
-// ReadWordsBulkInto is ReadWordsBulk reading len(vals) words into the
-// caller's buffer — the allocation-free bulk read backing ReadBytesBulk.
+// ReadWordsBulkInto reads len(vals) words starting at off into the
+// caller's buffer, the bulk counterpart of ReadWords: one wave walk
+// reading each distinct line once, allocation-free. It backs
+// ReadBytesBulk.
 func ReadWordsBulkInto(m word.Mem, s Seg, off uint64, vals []uint64) {
 	clear(vals)
 	n := uint64(len(vals))

@@ -29,6 +29,13 @@ func randSeg(m word.Mem, rng *rand.Rand, n int) (Seg, []uint64) {
 	return BuildWords(m, ws, nil), ws
 }
 
+// readWordsBulk reads n words starting at off through ReadWordsBulkInto.
+func readWordsBulk(m word.Mem, s Seg, off, n uint64) []uint64 {
+	vals := make([]uint64, n)
+	ReadWordsBulkInto(m, s, off, vals)
+	return vals
+}
+
 func TestGatherWordsMatchesReadWord(t *testing.T) {
 	for _, m := range machines(t) {
 		rng := rand.New(rand.NewSource(42))
@@ -54,7 +61,7 @@ func TestReadWordsBulkMatchesSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(43))
 		s, _ := randSeg(m, rng, 500)
 		for _, win := range [][2]uint64{{0, 500}, {17, 100}, {490, 40}, {0, 0}} {
-			got := ReadWordsBulk(m, s, win[0], win[1])
+			got := readWordsBulk(m, s, win[0], win[1])
 			want := ReadWords(m, s, win[0], win[1])
 			for i := range want {
 				if got[i] != want[i] {
@@ -170,7 +177,7 @@ func TestGatherFetchesSharedLinesOncePerWave(t *testing.T) {
 	s := BuildWords(m, ws, nil)
 
 	cm := &countingMem{Mem: m}
-	got := ReadWordsBulk(cm, s, 0, n)
+	got := readWordsBulk(cm, s, 0, n)
 	for i, w := range got {
 		if w != 0xFEED {
 			t.Fatalf("word %d = %#x", i, w)

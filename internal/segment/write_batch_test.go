@@ -267,8 +267,8 @@ func TestWriteBatchAccountingPin(t *testing.T) {
 		// across machines (the property test pins same-machine PLID
 		// identity); the twins compare logical content and accounting.
 		sameWords := func(a, b Seg) bool {
-			wa := ReadWordsBulk(ma, a, 0, a.Capacity(arity))
-			wb := ReadWordsBulk(mb, b, 0, b.Capacity(arity))
+			wa := readWordsBulk(ma, a, 0, a.Capacity(arity))
+			wb := readWordsBulk(mb, b, 0, b.Capacity(arity))
 			if len(wa) != len(wb) {
 				return false
 			}

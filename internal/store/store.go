@@ -48,12 +48,6 @@ type Config struct {
 	DataWays int
 }
 
-// DefaultConfig mirrors the paper's running example: 16-byte lines with
-// twelve data ways per bucket.
-func DefaultConfig() Config {
-	return Config{LineBytes: 16, BucketBits: 16, DataWays: 12}
-}
-
 // Validate reports what is wrong with the configuration, if anything.
 func (c Config) Validate() error {
 	switch c.LineBytes {
@@ -379,11 +373,6 @@ func (s *Store) BucketOf(p word.PLID) (uint64, bool) {
 	return uint64(p) & s.bucketMask, true
 }
 
-// BucketIndex returns the bucket a content hashes to.
-func (s *Store) BucketIndex(c word.Content) uint64 {
-	return c.Hash() & s.bucketMask
-}
-
 // stripeOf maps a bucket to its lock stripe.
 func stripeOf(bkt uint64) int { return int(bkt & (numStripes - 1)) }
 
@@ -493,8 +482,9 @@ func badPLID(p word.PLID) {
 	panic(fmt.Sprintf("store: bad PLID %#x", uint64(p)))
 }
 
-// Lookup performs the DRAM lookup-by-content protocol of §3.1 and returns
-// the PLID plus whether the content already existed. The caller acquires
+// LookupTo performs the DRAM lookup-by-content protocol of §3.1 and returns
+// the PLID plus whether the content already existed, reporting its
+// reference-count events to rc. The caller acquires
 // one reference; on a fresh allocation the store additionally takes one
 // reference per PLID-tagged word inside the content (the line's own
 // references, released when the line is freed). Content of all zeroes
@@ -504,9 +494,6 @@ func badPLID(p word.PLID) {
 // is what keeps content unique under concurrency: two racing lookups of
 // the same content serialize on the same stripe, so the second always
 // finds the first's line.
-func (s *Store) Lookup(c word.Content) (word.PLID, bool) { return s.LookupTo(c, s.OnRCTouch) }
-
-// LookupTo is Lookup reporting its reference-count events to rc.
 func (s *Store) LookupTo(c word.Content, rc RCSink) (word.PLID, bool) {
 	if c.IsZero() {
 		panic("store: Lookup of zero content (use word.Zero)")
@@ -1205,7 +1192,3 @@ func UniqueLineCount(lineBytes int, streams ...[]byte) uint64 {
 	}
 	return uint64(len(seen))
 }
-
-// WaysPerBucket returns the number of data ways, exposed for tests
-// asserting the Figure 2 geometry.
-func (s *Store) WaysPerBucket() int { return s.cfg.DataWays }

@@ -64,16 +64,6 @@ func Classes() []Class {
 	}
 }
 
-// ClassByName finds a workload class.
-func ClassByName(name string) (Class, bool) {
-	for _, c := range Classes() {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Class{}, false
-}
-
 // Meter accumulates allocated/page-shared/line-deduped byte counts over
 // any number of VM images.
 type Meter struct {

@@ -155,12 +155,6 @@ func (c Content) Hash() uint64 {
 	return h
 }
 
-// Signature returns the 8-bit content signature stored in the signature way
-// of a hash bucket (paper §3.1). It is derived from hash bits disjoint from
-// the low bucket-index bits so that signatures discriminate within a bucket.
-// The returned signature is never zero: zero marks an empty way.
-func (c Content) Signature() uint8 { return SignatureOf(c.Hash()) }
-
 // SignatureOf derives the bucket signature from an already computed content
 // hash, so batch paths that need both the bucket index and the signature
 // hash each content once.
