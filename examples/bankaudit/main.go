@@ -2,9 +2,14 @@
 // at a consistent point in time while customer transactions keep
 // committing. The auditor snapshots the account segment's root PLID —
 // that single register copy *is* the consistent read — and iterates at
-// leisure; concurrent transfers proceed with merge-update and are never
-// stalled. A database needs block copying and undo to do this; HICAMP's
+// leisure; concurrent transfers keep committing and are never stalled by
+// it. A database needs block copying and undo to do this; HICAMP's
 // immutable DAG gives it away for free.
+//
+// A transfer is a delta on two balances read from one snapshot, so it
+// publishes with a plain CAS and re-reads on a lost race. Merge-update
+// would absorb the second of two equal debits made from one snapshot as
+// already merged (DESIGN.md, the absorption caveat).
 package main
 
 import (
@@ -16,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hds"
 	"repro/internal/iterreg"
-	"repro/internal/merge"
 	"repro/internal/segmap"
 	"repro/internal/segment"
 	"repro/internal/word"
@@ -32,16 +36,15 @@ const (
 func main() {
 	h := hds.NewHeap(core.DefaultConfig(16))
 
-	// The ledger: one segment, one word per account, merge-update so
-	// disjoint transfers commit concurrently.
-	// Opening balances go through a detached iterator register: its
-	// stores buffer, and one wave commit converts them to lines.
+	// The ledger: one segment, one word per account. Opening balances
+	// go through a detached iterator register: its stores buffer, and
+	// one wave commit converts them to lines.
 	open := iterreg.NewSegmentIterator(h.M, segment.NewSparse(0))
 	for a := 0; a < accounts; a++ {
 		open.Store(uint64(a), initialBalance, word.TagRaw)
 	}
 	ledger := h.SM.Create(segmap.Entry{
-		Seg: open.CommitSegment(), Flags: segmap.FlagMergeUpdate, Size: accounts * 8,
+		Seg: open.CommitSegment(), Size: accounts * 8,
 	})
 
 	var committed int64
@@ -71,11 +74,8 @@ func main() {
 					}
 					it.Store(from, fb-10, word.TagRaw)
 					it.Store(to, tb+10, word.TagRaw)
-					ok, err := it.CommitMerge(accounts * 8)
+					ok, err := it.TryCommit(accounts * 8)
 					it.Close()
-					if err == merge.ErrConflict {
-						continue // same-account race: retry
-					}
 					if err != nil {
 						log.Fatal(err)
 					}
@@ -83,6 +83,7 @@ func main() {
 						atomic.AddInt64(&committed, 1)
 						break
 					}
+					// Another teller committed first: re-read and retry.
 				}
 			}
 		}(t)
@@ -126,5 +127,5 @@ func main() {
 		log.Fatal("money not conserved")
 	}
 	ok, fail := h.SM.CASStats()
-	fmt.Printf("segment-map commits: %d succeeded, %d conflicted and merged/retried\n", ok, fail)
+	fmt.Printf("segment-map commits: %d succeeded, %d lost the race and retried\n", ok, fail)
 }

@@ -36,9 +36,10 @@ import (
 // and replay idempotently on top (alloc and publish are last-wins; free
 // and delete remove).
 //
-// The file is written to a temp name, fsynced, renamed into place, and
-// the directory fsynced — a crashed checkpoint leaves only a .tmp file
-// that recovery ignores. Truncation runs strictly after the rename.
+// The file is written to a temp name (a fresh .tmp file, or a spare
+// file overwritten in place), fsynced, renamed into place, and the
+// directory fsynced — a crashed checkpoint leaves only a .tmp or spare
+// file that recovery ignores. Truncation runs strictly after the rename.
 //
 // Layout (little-endian):
 //
@@ -48,6 +49,7 @@ import (
 //	nRoots u32 × { vsid u64, root u64, height u32, flags u8, size u64 }
 //	lines: { 1 u8, plid u64, n u8, n × (tag u8, word u64) }…, 0 u8
 //	crc u32 (IEEE over everything above), endMagic u32
+//	(stale bytes of a reused spare file may follow; they are ignored)
 const (
 	ckptMagic    uint64 = 0x31504B43504D4348 // "HCMPCKP1"
 	ckptEndMagic uint32 = 0x4B504331
@@ -95,16 +97,23 @@ type geometry struct {
 // writeCheckpoint dumps bindings + roots + the live-line manifest
 // anchored at startLSN into checkpoint-<gen>.ckpt (atomically).
 func (d *DB) writeCheckpoint(gen, startLSN uint64) (lines uint64, err error) {
-	tmp := filepath.Join(d.dir, ckptName(gen)+".tmp")
 	faultPoint()
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, err
+	// Written over a spare file when there is one (the bytes past the end
+	// marker are stale); otherwise into a fresh temp file.
+	f, tmp := takeSpare(d.dir, ".ckpt")
+	fresh := f == nil
+	if fresh {
+		tmp = filepath.Join(d.dir, ckptName(gen)+".tmp")
+		if f, err = os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644); err != nil {
+			return 0, err
+		}
 	}
 	defer func() {
 		if f != nil {
 			f.Close()
-			os.Remove(tmp)
+			if fresh {
+				os.Remove(tmp)
+			}
 		}
 	}()
 	cw := &crcWriter{w: bufio.NewWriterSize(f, 1<<20)}
@@ -180,7 +189,9 @@ func (d *DB) writeCheckpoint(gen, startLSN uint64) (lines uint64, err error) {
 	f = nil
 	faultPoint()
 	if err := os.Rename(tmp, filepath.Join(d.dir, ckptName(gen))); err != nil {
-		os.Remove(tmp)
+		if fresh {
+			os.Remove(tmp)
+		}
 		return 0, err
 	}
 	faultPoint()
@@ -212,30 +223,26 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	if len(b) < 8+8+8+16+4+1+8 {
 		return bad("truncated")
 	}
-	body, trailer := b[:len(b)-8], b[len(b)-8:]
-	if getU32(trailer[4:]) != ckptEndMagic {
-		return bad("missing end marker")
-	}
-	if crc32.ChecksumIEEE(body) != getU32(trailer) {
-		return bad("CRC mismatch")
-	}
-	if getU64(body) != ckptMagic {
+	if getU64(b) != ckptMagic {
 		return bad("bad magic")
 	}
 	ck := &checkpoint{
-		gen:      getU64(body[8:]),
-		startLSN: getU64(body[16:]),
+		gen:      getU64(b[8:]),
+		startLSN: getU64(b[16:]),
 		geo: geometry{
-			lineBytes:  getU32(body[24:]),
-			bucketBits: getU32(body[28:]),
-			dataWays:   getU32(body[32:]),
-			plidBits:   getU32(body[36:]),
+			lineBytes:  getU32(b[24:]),
+			bucketBits: getU32(b[28:]),
+			dataWays:   getU32(b[32:]),
+			plidBits:   getU32(b[36:]),
 		},
 		bindings: make(map[string]word.VSID),
 		roots:    make(map[word.VSID]segmap.Entry),
 		lines:    make(map[word.PLID]word.Content),
 	}
-	p := body[40:]
+	// The body is parsed before its CRC is checked: the parse finds where
+	// the body ends, and a spare file reused for this checkpoint holds
+	// stale bytes past the trailer.
+	p := b[40:]
 	need := func(n int) bool {
 		return len(p) >= n
 	}
@@ -302,8 +309,12 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 		}
 		ck.lines[plid] = c
 	}
-	if len(p) != 0 {
-		return bad("trailing bytes")
+	body := b[:len(b)-len(p)]
+	if len(p) < 8 || getU32(p[4:]) != ckptEndMagic {
+		return bad("missing end marker")
+	}
+	if crc32.ChecksumIEEE(body) != getU32(p) {
+		return bad("CRC mismatch")
 	}
 	return ck, nil
 }
@@ -333,19 +344,20 @@ func latestCheckpoint(dir string) (*checkpoint, error) {
 	return nil, nil
 }
 
-// truncateObsolete removes log segments whose records all predate
-// startLSN and checkpoint generations older than gen. Failures are
-// ignored: truncation is an optimization and a half-finished pass just
-// leaves extra files for the next checkpoint.
+// truncateObsolete retires log segments whose records all predate
+// startLSN and checkpoint generations older than gen: they become spare
+// files for later segments and checkpoints to overwrite (spare.go).
+// Failures are ignored: truncation is an optimization and a
+// half-finished pass just leaves extra files for the next checkpoint.
 func truncateObsolete(dir string, gen, startLSN uint64) {
 	segs, err := listSegments(dir)
 	if err != nil {
 		return
 	}
+	var obsolete []string
 	for i := 0; i+1 < len(segs); i++ {
 		if segs[i+1].startLSN <= startLSN {
-			faultPoint()
-			os.Remove(segs[i].path)
+			obsolete = append(obsolete, filepath.Base(segs[i].path))
 		}
 	}
 	ents, err := os.ReadDir(dir)
@@ -354,11 +366,11 @@ func truncateObsolete(dir string, gen, startLSN uint64) {
 	}
 	for _, e := range ents {
 		if g, ok := parseCkptName(e.Name()); ok && g < gen {
-			faultPoint()
-			os.Remove(filepath.Join(dir, e.Name()))
+			obsolete = append(obsolete, e.Name())
 		}
 		if strings.HasSuffix(e.Name(), ".tmp") {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
+	recycleObsolete(dir, obsolete)
 }

@@ -26,7 +26,8 @@ import (
 //
 // Segment files are named wal-<seq>.log with a fixed header carrying the
 // LSN of their first record; recovery orders segments by that and a
-// checkpoint truncates every segment whose records all predate it.
+// checkpoint retires every segment whose records all predate it, as a
+// spare file a later segment is written over (spare.go).
 
 const (
 	walMagic   uint64 = 0x314C4157504D4348 // "HCMPWAL1" little-endian
@@ -123,12 +124,18 @@ func newLogWriter(dir string, window time.Duration, segBytes int64, seq, startLS
 
 // openSegment creates wal-<seq>.log with its header and makes it the
 // active segment. Called by the flusher (rolls) and by newLogWriter.
+// A spare file, when there is one, is overwritten from offset 0 and
+// renamed into place once its new header is stable; its old records
+// past the new ones are told apart by their LSNs (see recover.go).
 func (lw *logWriter) openSegment(seq, startLSN uint64) error {
 	faultPoint()
 	path := filepath.Join(lw.dir, walName(seq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
+	f, spare := takeSpare(lw.dir, ".log")
+	if f == nil {
+		var err error
+		if f, err = os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644); err != nil {
+			return err
+		}
 	}
 	var hdr []byte
 	hdr = appendU64(hdr, walMagic)
@@ -144,6 +151,13 @@ func (lw *logWriter) openSegment(seq, startLSN uint64) error {
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return err
+	}
+	if spare != "" {
+		faultPoint()
+		if err := os.Rename(spare, path); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if err := syncDir(lw.dir); err != nil {
 		f.Close()

@@ -92,7 +92,15 @@ func recoverState(dir string, m *core.Machine, sm *segmap.Map) (*recovered, erro
 		p := b[walHeaderLen:]
 		first := true
 		torn := false
-		for len(p) > 0 {
+		// A segment written over a spare file holds stale records past
+		// its own: a non-final segment ends where its successor starts,
+		// and in the final one a record older than the header's start
+		// LSN is stale (spare.go).
+		end := ^uint64(0)
+		if si+1 < len(segs) {
+			end = segs[si+1].startLSN
+		}
+		for next := seg.startLSN; len(p) > 0 && next < end; {
 			f, n, intact, err := parseFrame(p)
 			if err != nil {
 				return nil, err
@@ -107,6 +115,9 @@ func recoverState(dir string, m *core.Machine, sm *segmap.Map) (*recovered, erro
 				torn = true
 				break
 			}
+			if f.lsn < seg.startLSN && si == len(segs)-1 {
+				break // the stale tail of a reused spare file
+			}
 			if first {
 				if f.lsn != seg.startLSN {
 					return nil, fmt.Errorf("durable: segment %s starts at lsn %d, header says %d", seg.path, f.lsn, seg.startLSN)
@@ -117,6 +128,7 @@ func recoverState(dir string, m *core.Machine, sm *segmap.Map) (*recovered, erro
 				return nil, fmt.Errorf("durable: lsn gap %d -> %d in %s", prevLSN, f.lsn, seg.path)
 			}
 			prevLSN = f.lsn
+			next = f.lsn + 1
 			p = p[n:]
 			if f.lsn < startLSN {
 				continue // covered by the checkpoint

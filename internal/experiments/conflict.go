@@ -101,8 +101,7 @@ func RunConflict(sc Scale) (Table, LiveResult, error) {
 	t.AddRow("segmap:", fmt.Sprintf("entries=%d", live.Map.Entries),
 		fmt.Sprintf("commits=%d", live.Map.Total.Commits),
 		fmt.Sprintf("conflicts=%d", live.Map.Total.Conflicts),
-		fmt.Sprintf("denied=%d", live.Map.Total.Denied),
-		fmt.Sprintf("aborts=%d", live.Map.Total.Aborts))
+		fmt.Sprintf("denied=%d", live.Map.Total.Denied))
 	return t, live, nil
 }
 

@@ -3,8 +3,8 @@ package hds
 import (
 	"errors"
 
-	"repro/internal/iterreg"
 	"repro/internal/merge"
+	"repro/internal/segmap"
 	"repro/internal/segment"
 	"repro/internal/word"
 )
@@ -41,13 +41,12 @@ type ApplyOptions struct {
 }
 
 // Apply binds every pair in one committed update — the single bulk
-// mutation entry point. All key and value
-// strings are built through one shared bulk builder (one batch-lookup
-// pipeline, memoized across pairs), every slot is buffered in one
-// iterator register, and the whole batch canonicalizes in a single
-// bottom-up wave commit (segment.WriteBatch) published according to
-// opts. The whole update, retries included, runs in one netting scope
-// (core.Scope), as CompareApply, Set and Delete do.
+// mutation entry point. All key and value strings are built through one
+// shared bulk builder (one batch-lookup pipeline, memoized across
+// pairs), every pair lowers to its slot words, and the whole batch
+// canonicalizes in a single bottom-up wave commit (segment.WriteBatch)
+// published according to opts. The whole update, retries included, runs
+// in one netting scope (core.Scope), as CompareApply, Set and Delete do.
 func (mp *Map) Apply(pairs []Pair, opts ApplyOptions) error {
 	if len(pairs) == 0 {
 		return nil
@@ -55,32 +54,40 @@ func (mp *Map) Apply(pairs []Pair, opts ApplyOptions) error {
 	sc := mp.h.M.Scope()
 	defer sc.Close()
 	keys, vals, release := mp.buildPairs(sc, pairs)
-	if opts.ErrorOnDup {
-		seen := make(map[uint64]struct{}, len(pairs))
-		for i := range keys {
-			s := slotFor(keys[i])
-			if _, dup := seen[s]; dup {
-				release()
-				return ErrDuplicateKey
-			}
-			seen[s] = struct{}{}
-		}
+	defer release()
+	if opts.ErrorOnDup && dupSlot(keys) {
+		return ErrDuplicateKey
 	}
-	err := retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(sc, mp.h.SM, mp.vsid)
+	var ups []segment.Update
+	return retryCAS(func() (bool, error) {
+		e, err := mp.h.SM.Load(mp.vsid)
 		if err != nil {
 			return false, err
 		}
-		mp.storePairs(it, pairs, keys, vals)
-		ok, err := commitApply(it, opts)
-		it.Close()
+		defer segment.ReleaseSeg(sc, e.Seg)
+		ups = mp.pairUpdates(ups[:0], e.Seg, pairs, keys, vals)
+		if len(ups) == 0 {
+			return true, nil // nothing to publish
+		}
+		ok, err := mp.publish(sc, e, ups, opts)
 		if err == merge.ErrConflict {
 			return false, nil
 		}
 		return ok, err
 	})
-	release()
-	return err
+}
+
+// dupSlot reports whether two of keys bind the same slot.
+func dupSlot(keys []String) bool {
+	seen := make(map[uint64]struct{}, len(keys))
+	for _, k := range keys {
+		s := slotFor(k)
+		if _, dup := seen[s]; dup {
+			return true
+		}
+		seen[s] = struct{}{}
+	}
+	return false
 }
 
 // buildPairs constructs every pair's key and value string over m through
@@ -108,18 +115,17 @@ func (mp *Map) buildPairs(m word.Mem, pairs []Pair) (keys, vals []String, releas
 	}
 }
 
-// storePairs buffers every pair's slot words into the iterator register.
-// A tombstone zeroes its slot; unbinding a key that is absent in the
-// snapshot AND untouched earlier in the batch is skipped outright, so a
-// batch of misses stays a no-op commit instead of growing the map DAG
-// with zero spines.
-func (mp *Map) storePairs(it *iterreg.Iterator, pairs []Pair, keys, vals []String) {
-	arity := mp.h.M.LineWords()
-	capacity := it.Seg().Capacity(arity)
+// pairUpdates appends every pair's slot words, in pair order, to ups
+// (the wave commit's last-wins collapse keeps a slot's final binding).
+// A tombstone zeroes its slot; unbinding a key that is absent in base
+// AND untouched earlier in the batch is skipped outright, so a batch of
+// misses stays a no-op commit instead of growing the map DAG with zero
+// spines.
+func (mp *Map) pairUpdates(ups []segment.Update, base segment.Seg, pairs []Pair, keys, vals []String) []segment.Update {
+	capacity := base.Capacity(mp.h.M.LineWords())
 	var touched map[uint64]struct{}
 	for i := range pairs {
-		key := keys[i]
-		slot := slotFor(key)
+		slot := slotFor(keys[i])
 		if pairs[i].Delete {
 			if slot+slotWords > capacity {
 				if _, ok := touched[slot]; !ok {
@@ -127,7 +133,7 @@ func (mp *Map) storePairs(it *iterreg.Iterator, pairs []Pair, keys, vals []Strin
 				}
 			}
 			for w := uint64(0); w < slotWords; w++ {
-				it.Store(slot+w, 0, word.TagRaw)
+				ups = append(ups, segment.Update{Idx: slot + w})
 			}
 			continue
 		}
@@ -139,18 +145,29 @@ func (mp *Map) storePairs(it *iterreg.Iterator, pairs []Pair, keys, vals []Strin
 			}
 			touched[slot] = struct{}{}
 		}
-		value := vals[i]
-		if value.Seg.Root != word.Zero {
-			it.Store(slot+slotValue, uint64(value.Seg.Root), word.TagPLID)
-		} else {
-			it.Store(slot+slotValue, 0, word.TagRaw)
-		}
-		it.Store(slot+slotValLen, value.Len+1, word.TagRaw)
-		if key.Seg.Root != word.Zero {
-			it.Store(slot+slotKey, uint64(key.Seg.Root), word.TagPLID)
-		}
-		it.Store(slot+slotKeyLen, key.Len, word.TagRaw)
+		ups = bindUpdates(ups, keys[i], vals[i])
 	}
+	return ups
+}
+
+// bindUpdates appends the four slot words binding key to value. The key
+// half is written keep-if-present (segment.Update.Keep): the slot index
+// is the key's root PLID and the map pins that root, so a present leaf
+// of the key half already holds this key, and an overwrite leaves it
+// standing without reading it, looking it up or touching its count.
+func bindUpdates(ups []segment.Update, key, value String) []segment.Update {
+	slot := slotFor(key)
+	vw, vt := uint64(value.Seg.Root), word.TagPLID
+	if value.Seg.Root == word.Zero {
+		vw, vt = 0, word.TagRaw // empty/all-zero value
+	}
+	ups = append(ups,
+		segment.Update{Idx: slot + slotValue, W: vw, T: vt},
+		segment.Update{Idx: slot + slotValLen, W: value.Len + 1})
+	if key.Seg.Root != word.Zero {
+		ups = append(ups, segment.Update{Idx: slot + slotKey, W: uint64(key.Seg.Root), T: word.TagPLID, Keep: true})
+	}
+	return append(ups, segment.Update{Idx: slot + slotKeyLen, W: key.Len, Keep: true})
 }
 
 // CompareApply binds every pair in one wave commit built against orig —
@@ -174,49 +191,34 @@ func (mp *Map) CompareApply(orig segment.Seg, size uint64, pairs []Pair, opts Ap
 	defer sc.Close()
 	keys, vals, release := mp.buildPairs(sc, pairs)
 	defer release()
-	if opts.ErrorOnDup {
-		seen := make(map[uint64]struct{}, len(pairs))
-		for i := range keys {
-			s := slotFor(keys[i])
-			if _, dup := seen[s]; dup {
-				return ErrDuplicateKey
-			}
-			seen[s] = struct{}{}
-		}
+	if opts.ErrorOnDup && dupSlot(keys) {
+		return ErrDuplicateKey
 	}
-	// A detached register buffers the slot stores against the pinned
-	// snapshot (last write to a slot wins, as in Apply) and converts them
-	// in one wave commit; ownership of the resulting root passes to the
-	// publish below.
-	it := iterreg.NewSegmentIterator(sc, orig)
-	mp.storePairs(it, pairs, keys, vals)
-	next := it.CommitSegment()
-	if opts.Stats != nil {
-		opts.Stats.Add(it.Stats.Wave)
+	// The batch commits against the pinned snapshot in one wave;
+	// ownership of the resulting root passes to the publish, which is
+	// one try: a lost CAS or a true merge conflict is the caller's.
+	ok, err := mp.publish(sc, segmap.Entry{Seg: orig, Size: size},
+		mp.pairUpdates(nil, orig, pairs, keys, vals), opts)
+	if err == nil && !ok {
+		err = ErrStale
 	}
-	if opts.NoMerge {
-		if !mp.h.SM.CAS(mp.vsid, orig, next, size) {
-			segment.ReleaseSeg(sc, next)
-			return ErrStale
-		}
-		return nil
-	}
-	_, err := merge.MCAS(sc, mp.h.SM, mp.vsid, orig, next, size, nil)
 	return err
 }
 
-// commitApply publishes one buffered batch according to opts and feeds
-// the attempt's wave counters into opts.Stats.
-func commitApply(it *iterreg.Iterator, opts ApplyOptions) (bool, error) {
-	var ok bool
-	var err error
-	if opts.NoMerge {
-		ok, err = it.TryCommit(it.Size())
-	} else {
-		ok, err = it.CommitMerge(it.Size())
-	}
+// publish commits ups against the snapshot e in one wave commit and
+// publishes the result over e — with merge-update, or one plain CAS
+// under opts.NoMerge — feeding the wave's counters into opts.Stats.
+func (mp *Map) publish(m word.Mem, e segmap.Entry, ups []segment.Update, opts ApplyOptions) (bool, error) {
+	next, st := segment.WriteBatch(m, e.Seg, ups)
 	if opts.Stats != nil {
-		opts.Stats.Add(it.Stats.Wave)
+		opts.Stats.Add(st)
 	}
-	return ok, err
+	if opts.NoMerge {
+		if !mp.h.SM.CAS(mp.vsid, e.Seg, next, e.Size) {
+			segment.ReleaseSeg(m, next)
+			return false, nil
+		}
+		return true, nil
+	}
+	return merge.MCAS(m, mp.h.SM, mp.vsid, e.Seg, next, e.Size, nil)
 }

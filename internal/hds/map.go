@@ -181,24 +181,14 @@ func (mp *Map) SetBytes(key, value []byte) error {
 }
 
 func (mp *Map) set(m word.Mem, key, value String) error {
+	ups := bindUpdates(make([]segment.Update, 0, slotWords), key, value)
 	return retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(m, mp.h.SM, mp.vsid)
+		e, err := mp.h.SM.Load(mp.vsid)
 		if err != nil {
 			return false, err
 		}
-		slot := slotFor(key)
-		if value.Seg.Root != word.Zero {
-			it.Store(slot+slotValue, uint64(value.Seg.Root), word.TagPLID)
-		} else {
-			it.Store(slot+slotValue, 0, word.TagRaw) // empty/all-zero value
-		}
-		it.Store(slot+slotValLen, value.Len+1, word.TagRaw)
-		if key.Seg.Root != word.Zero {
-			it.Store(slot+slotKey, uint64(key.Seg.Root), word.TagPLID)
-		}
-		it.Store(slot+slotKeyLen, key.Len, word.TagRaw)
-		ok, err := it.CommitMerge(it.Size())
-		it.Close()
+		defer segment.ReleaseSeg(m, e.Seg)
+		ok, err := mp.publish(m, e, ups, ApplyOptions{})
 		if err == merge.ErrConflict {
 			return false, nil // same-slot race: re-execute (paper §3.4 "rare")
 		}

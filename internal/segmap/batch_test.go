@@ -22,9 +22,10 @@ import (
 // core's pending map revision); Commit and Abort serialize against the
 // map itself.
 type Batch struct {
-	sm     *Map
-	reads  map[word.VSID]word.PLID // root observed at first access
-	writes map[word.VSID]Entry
+	sm      *Map
+	reads   map[word.VSID]word.PLID // root observed at first access
+	writes  map[word.VSID]Entry
+	aborted []word.VSID // entries whose buffered stores Abort dropped
 }
 
 // Begin opens a batch.
@@ -130,18 +131,13 @@ func (b *Batch) Commit() bool {
 	return true
 }
 
-// Abort releases all buffered references without applying anything.
+// Abort releases all buffered references without applying anything,
+// recording the entries it dropped stores for in b.aborted.
 func (b *Batch) Abort() {
-	sm := b.sm
-	sm.mu.Lock()
 	for v := range b.writes {
-		if s := sm.statSlot(v); s != nil {
-			s.stats.Aborts++
-		}
+		b.aborted = append(b.aborted, v)
 	}
-	drop := b.takeWrites()
-	sm.mu.Unlock()
-	releaseAll(sm.mem, drop)
+	releaseAll(b.sm.mem, b.takeWrites())
 }
 
 // takeWrites detaches the buffered segments for release outside the lock.

@@ -169,8 +169,11 @@ func TestSnapshotTelemetry(t *testing.T) {
 	if !ok {
 		t.Fatalf("no per-VSID stats for %#x: %+v", uint64(v), snap)
 	}
-	if st.Commits != 1 || st.Conflicts != 1 || st.Denied != 1 || st.Aborts != 1 {
+	if st.Commits != 1 || st.Conflicts != 1 || st.Denied != 1 {
 		t.Fatalf("per-VSID stats = %+v", st)
+	}
+	if len(b.aborted) != 1 || b.aborted[0] != v {
+		t.Fatalf("abort dropped stores for %v, want [%#x]", b.aborted, uint64(v))
 	}
 	if snap.Total != st {
 		t.Fatalf("total %+v != per-VSID %+v with one entry", snap.Total, st)

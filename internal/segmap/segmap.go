@@ -73,7 +73,6 @@ type VSIDStats struct {
 	Commits   uint64 // successful publishes
 	Conflicts uint64 // publishes lost to a concurrent committer (stale root)
 	Denied    uint64 // attempts rejected by capability checks (read-only/weak)
-	Aborts    uint64 // explicit aborts touching this entry (multi-entry batches only)
 }
 
 func (s VSIDStats) add(o VSIDStats) VSIDStats {
@@ -81,7 +80,6 @@ func (s VSIDStats) add(o VSIDStats) VSIDStats {
 		Commits:   s.Commits + o.Commits,
 		Conflicts: s.Conflicts + o.Conflicts,
 		Denied:    s.Denied + o.Denied,
-		Aborts:    s.Aborts + o.Aborts,
 	}
 }
 

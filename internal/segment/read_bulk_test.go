@@ -119,19 +119,60 @@ func TestGatherRangesMatchesSerial(t *testing.T) {
 
 // countingMem wraps a Mem and counts line reads, the unit of DAG-walk
 // cost a read path pays: one per ReadLine, one per element of a batch.
+// It also counts lookups and, when touched is non-nil, records every
+// read, retain and release per PLID and every looked-up content.
 type countingMem struct {
 	word.Mem
-	reads int
+	reads   int
+	lookups int
+	touched map[word.PLID]int
+	looked  []word.Content
+}
+
+func (c *countingMem) touch(p word.PLID) {
+	if c.touched != nil {
+		c.touched[p]++
+	}
 }
 
 func (c *countingMem) ReadLine(p word.PLID) word.Content {
 	c.reads++
+	c.touch(p)
 	return c.Mem.ReadLine(p)
 }
 
 func (c *countingMem) ReadLineBatchInto(ps []word.PLID, out []word.Content) {
 	c.reads += len(ps)
+	for _, p := range ps {
+		c.touch(p)
+	}
 	c.Mem.ReadLineBatchInto(ps, out)
+}
+
+func (c *countingMem) LookupLine(ct word.Content) word.PLID {
+	c.lookups++
+	if c.touched != nil {
+		c.looked = append(c.looked, ct)
+	}
+	return c.Mem.LookupLine(ct)
+}
+
+func (c *countingMem) LookupLineBatchInto(cs []word.Content, out []word.PLID) {
+	c.lookups += len(cs)
+	if c.touched != nil {
+		c.looked = append(c.looked, cs...)
+	}
+	c.Mem.LookupLineBatchInto(cs, out)
+}
+
+func (c *countingMem) Retain(p word.PLID) {
+	c.touch(p)
+	c.Mem.Retain(p)
+}
+
+func (c *countingMem) Release(p word.PLID) {
+	c.touch(p)
+	c.Mem.Release(p)
 }
 
 // TestReadBytesStridesPerWord pins the satellite fix: ReadBytes must

@@ -17,22 +17,36 @@ import (
 // batch lookup. Untouched sub-DAGs pass through by PLID — zero reads,
 // zero reference-count traffic — which is the write-side half of the
 // paper's claim that segment updates cost O(changed paths), not O(size)
-// (§3.3–3.4).
+// (§3.3–3.4). The descent reads only what the rebuild needs: a subtree
+// whose updates overwrite every word beneath it is rebuilt from them
+// alone, its old line never fetched, and a present leaf whose updates
+// all carry Keep passes through like an untouched one.
 //
 // The result is bit-identical to committing the same writes one
-// root-to-leaf path at a time (the serial Txn reference in the tests):
+// root-to-leaf path at a time (the serial Txn reference in the tests,
+// with Keep updates over present all-Keep leaves left out):
 // same canonical rules (zero elision, inlining, path compaction), same
 // growth re-rooting, same reference-count ownership — so the root PLID,
 // and with an ample LLC the simulated-DRAM accounting, match the
 // path-by-path commit exactly when no two updates share line content
-// (and come out strictly cheaper when they do).
+// and none covers a whole line (and come out cheaper when they do).
 
 // Update is one word write for WriteBatch: set the tagged word at Idx.
 // Later updates to the same index win, like sequential WriteWord calls.
+//
+// Keep marks a keep-if-present write: when the base holds a non-zero
+// leaf line at the update's leaf and every update that lands in that
+// leaf (after the last-wins collapse) carries Keep, the leaf passes
+// through by PLID and none of those updates is written. Anywhere else a
+// Keep update is written like any other. A caller sets it only on words
+// a present leaf is known to hold already — hds writes a slot's key half
+// this way — so an overwrite costs no read, lookup or reference-count
+// event on the leaf it leaves standing.
 type Update struct {
-	Idx uint64
-	W   uint64
-	T   word.Tag
+	Idx  uint64
+	W    uint64
+	T    word.Tag
+	Keep bool
 }
 
 // WriteStats describes one WriteBatch wave commit.
@@ -42,6 +56,7 @@ type WriteStats struct {
 	SiblingCoalesced uint64 // updates beyond the first landing in an already-touched leaf (exact-index duplicates included)
 	PathsRebuilt     uint64 // distinct leaf lines (root-to-leaf paths) rebuilt
 	PassThrough      uint64 // untouched non-zero child edges passed through by PLID
+	Kept             uint64 // Keep updates dropped over a present leaf; PathsRebuilt + SiblingCoalesced + Kept == Updates
 	LineReads        uint64 // distinct lines fetched during the descent
 	Lookups          uint64 // lookup-by-content operations issued at canonicalization
 }
@@ -53,6 +68,7 @@ func (s *WriteStats) Add(o WriteStats) {
 	s.SiblingCoalesced += o.SiblingCoalesced
 	s.PathsRebuilt += o.PathsRebuilt
 	s.PassThrough += o.PassThrough
+	s.Kept += o.Kept
 	s.LineReads += o.LineReads
 	s.Lookups += o.Lookups
 }
@@ -202,6 +218,9 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 		plids = plids[:0]
 		clear(readAt)
 		for _, n := range nodes {
+			if n.rewritten(arity) {
+				continue // rebuilt from its updates alone: nothing to fetch
+			}
 			if !n.pre && n.e.T == word.TagPLID && n.e.W != 0 {
 				p := word.PLID(n.e.W)
 				if _, ok := readAt[p]; !ok {
@@ -217,7 +236,7 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 			st.LineReads += uint64(len(plids))
 		}
 		for _, n := range nodes {
-			if !n.pre {
+			if !n.pre && !n.rewritten(arity) {
 				switch {
 				case n.e.IsZero():
 				case n.e.T == word.TagPLID:
@@ -232,6 +251,14 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 				}
 			}
 			if lvl == 0 {
+				if !n.e.IsZero() && allKeep(n.ups) {
+					// A present leaf under Keep updates only stays as it
+					// is. The partition below drops such leaves before
+					// they are fetched; only a leaf root or a grown-over
+					// old root reaches here.
+					st.Kept += uint64(len(n.ups))
+					continue
+				}
 				// Leaf overlay: the updates are the new tagged words.
 				for _, u := range n.ups {
 					n.edges[int(u.Idx)] = Edge{W: u.W, T: u.T}
@@ -252,8 +279,15 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 					hi++
 				}
 				childUps := n.ups[lo:hi]
+				lo = hi
 				for i := range childUps {
 					childUps[i].Idx -= uint64(slot) * sub
+				}
+				if lvl == 1 && !n.edges[slot].IsZero() && allKeep(childUps) && n.kidAt(slot) == nil {
+					// A present leaf whose updates all carry Keep passes
+					// through by PLID: no read, no lookup, no RC event.
+					st.Kept += uint64(len(childUps))
+					continue
 				}
 				if kid := n.kidAt(slot); kid != nil {
 					kid.ups = childUps // pre-linked growth spine or old root
@@ -264,7 +298,6 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 					n.kids = append(n.kids, kid)
 					add(kid)
 				}
-				lo = hi
 			}
 			for i := 0; i < arity; i++ {
 				if n.kidAt(i) == nil && !n.edges[i].IsZero() {
@@ -316,6 +349,35 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 		}
 	}
 	return result, st
+}
+
+// rewritten reports whether the node's updates overwrite every word
+// beneath it. Such a node is rebuilt from its updates alone: its old
+// line is never fetched or expanded. A leaf whose updates all carry
+// Keep still depends on the base (it passes through when present), so
+// a node with one beneath it is not rewritten.
+func (n *wnode) rewritten(arity int) bool {
+	if n.pre || uint64(len(n.ups)) != capacity(arity, n.level) {
+		return false
+	}
+	// Every word has exactly one update, in index order, so each run of
+	// arity updates is one leaf.
+	for lo := 0; lo < len(n.ups); lo += arity {
+		if allKeep(n.ups[lo : lo+arity]) {
+			return false
+		}
+	}
+	return true
+}
+
+// allKeep reports whether every update carries Keep.
+func allKeep(ups []Update) bool {
+	for _, u := range ups {
+		if !u.Keep {
+			return false
+		}
+	}
+	return true
 }
 
 // kidAt returns the rebuilt child at slot, if any.

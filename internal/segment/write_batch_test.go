@@ -357,3 +357,249 @@ func BenchmarkWriteBatch(b *testing.B) {
 		})
 	}
 }
+
+// applyKeepOracle is the reference semantics of Update.Keep: after the
+// last-wins collapse, a leaf whose base line is present and whose
+// updates all carry Keep is left out, and the serial Txn writes every
+// other update in order.
+func applyKeepOracle(m word.Mem, base Seg, ups []Update) Seg {
+	arity := uint64(m.LineWords())
+	last := map[uint64]Update{}
+	for _, u := range ups {
+		last[u.Idx] = u
+	}
+	mixed := map[uint64]bool{} // leaf index -> some final update lacks Keep
+	for idx, u := range last {
+		mixed[idx/arity] = mixed[idx/arity] || !u.Keep
+	}
+	kept := func(leaf uint64) bool {
+		if mixed[leaf] {
+			return false
+		}
+		for i := leaf * arity; i < (leaf+1)*arity; i++ {
+			if w, t := ReadWord(m, base, i); w != 0 || t != word.TagRaw {
+				return true
+			}
+		}
+		return false
+	}
+	tx := NewTxn(m, base)
+	for _, u := range ups {
+		if !kept(u.Idx / arity) {
+			tx.WriteWord(u.Idx, u.W, u.T)
+		}
+	}
+	return tx.Commit()
+}
+
+// leafEdge walks s down to the edge of leaf line leaf.
+func leafEdge(m word.Mem, s Seg, leaf uint64) Edge {
+	arity := m.LineWords()
+	e, rel := PLIDEdge(s.Root), leaf*uint64(arity)
+	for lvl := s.Height; lvl > 0; lvl-- {
+		sub := capacity(arity, lvl-1)
+		e = Children(m, e, lvl)[rel/sub]
+		rel %= sub
+	}
+	return e
+}
+
+// denseWords returns n random words, none of them zero or small enough
+// to inline, so every leaf of their segment is its own line.
+func denseWords(rng *rand.Rand, n int) []uint64 {
+	ws := make([]uint64, n)
+	for i := range ws {
+		ws[i] = rng.Uint64() | 1<<63
+	}
+	return ws
+}
+
+// TestWriteBatchRewrittenSubtreeUnread pins the read skip: updates that
+// overwrite every word of a subtree rebuild it without fetching any line
+// at or below it, so the descent reads only the subtree's ancestors.
+// One word short of full coverage, the subtree's node and the one
+// partly written leaf are read again.
+func TestWriteBatchRewrittenSubtreeUnread(t *testing.T) {
+	for _, m := range machines(t) {
+		arity := m.LineWords()
+		rng := rand.New(rand.NewSource(61))
+		sub := uint64(arity * arity) // the words of one level-1 subtree
+		base := BuildWords(m, denseWords(rng, int(64*sub)), nil)
+		full := make([]Update, sub)
+		for i := range full {
+			full[i] = Update{Idx: 5*sub + uint64(i), W: rng.Uint64() | 1<<63}
+		}
+		for _, tc := range []struct {
+			name  string
+			ups   []Update
+			reads int
+		}{
+			{"full cover", full, base.Height - 1},
+			{"one word short", full[1:], base.Height + 1},
+		} {
+			cm := &countingMem{Mem: m}
+			got, st := WriteBatch(cm, base, tc.ups)
+			if cm.reads != tc.reads || st.LineReads != uint64(tc.reads) {
+				t.Fatalf("arity %d %s: read %d lines (stats %d), want %d", arity, tc.name, cm.reads, st.LineReads, tc.reads)
+			}
+			want := applySerial(m, base, tc.ups)
+			if !got.Equal(want) {
+				t.Fatalf("arity %d %s: wave root %#x != serial %#x", arity, tc.name, got.Root, want.Root)
+			}
+			ReleaseSeg(m, got)
+			ReleaseSeg(m, want)
+		}
+		ReleaseSeg(m, base)
+		if live := m.LiveLines(); live != 0 {
+			t.Fatalf("arity %d: %d lines leaked", arity, live)
+		}
+	}
+}
+
+// TestWriteBatchKeepIfPresentLeafUntouched pins the keep-if-present
+// pass-through: a present leaf whose only updates carry Keep is neither
+// read nor looked up nor retained nor released, and stays in the result
+// by PLID even though the Keep words differ from its own. Over an
+// absent leaf the same updates are written.
+func TestWriteBatchKeepIfPresentLeafUntouched(t *testing.T) {
+	for _, m := range machines(t) {
+		arity := uint64(m.LineWords())
+		rng := rand.New(rand.NewSource(62))
+		ws := denseWords(rng, int(16*arity*arity))
+		const leaf, absent = 9, 12
+		for i := range arity {
+			ws[absent*arity+i] = 0
+		}
+		base := BuildWords(m, ws, nil)
+		le := leafEdge(m, base, leaf)
+		if le.T != word.TagPLID || le.W == 0 {
+			t.Fatalf("arity %d: leaf %d is not a line: %+v", arity, leaf, le)
+		}
+		content := m.ReadLine(word.PLID(le.W))
+
+		var ups []Update
+		for _, l := range []uint64{leaf, absent} {
+			for i := range arity {
+				ups = append(ups, Update{Idx: l*arity + i, W: rng.Uint64() | 1, Keep: true})
+			}
+		}
+		ups = append(ups, Update{Idx: (leaf ^ 1) * arity, W: 7}) // rebuilds the parent
+		cm := &countingMem{Mem: m, touched: map[word.PLID]int{}}
+		got, st := WriteBatch(cm, base, ups)
+		if n := cm.touched[word.PLID(le.W)]; n != 0 {
+			t.Fatalf("arity %d: kept leaf read, retained or released %d times", arity, n)
+		}
+		for _, c := range cm.looked {
+			if c == content {
+				t.Fatalf("arity %d: kept leaf looked up", arity)
+			}
+		}
+		if st.Kept != arity || st.PathsRebuilt+st.SiblingCoalesced+st.Kept != st.Updates {
+			t.Fatalf("arity %d: stats %+v, want %d kept", arity, st, arity)
+		}
+		if e := leafEdge(m, got, leaf); e != le {
+			t.Fatalf("arity %d: kept leaf edge %+v, want %+v", arity, e, le)
+		}
+		for i := range arity {
+			if w, _ := ReadWord(m, got, absent*arity+i); w != ups[arity+i].W {
+				t.Fatalf("arity %d: absent leaf word %d = %#x, want the Keep write %#x", arity, i, w, ups[arity+i].W)
+			}
+		}
+		want := applyKeepOracle(m, base, ups)
+		if !got.Equal(want) {
+			t.Fatalf("arity %d: wave root %#x != oracle %#x", arity, got.Root, want.Root)
+		}
+		for _, s := range []Seg{got, want, base} {
+			ReleaseSeg(m, s)
+		}
+		if live := m.LiveLines(); live != 0 {
+			t.Fatalf("arity %d: %d lines leaked", arity, live)
+		}
+	}
+}
+
+// TestWriteBatchKeepIfPresentMatchesOracle drives WriteBatch with
+// random update sets that mix whole-leaf and whole-subtree covers
+// (plain, and with Keep leaves inside), Keep words over absent and
+// present leaves, last-wins flips of the Keep bit, leaf roots and
+// growth, and requires the root the Keep oracle commits path by path.
+func TestWriteBatchKeepIfPresentMatchesOracle(t *testing.T) {
+	for _, m := range machines(t) {
+		arity := uint64(m.LineWords())
+		rng := rand.New(rand.NewSource(63))
+		for round := 0; round < 40; round++ {
+			leaves := 8 + rng.Intn(48)
+			if round%5 == 0 {
+				leaves = 1 // a leaf root, grown over in rounds 0 and 20
+			}
+			ws := make([]uint64, uint64(leaves)*arity)
+			for l := 0; l < leaves; l++ {
+				if rng.Intn(3) == 0 {
+					continue // absent leaf
+				}
+				for i := range arity {
+					if rng.Intn(4) != 0 {
+						ws[uint64(l)*arity+i] = rng.Uint64() >> rng.Intn(64)
+					}
+				}
+			}
+			base := BuildWords(m, ws, nil)
+			span := base.Capacity(int(arity)) / arity // leaves addressable
+			if round%4 == 0 {
+				span *= arity * arity // growth
+			}
+			var ups []Update
+			put := func(idx uint64, keep bool) {
+				ups = append(ups, Update{Idx: idx, W: rng.Uint64() >> rng.Intn(64), Keep: keep})
+			}
+			for k := 0; k < 1+rng.Intn(12); k++ {
+				leaf := uint64(rng.Int63n(int64(span)))
+				switch rng.Intn(6) {
+				case 0: // whole leaf, unconditional
+					for i := range arity {
+						put(leaf*arity+i, false)
+					}
+				case 1: // whole leaf, Keep on some words
+					for i := range arity {
+						put(leaf*arity+i, rng.Intn(2) == 0)
+					}
+				case 2: // whole level-1 subtree, one leaf of it all Keep
+					first, keepLeaf := leaf-leaf%arity, rng.Intn(int(arity)+1)
+					for l := range arity {
+						for i := range arity {
+							put((first+l)*arity+i, int(l) == keepLeaf)
+						}
+					}
+				case 3: // Keep-only words of one leaf
+					for i := range arity {
+						if rng.Intn(2) == 0 {
+							put(leaf*arity+i, true)
+						}
+					}
+				case 4: // a word written twice, the Keep bit flipped
+					idx := leaf*arity + uint64(rng.Intn(int(arity)))
+					keep := rng.Intn(2) == 0
+					put(idx, keep)
+					put(idx, !keep)
+				default: // single words
+					put(leaf*arity+uint64(rng.Intn(int(arity))), rng.Intn(2) == 0)
+				}
+			}
+			want := applyKeepOracle(m, base, ups)
+			got, st := WriteBatch(m, base, ups)
+			if !got.Equal(want) {
+				t.Fatalf("arity %d round %d: wave root %#x/h%d != oracle %#x/h%d",
+					arity, round, got.Root, got.Height, want.Root, want.Height)
+			}
+			if st.PathsRebuilt+st.SiblingCoalesced+st.Kept != st.Updates {
+				t.Fatalf("arity %d round %d: stats %+v do not add up", arity, round, st)
+			}
+			for _, s := range []Seg{got, want, base} {
+				ReleaseSeg(m, s)
+			}
+		}
+		if live := m.LiveLines(); live != 0 {
+			t.Fatalf("arity %d: %d lines leaked", arity, live)
+		}
+	}
+}
