@@ -15,6 +15,10 @@
 // keys, stats), shuts the server down cleanly and verifies the
 // connection scratch pools leaked nothing; CI runs this as the network
 // stage.
+//
+// -cpuprofile FILE writes a CPU profile of the whole run, from start to
+// clean shutdown (SIGTERM, interrupt, or the end of -smoke); read it with
+// go tool pprof.
 package main
 
 import (
@@ -22,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -31,14 +36,33 @@ import (
 	"repro/internal/pool"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run serves until a clean shutdown and returns the process exit code;
+// the CPU profile, if asked for, is finished by its defer on every path.
+func run() int {
 	addr := flag.String("addr", ":11211", "listen address")
 	lineBytes := flag.Int("line-bytes", 16, "HICAMP line size in bytes (16/32/64)")
 	cacheKB := flag.Int("cache-kb", 256, "simulated LLC size in KB")
 	smoke := flag.Bool("smoke", false, "serve loopback, run the built-in workload, verify pool hygiene, exit")
 	dataDir := flag.String("data-dir", "", "durable data directory (empty = memory-only)")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "background checkpoint interval with -data-dir")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile from start to clean shutdown to this file")
 	flag.Parse()
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hicampd: -cpuprofile: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "hicampd: -cpuprofile: %v\n", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
 
 	cfg := core.Config{LineBytes: *lineBytes, BucketBits: 18, DataWays: 12, CacheWays: 16}
 	if *lineBytes > 0 {
@@ -46,7 +70,7 @@ func main() {
 	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "hicampd: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	store, err := kvstore.NewHicampServerOpts(cfg, kvstore.ServerOptions{
 		DataDir:         *dataDir,
@@ -54,7 +78,7 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hicampd: open store: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	if store.Durable() {
 		ds := store.DurableStats()
@@ -64,7 +88,7 @@ func main() {
 	srv := netfront.NewServer(store, netfront.DefaultOptions())
 
 	if *smoke {
-		os.Exit(runSmoke(srv))
+		return runSmoke(srv)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -80,8 +104,9 @@ func main() {
 	fmt.Printf("hicampd: serving memcached protocol on %s\n", *addr)
 	if err := srv.ListenAndServe(*addr); err != nil && err != netfront.ErrServerClosed {
 		fmt.Fprintf(os.Stderr, "hicampd: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // runSmoke drives the built-in loopback workload and returns the

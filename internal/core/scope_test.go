@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/word"
@@ -103,4 +105,122 @@ func TestScopeInitsChargeNoRCReads(t *testing.T) {
 			t.Errorf("cache %d: %d lines leaked", cfg.CacheLines, m.LiveLines())
 		}
 	}
+}
+
+// refScope is the netting a scope performs, kept on Go maps: the
+// reference the flat tables are checked against.
+type refScope struct {
+	at   map[word.PLID]int
+	nets []rcNet
+}
+
+func (r *refScope) count(p word.PLID, init bool, dir int) {
+	i, ok := r.at[p]
+	if !ok {
+		i = len(r.nets)
+		r.at[p] = i
+		r.nets = append(r.nets, rcNet{p: p, fresh: init})
+	}
+	if init {
+		r.nets[i].init = true
+	} else {
+		r.nets[i].delta += dir
+	}
+}
+
+func (r *refScope) charges(m *Machine) []rcCharge {
+	rows := make(map[uint64]int)
+	var due []rcCharge
+	for _, n := range r.nets {
+		if n.delta == 0 && !n.init {
+			continue
+		}
+		row := m.rcRow(n.p)
+		j, ok := rows[row]
+		if !ok {
+			j = len(due)
+			rows[row] = j
+			due = append(due, rcCharge{row: row, init: true})
+		}
+		due[j].init = due[j].init && n.fresh
+	}
+	return due
+}
+
+// Random retain/release/init streams, netted by pooled scopes and by the
+// map-based reference, charge the same (row, init) sequence and leave
+// twin machines with equal stats. Most streams run over a few hundred
+// PLIDs packed into a few bucket and overflow rows; between them, one
+// scope touches more PLIDs than a pooled scope keeps and others grow the
+// tables past their first size, so each small scope after them runs on
+// tables that a larger one used and reset.
+func TestScopeNettingMatchesReference(t *testing.T) {
+	cfg := scopeConfigs[1]
+	got, want := NewMachine(cfg), NewMachine(cfg)
+	ovBase := uint64(1) << (cfg.BucketBits + 4)
+	var few []word.PLID
+	for bkt := uint64(0); bkt < 8; bkt++ {
+		for way := uint64(0); way < 12; way++ {
+			few = append(few, word.PLID((way+2)<<cfg.BucketBits|bkt*37))
+		}
+	}
+	for slot := uint64(0); slot < 200; slot++ {
+		few = append(few, word.PLID(ovBase+slot))
+	}
+	rng := rand.New(rand.NewPCG(45, 1))
+	sizes := []int{300, 5, 2 * scopeKeep, 40, 3000, 1, 600, 20}
+	for round := 0; round < 6; round++ {
+		for _, size := range sizes {
+			plids := few
+			if size > len(few) {
+				plids = make([]word.PLID, size)
+				for i := range plids {
+					plids[i] = word.PLID(ovBase + 7*uint64(i))
+				}
+			}
+			sc := got.Scope()
+			ref := &refScope{at: make(map[word.PLID]int)}
+			for e := 0; e < 3*size; e++ {
+				p := plids[rng.IntN(len(plids))]
+				switch k := rng.IntN(8); {
+				case k == 0:
+					sc.count(p, true, 1)
+					ref.count(p, true, 1)
+				case k < 4:
+					sc.inc(p, false)
+					ref.count(p, false, 1)
+				default:
+					sc.dec(p, false)
+					ref.count(p, false, -1)
+				}
+			}
+			if size == 2*scopeKeep && len(sc.nets) <= scopeKeep {
+				t.Fatalf("the large scope netted %d PLIDs, not more than scopeKeep", len(sc.nets))
+			}
+			have, need := sc.charges(), ref.charges(want)
+			if !slices.Equal(have, need) {
+				t.Fatalf("round %d, scope of %d events: charged %d rows, reference %d (first difference at %d)",
+					round, 3*size, len(have), len(need), firstDiff(have, need))
+			}
+			for _, c := range have {
+				got.touchRC(c.row, c.init)
+			}
+			scopePool.Put(sc)
+			for _, c := range need {
+				want.touchRC(c.row, c.init)
+			}
+			if g, w := got.Stats(), want.Stats(); g != w {
+				t.Fatalf("round %d, scope of %d events: stats %+v, reference %+v", round, 3*size, g, w)
+			}
+		}
+	}
+}
+
+func firstDiff(a, b []rcCharge) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

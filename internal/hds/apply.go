@@ -58,20 +58,26 @@ func (mp *Map) Apply(pairs []Pair, opts ApplyOptions) error {
 	if opts.ErrorOnDup && dupSlot(keys) {
 		return ErrDuplicateKey
 	}
+	return mp.applyBuilt(sc, pairs, keys, vals, opts)
+}
+
+// applyBuilt publishes the slot words of pairs, whose strings are built,
+// against the map's current version, re-executing on a same-slot race.
+func (mp *Map) applyBuilt(m word.Mem, pairs []Pair, keys, vals []String, opts ApplyOptions) error {
 	var ups []segment.Update
 	return retryCAS(func() (bool, error) {
 		e, err := mp.h.SM.Load(mp.vsid)
 		if err != nil {
 			return false, err
 		}
-		defer segment.ReleaseSeg(sc, e.Seg)
+		defer segment.ReleaseSeg(m, e.Seg)
 		ups = mp.pairUpdates(ups[:0], e.Seg, pairs, keys, vals)
 		if len(ups) == 0 {
 			return true, nil // nothing to publish
 		}
-		ok, err := mp.publish(sc, e, ups, opts)
+		ok, err := mp.publish(m, e, ups, opts)
 		if err == merge.ErrConflict {
-			return false, nil
+			return false, nil // same-slot race: re-execute (paper §3.4 "rare")
 		}
 		return ok, err
 	})

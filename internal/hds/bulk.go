@@ -118,6 +118,35 @@ func (mp *Map) GetBytesAtInto(seg segment.Seg, keys [][]byte, r *ReadBuf) {
 	}
 }
 
+// HasBytesAtInto reports which keys are bound in seg, a snapshot the
+// caller pinned, into r.Found (positional; r's other results are left as
+// they were). It builds the keys and gathers each slot's length word
+// only, in one netting scope: no value line is read, retained or
+// materialized, so a probe costs what the map's slot paths cost,
+// whatever the values' sizes.
+func (mp *Map) HasBytesAtInto(seg segment.Seg, keys [][]byte, r *ReadBuf) {
+	r.Found = r.Found[:0]
+	if len(keys) == 0 {
+		return
+	}
+	sc := mp.h.M.Scope()
+	defer sc.Close()
+	r.ks = newStringsInto(sc, keys, r.ks)
+	var ps pool.Scratch
+	defer ps.Release()
+	idxs := poolIdxs.Get(&ps, len(keys))
+	for i, k := range r.ks {
+		idxs[i] = slotFor(k) + slotValLen
+	}
+	ws := poolIdxs.Get(&ps, len(keys))
+	ts := poolTags.Get(&ps, len(keys))
+	segment.GatherWordsInto(sc, seg, idxs, ws, ts)
+	for i, k := range r.ks {
+		r.Found = append(r.Found, ws[i] != 0)
+		segment.ReleaseSeg(sc, k.Seg)
+	}
+}
+
 // BytesManyInto materializes many strings through one level-order bulk
 // read — lines shared across strings (deduplicated fragments, repeated
 // values) are fetched once per wave instead of once per string — into

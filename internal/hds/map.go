@@ -196,30 +196,12 @@ func (mp *Map) set(m word.Mem, key, value String) error {
 	})
 }
 
-// Delete removes key's binding. Deleting an absent key is a no-op.
+// Delete removes key's binding: Apply of one tombstone, on a key the
+// caller built. Deleting an absent key leaves the map's root as it is.
 func (mp *Map) Delete(key String) error {
 	sc := mp.h.M.Scope()
 	defer sc.Close()
-	return retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(sc, mp.h.SM, mp.vsid)
-		if err != nil {
-			return false, err
-		}
-		slot := slotFor(key)
-		if present, _ := it.Load(slot + slotValLen); present == 0 {
-			it.Close()
-			return true, nil
-		}
-		for i := uint64(0); i < slotWords; i++ {
-			it.Store(slot+i, 0, word.TagRaw)
-		}
-		ok, err := it.CommitMerge(it.Size())
-		it.Close()
-		if err == merge.ErrConflict {
-			return false, nil
-		}
-		return ok, err
-	})
+	return mp.applyBuilt(sc, []Pair{{Delete: true}}, []String{key}, []String{{}}, ApplyOptions{})
 }
 
 // Len counts bound keys in the current version (a full scan).

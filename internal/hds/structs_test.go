@@ -13,8 +13,9 @@ import (
 )
 
 // The other §4 structures as test fixtures; no binary uses them. The
-// array and the ordered collection publish through the iterator register
-// (iterreg.Open, Store, then TryCommit or CommitMerge under retryCAS);
+// array publishes through the iterator register (iterreg.Open, Store,
+// then TryCommit under retryCAS), the ordered collection through
+// segment.WriteBatch and merge.MCAS, as the map does;
 // the counters and the queue live in map bindings and publish through
 // CompareApply, as a served cas does. Their tests pin those commit paths
 // under contention: identical concurrent deltas under plain CAS,
@@ -246,18 +247,24 @@ func NewOrdered(h *Heap) *Ordered {
 	return &Ordered{h: h, vsid: v}
 }
 
-// update runs one merge-update commit of the stores that fn buffers.
-func (o *Ordered) update(m word.Mem, fn func(it *iterreg.Iterator) bool) error {
+// update runs one merge-update commit of the slot words fn returns for
+// the current version, which it reads through it (none: nothing to
+// publish).
+func (o *Ordered) update(m word.Mem, fn func(it *iterreg.Iterator) []segment.Update) error {
 	return retryCAS(func() (bool, error) {
-		it, err := iterreg.Open(m, o.h.SM, o.vsid)
+		e, err := o.h.SM.Load(o.vsid)
 		if err != nil {
 			return false, err
 		}
-		defer it.Close()
-		if !fn(it) {
+		defer segment.ReleaseSeg(m, e.Seg)
+		it := iterreg.NewSegmentIterator(m, e.Seg)
+		ups := fn(it)
+		it.Close()
+		if len(ups) == 0 {
 			return true, nil
 		}
-		ok, err := it.CommitMerge(it.Size())
+		next, _ := segment.WriteBatch(m, e.Seg, ups)
+		ok, err := merge.MCAS(m, o.h.SM, o.vsid, e.Seg, next, e.Size, nil)
 		if err == merge.ErrConflict {
 			return false, nil
 		}
@@ -265,28 +272,25 @@ func (o *Ordered) update(m word.Mem, fn func(it *iterreg.Iterator) bool) error {
 	})
 }
 
-func storeElem(it *iterreg.Iterator, key uint64, v String) {
-	if v.Seg.Root != word.Zero {
-		it.Store(2*key, uint64(v.Seg.Root), word.TagPLID)
-	} else {
-		it.Store(2*key, 0, word.TagRaw)
+func elemUpdates(ups []segment.Update, key uint64, v String) []segment.Update {
+	w, tag := uint64(v.Seg.Root), word.TagPLID
+	if v.Seg.Root == word.Zero {
+		w, tag = 0, word.TagRaw
 	}
-	it.Store(2*key+1, v.Len+1, word.TagRaw)
+	return append(ups, segment.Update{Idx: 2 * key, W: w, T: tag}, segment.Update{Idx: 2*key + 1, W: v.Len + 1})
 }
 
 // Put binds key to value; concurrent puts at different keys merge.
 func (o *Ordered) Put(key uint64, value String) error {
-	return o.update(o.h.M, func(it *iterreg.Iterator) bool { storeElem(it, key, value); return true })
+	return o.update(o.h.M, func(*iterreg.Iterator) []segment.Update { return elemUpdates(nil, key, value) })
 }
 
 func (o *Ordered) Delete(key uint64) error {
-	return o.update(o.h.M, func(it *iterreg.Iterator) bool {
+	return o.update(o.h.M, func(it *iterreg.Iterator) []segment.Update {
 		if present, _ := it.Load(2*key + 1); present == 0 {
-			return false
+			return nil
 		}
-		it.Store(2*key, 0, word.TagRaw)
-		it.Store(2*key+1, 0, word.TagRaw)
-		return true
+		return []segment.Update{{Idx: 2 * key}, {Idx: 2*key + 1}}
 	})
 }
 
@@ -313,11 +317,12 @@ func (o *Ordered) Apply(items []Item, opts ApplyOptions) error {
 		vals[i] = String{Seg: b.BuildBytes(item.Value), Len: uint64(len(item.Value))}
 	}
 	b.Close()
-	err := o.update(sc, func(it *iterreg.Iterator) bool {
+	err := o.update(sc, func(*iterreg.Iterator) []segment.Update {
+		var ups []segment.Update
 		for i, item := range items {
-			storeElem(it, item.Key, vals[i])
+			ups = elemUpdates(ups, item.Key, vals[i])
 		}
-		return true
+		return ups
 	})
 	for _, v := range vals {
 		segment.ReleaseSeg(sc, v.Seg)

@@ -274,13 +274,6 @@ func (it *Iterator) TryCommit(size uint64) (bool, error) {
 	return it.commit(size, false)
 }
 
-// CommitMerge is TryCommit with merge-update (§3.4): on CAS conflict the
-// versions are three-way merged and only true data conflicts fail. The
-// segment must be flagged segmap.FlagMergeUpdate.
-func (it *Iterator) CommitMerge(size uint64) (bool, error) {
-	return it.commit(size, true)
-}
-
 func (it *Iterator) commit(size uint64, useMerge bool) (bool, error) {
 	if it.sm == nil {
 		return false, fmt.Errorf("iterreg: commit on detached iterator")

@@ -178,6 +178,15 @@ func TestCommitStatsCountOutcomes(t *testing.T) {
 	}
 }
 
+// CommitMerge is TryCommit with merge-update (§3.4): on CAS conflict the
+// versions are three-way merged and only true data conflicts fail. The
+// segment must be flagged segmap.FlagMergeUpdate. No binary publishes
+// through a register with merge-update (hds lowers its updates to
+// segment.WriteBatch and merge.MCAS), so only these tests reach it.
+func (it *Iterator) CommitMerge(size uint64) (bool, error) {
+	return it.commit(size, true)
+}
+
 func TestCommitMergeResolvesConflict(t *testing.T) {
 	m, sm := setup()
 	v := sm.Create(segmap.Entry{

@@ -246,10 +246,10 @@ func (d *dispatcher) execReadWindow(reads []*op) {
 // execWriteWindow coalesces the window's sets and deletes into one Apply
 // wave commit per namespace — sets bind, tombstones unbind, the whole
 // window publishes as a single version. DELETED/NOT_FOUND answers come
-// from a pre-commit read of the deleted keys (Map.GetBytesAtInto, which
-// also materializes the values it finds), corrected by in-window
-// bindings so a delete following a same-window set still answers
-// DELETED.
+// from a pre-commit presence probe of the deleted keys
+// (Map.HasBytesAtInto, which reads each slot's length word and no value
+// line), corrected by in-window bindings so a delete following a
+// same-window set still answers DELETED.
 func (d *dispatcher) execWriteWindow(writes []*op) {
 	s := d.s
 	anyDelete := false
@@ -275,7 +275,7 @@ func (d *dispatcher) execWriteWindow(writes []*op) {
 				s.c.snapshotErrors.Add(1)
 				g.rb.Found = append(g.rb.Found[:0], make([]bool, len(g.delKeys))...)
 			} else {
-				g.mp.GetBytesAtInto(seg, g.delKeys, &g.rb)
+				g.mp.HasBytesAtInto(seg, g.delKeys, &g.rb)
 				segment.ReleaseSeg(s.store.Heap.M, seg)
 			}
 		}

@@ -554,3 +554,39 @@ func TestReadScopeMGetWindowChargesOnlyRootPin(t *testing.T) {
 		t.Fatalf("mget of %d keys charged %d RC-line DRAM accesses, want <= 2 (the root pin and its release)", len(keys), d)
 	}
 }
+
+// A delete window answers DELETED/NOT_FOUND from a presence probe that
+// reads no line of the value it unbinds: on two servers holding the same
+// keys, deleting a key bound to a 4 KB value issues exactly the reads
+// that deleting it when bound to 16 bytes does.
+func TestDeleteWindowReadsNoValueLines(t *testing.T) {
+	var reads [2]uint64
+	for i, size := range []int{4096, 16} {
+		s, addr := startServer(t, DefaultOptions())
+		c := dialOrFatal(t, addr)
+		for j := 0; j < 32; j++ {
+			if err := c.Set(fmt.Sprintf("other-%02d", j), []byte(fmt.Sprintf("other value %02d", j))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		val := make([]byte, size)
+		for j := range val {
+			val[j] = byte(j*7 + j>>8)
+		}
+		if err := c.Set("doomed", val); err != nil {
+			t.Fatal(err)
+		}
+		m := s.Store().Heap.M
+		before := m.Stats().ReadOps
+		if ok, err := c.Delete("doomed"); err != nil || !ok {
+			t.Fatalf("%d B value: delete = %v, %v; want DELETED", size, ok, err)
+		}
+		reads[i] = m.Stats().ReadOps - before
+		if ok, err := c.Delete("doomed"); err != nil || ok {
+			t.Fatalf("%d B value: second delete = %v, %v; want NOT_FOUND", size, ok, err)
+		}
+	}
+	if reads[0] != reads[1] {
+		t.Fatalf("deleting a 4 KB value read %d lines, a 16 B one %d: the probe reads value lines", reads[0], reads[1])
+	}
+}

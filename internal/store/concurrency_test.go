@@ -138,6 +138,67 @@ func TestConcurrentLookupRelease(t *testing.T) {
 	}
 }
 
+// Batches under concurrency: goroutines look up two-level DAGs through
+// LookupBatchInto — a batch of leaves shared across goroutines, then a
+// batch of parents naming them, so each fresh parent's child is retained
+// by retainAll, overflow lines among them — while they release earlier
+// DAGs. A batch holds several stripes at once; none may deadlock, leak
+// or double-free, and CheckConsistency must hold at quiescence. Run with
+// -race.
+func TestConcurrentLookupBatchRelease(t *testing.T) {
+	s := New(Config{LineBytes: 16, BucketBits: 4, DataWays: 2})
+	const goroutines, rounds, width = 6, 40, 16
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			leaves, parents := make([]word.Content, width), make([]word.Content, width)
+			lp, pp, existed := make([]word.PLID, width), make([]word.PLID, width), make([]bool, width)
+			var held []word.PLID
+			for i := 0; i < rounds; i++ {
+				for j := range leaves {
+					leaves[j] = word.NewContent(2)
+					leaves[j].W[0], leaves[j].W[1] = uint64(j+i%5)+1, 7
+				}
+				s.LookupBatchInto(leaves, lp, existed)
+				for j := range parents {
+					parents[j] = word.NewContent(2)
+					parents[j].W[0], parents[j].T[0] = uint64(lp[j]), word.TagPLID
+					parents[j].W[1] = uint64(g % 2)
+				}
+				s.LookupBatchInto(parents, pp, existed)
+				for _, p := range lp {
+					s.Release(p)
+				}
+				held = append(held, pp...)
+				if len(held) > 3*width {
+					for _, p := range held[:width] {
+						s.Release(p)
+					}
+					held = held[width:]
+				}
+			}
+			for _, p := range held {
+				s.Release(p)
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if live := s.LiveLines(); live != 0 {
+		t.Fatalf("%d lines leaked after concurrent batches", live)
+	}
+	if err := s.CheckConsistency(nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.StatsSnapshot(); st.Overflows == 0 || st.LookupHits == 0 {
+		t.Fatalf("%d overflow allocations and %d dedup hits, want some of each", st.Overflows, st.LookupHits)
+	}
+}
+
 // Stress the overflow area specifically: tiny bucket space so most lines
 // spill, with concurrent alloc/dedup/release traffic through ovMu.
 func TestConcurrentOverflowChurn(t *testing.T) {

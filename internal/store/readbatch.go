@@ -10,11 +10,13 @@ import (
 // Pooled scratch for the batch paths: grouping scratch is borrowed per
 // call so a steady-state batch read or lookup allocates nothing.
 var (
-	poolGroup  = pool.NewSlice[int16]("store.group")
-	poolOrder  = pool.NewSlice[int32]("store.order")
-	poolEvents = pool.NewSlice[rcEvent]("store.rcevent")
-	poolU64    = pool.NewSlice[uint64]("store.u64")
-	poolSigs   = pool.NewSlice[uint8]("store.sig")
+	poolGroup   = pool.NewSlice[int16]("store.group")
+	poolOrder   = pool.NewSlice[int32]("store.order")
+	poolEvents  = pool.NewSlice[rcEvent]("store.rcevent")
+	poolU64     = pool.NewSlice[uint64]("store.u64")
+	poolSigs    = pool.NewSlice[uint8]("store.sig")
+	poolPLIDs   = pool.NewSlice[word.PLID]("store.plid")
+	poolHandles = pool.NewSlice[uint32]("store.handle")
 )
 
 // ReadBatchInto writes the content of every line in ps into out

@@ -20,9 +20,10 @@
 // Concurrency model: a line's bucket is a pure function of its content
 // hash, so distinct buckets are independent by construction. The store
 // exploits that with lock striping — buckets are guarded by a fixed array
-// of reader/writer stripe locks, the overflow area by one dedicated lock
-// acquired only while at most one bucket stripe is held (the fixed order
-// stripe → overflow rules out deadlock). Counters live in per-stripe
+// of reader/writer stripe locks, the overflow area by one dedicated lock.
+// Every path that holds several stripes takes them in ascending index,
+// and the overflow lock only after its stripes, never the reverse; that
+// fixed order rules out deadlock. Counters live in per-stripe
 // shards updated with atomic adds and merged by StatsSnapshot, and no
 // internal lock is ever held across a call into another package:
 // reference-count events reach their RCSink only after every stripe has
@@ -31,6 +32,8 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -534,21 +537,23 @@ func (s *Store) LookupTo(c word.Content, rc RCSink) (word.PLID, bool) {
 // LookupBatch performs lookup-by-content for every content in cs, the bulk
 // write-path primitive behind segment.Builder: contents are grouped by
 // bucket stripe so each stripe lock is taken once per batch (not once per
-// line), DRAM accounting is accumulated locally and flushed with one
+// line), every bucket record is loaded before any is processed (warm),
+// DRAM accounting is accumulated locally and flushed with one
 // atomic add per counter per stripe group, and row touches coalesce per
 // lookup. Results are positional: plids[i] and existed[i] describe cs[i]
 // with the same reference semantics as Lookup (the caller acquires one
 // reference per element; fresh allocations additionally retain their
 // PLID-tagged children).
 //
-// Stripe groups are processed in ascending stripe order with the overflow
-// lock only ever nested inside one stripe lock — the same stripe-then-
-// overflow order every other path uses, so concurrent batches (and
-// singular lookups) cannot deadlock. Duplicate contents within one batch
-// are safe: they land in the same stripe group, serialize under its lock,
-// and the second finds the line the first allocated. Reference-count
-// events fire, and children of fresh lines are retained, only after every
-// stripe lock has been released.
+// The batch holds every stripe it touches, taken in ascending order, and
+// nests the overflow lock inside them — lockAll's order — so concurrent
+// batches (and singular lookups) cannot deadlock. Stripe groups are
+// processed in ascending stripe order, each in input order. Duplicate
+// contents within one batch are safe: they land in the same stripe group
+// and the second finds the line the first allocated. Children of fresh
+// lines are retained after every stripe lock has been released (retainAll)
+// and reference-count events fire after that, in the order a serial loop
+// of LookupTo calls fires them.
 func (s *Store) LookupBatch(cs []word.Content) (plids []word.PLID, existed []bool) {
 	plids = make([]word.PLID, len(cs))
 	existed = make([]bool, len(cs))
@@ -605,6 +610,18 @@ func (s *Store) LookupBatchTo(cs []word.Content, plids []word.PLID, existed []bo
 		order[next[st]] = int32(i)
 		next[st]++
 	}
+	// Every stripe the batch touches is taken once and held for the whole
+	// batch, in ascending order with the overflow lock nested inside —
+	// lockAll's order. Holding them all lets the records be loaded before
+	// any is processed.
+	var held uint64
+	for st := 0; st < numStripes; st++ {
+		if counts[st] > 0 {
+			held |= 1 << st
+			s.stripes[st].mu.Lock()
+		}
+	}
+	s.warm(bkts, poolHandles.Get(&sc, n))
 	for st := 0; st < numStripes; st++ {
 		group := order[start[st]:start[st+1]]
 		if len(group) == 0 {
@@ -612,19 +629,110 @@ func (s *Store) LookupBatchTo(cs []word.Content, plids []word.PLID, existed []bo
 		}
 		var acc [statCount]uint64
 		acc[cLookups] = uint64(len(group))
-		mu := &s.stripes[st].mu
-		mu.Lock()
 		for _, i := range group {
 			plids[i], existed[i], events[i] = s.lookupLocked(bkts[i], &cs[i], sigs[i], &acc)
 		}
-		mu.Unlock()
 		s.flush(st, &acc)
 	}
+	for ; held != 0; held &= held - 1 {
+		s.stripes[bits.TrailingZeros64(held)].mu.Unlock()
+	}
+	// The fresh lines' own references on their children, taken together;
+	// the events then fire in the order the serial loop fires them.
+	bound := 0
+	for i := range cs {
+		if !existed[i] {
+			bound += int(cs[i].N)
+		}
+	}
+	if bound > 0 {
+		kids := poolPLIDs.GetCap(&sc, bound)
+		for i := range cs {
+			if !existed[i] {
+				kids = s.appendChildren(kids, &cs[i])
+			}
+		}
+		s.retainAll(kids)
+	}
+	var buf [word.MaxWords]word.PLID
 	for i := range cs {
 		fire1(events[i].p, events[i].init, rc)
 		if !existed[i] {
-			s.retainChildren(cs[i], rc)
+			for _, p := range s.appendChildren(buf[:0], &cs[i]) {
+				fire1(p, false, rc)
+			}
 		}
+	}
+}
+
+// warm loads every host line of the records of bkts before a batch
+// processes any of them, in two passes — the directory entries into hs,
+// then the records they name — so that the loads of each pass are
+// independent of one another and the host takes their cache misses
+// together rather than one per element. The caller holds every bucket's
+// stripe lock; the record reads are atomic because a shared holder's
+// peers may be moving counts.
+func (s *Store) warm(bkts []uint64, hs []uint32) {
+	for i, b := range bkts {
+		hs[i] = s.dir[b]
+	}
+	var x uint64
+	for _, h := range hs {
+		if h != 0 {
+			rec := s.record(h).rec
+			for i := 0; i < len(rec); i += 8 {
+				x += atomic.LoadUint64(&rec[i])
+			}
+		}
+	}
+	runtime.KeepAlive(x) // keeps the loads
+}
+
+// retainAll adds one reference to every line in ps (nonzero, live: the
+// caller holds a reference on each), reporting to no sink, as
+// RetainQuiet does. Each stripe ps names is taken shared once, in
+// ascending order, then the overflow lock if an overflow line is among
+// them, and their records are loaded before any count moves, as warm
+// does for a lookup batch.
+func (s *Store) retainAll(ps []word.PLID) {
+	var sc pool.Scratch
+	defer sc.Release()
+	bkts := poolU64.GetCap(&sc, len(ps))
+	var held uint64
+	ov := false
+	for _, p := range ps {
+		if s.isOverflow(p) {
+			ov = true
+			continue
+		}
+		b := uint64(p) & s.bucketMask
+		bkts = append(bkts, b)
+		held |= 1 << stripeOf(b)
+	}
+	for m := held; m != 0; m &= m - 1 {
+		s.stripes[bits.TrailingZeros64(m)].mu.RLock()
+	}
+	if ov {
+		s.ovMu.Lock()
+	}
+	s.warm(bkts, poolHandles.Get(&sc, len(bkts)))
+	bad := word.Zero // first freed PLID found; the panic fires unlocked
+	for _, p := range ps {
+		ln := s.lineAt(p)
+		if !ln.used() {
+			bad = p
+			break
+		}
+		atomic.AddUint64(ln.rc(), 1)
+	}
+	if ov {
+		s.ovMu.Unlock()
+	}
+	for ; held != 0; held &= held - 1 {
+		s.stripes[bits.TrailingZeros64(held)].mu.RUnlock()
+	}
+	if bad != word.Zero {
+		panic(fmt.Sprintf("store: retain of freed PLID %#x", uint64(bad)))
 	}
 }
 
@@ -816,14 +924,28 @@ func (s *Store) growOverflow(n uint32) {
 }
 
 func (s *Store) retainChildren(c word.Content, rc RCSink) {
+	var buf [word.MaxWords]word.PLID
+	for _, p := range s.appendChildren(buf[:0], &c) {
+		s.RetainTo(p, rc)
+	}
+}
+
+// appendChildren appends the nonzero PLIDs that c's words name, in word
+// order: the references a line holds on its children.
+func (s *Store) appendChildren(dst []word.PLID, c *word.Content) []word.PLID {
 	for i := 0; i < int(c.N); i++ {
+		var p word.PLID
 		switch c.T[i] {
 		case word.TagPLID:
-			s.RetainTo(word.PLID(c.W[i]), rc)
+			p = word.PLID(c.W[i])
 		case word.TagCompact:
-			s.RetainTo(word.CompactPLID(c.W[i], s.PLIDBits()), rc)
+			p = word.CompactPLID(c.W[i], s.PLIDBits())
+		}
+		if p != word.Zero {
+			dst = append(dst, p)
 		}
 	}
+	return dst
 }
 
 // Read returns the content of a line, counting one DRAM data read. It is
@@ -979,9 +1101,6 @@ func (s *Store) ReleaseTo(p word.PLID, rc RCSink) []Freed {
 	for len(work) > 0 {
 		cur := work[len(work)-1]
 		work = work[:len(work)-1]
-		if cur == word.Zero {
-			continue
-		}
 		unlock := s.lockLine(cur)
 		ln := s.lineAt(cur)
 		if !ln.used() {
@@ -1004,14 +1123,7 @@ func (s *Store) ReleaseTo(p word.PLID, rc RCSink) []Freed {
 		s.bump(sh, cFrees)
 		s.liveLines.Add(^uint64(0))
 		c := ln.load()
-		for i := 0; i < int(c.N); i++ {
-			switch c.T[i] {
-			case word.TagPLID:
-				work = append(work, word.PLID(c.W[i]))
-			case word.TagCompact:
-				work = append(work, word.CompactPLID(c.W[i], s.PLIDBits()))
-			}
-		}
+		work = s.appendChildren(work, &c)
 		ln.clear()
 		if s.isOverflow(cur) {
 			delete(s.ovIndex, c)
