@@ -23,6 +23,10 @@ import (
 //     and server surfaces report, and sync.Pool's GC draining breaks the
 //     deterministic accounting the pinning tests rely on. (The
 //     internal/pool freelists deliberately do not use sync.Pool.)
+//   - Segments are built through one path, the package-level
+//     segment.BuildWords/BuildBytes/CanonLeaves/CanonNodes: no file
+//     outside bench/ names segment.Builder, the shim the bench module
+//     still calls, so no producer brings back a second build path.
 //
 // The last row, NoCodeOnlyTestsReach, is not a pattern: it walks the
 // call graph from the binaries (reach_test.go).
@@ -37,7 +41,7 @@ var sourceGuards = []struct {
 		name: "NoAdHocScratchInWaveEngines",
 		re:   regexp.MustCompile(`word\.(DecodeCompact|UnpackInline)\(|sort\.Slice\(|sync\.Pool`),
 		files: []string{
-			filepath.Join("internal", "segment", "builder.go"),
+			filepath.Join("internal", "segment", "build.go"),
 			filepath.Join("internal", "segment", "read_bulk.go"),
 			filepath.Join("internal", "segment", "scan.go"),
 			filepath.Join("internal", "segment", "write_batch.go"),
@@ -52,6 +56,12 @@ var sourceGuards = []struct {
 		re:     regexp.MustCompile(`sync\.Pool`),
 		exempt: filepath.Join("internal", "pool"),
 		fix:    "sync.Pool outside internal/pool — use the bucketed pools so stats stay observable",
+	},
+	{
+		name:   "NoBuilderOutsideBench",
+		re:     regexp.MustCompile(`segment\.(NewBuilder|Builder)\b`),
+		exempt: "bench",
+		fix:    "segment.Builder outside bench/ — build with segment.BuildWords/BuildBytes/CanonLeaves/CanonNodes",
 	},
 }
 

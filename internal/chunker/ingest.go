@@ -33,14 +33,16 @@ func (b Blob) String() string {
 }
 
 // memoEntry is one remembered chunk→PLID association. Entries hold NO
-// references (the exact discipline of the segment.Builder memo): the
-// remembered root is revalidated with one RetainIfContent against the
-// remembered root-line content before every reuse, so a stale entry —
-// the chunk's last referencing blob was deleted and its lines freed —
-// fails revalidation and falls back to the authoritative build. A live
-// root pins its whole sub-DAG (lines hold references on their PLID
-// children), so a successful revalidation proves the entire chunk DAG
-// is still resident.
+// references: the remembered root is revalidated with one
+// RetainIfContent against the remembered root-line content before every
+// reuse, so a stale entry — the chunk's last referencing blob was
+// deleted and its lines freed — fails revalidation and falls back to the
+// authoritative build. Holding no reference, the memo can check the PLID
+// only by reading its line (§3.1), so each revalidation, stale or not,
+// is charged an LLC data probe, a DRAM data read on a miss, and the RC
+// touch of a successful retain. A live root pins its whole sub-DAG
+// (lines hold references on their PLID children), so a successful
+// revalidation proves the entire chunk DAG is still resident.
 type memoEntry struct {
 	root    word.PLID
 	content word.Content // root line content, the revalidation witness
@@ -60,10 +62,10 @@ type IngestStats struct {
 	Blobs       uint64 // IngestBytes calls
 	Chunks      uint64 // chunks cut across all blobs
 	BytesIn     uint64 // bytes presented
-	MemoHits    uint64 // chunks resolved by one revalidating RC touch
+	MemoHits    uint64 // chunks resolved by one revalidating probe and retain
 	MemoStale   uint64 // memo entries that failed revalidation
 	MemoInserts uint64 // entries recorded
-	ChunkBuilds uint64 // chunks canonicalized through Builder waves
+	ChunkBuilds uint64 // chunks canonicalized through segment.BuildBytes
 	BytesBuilt  uint64 // bytes those builds covered
 }
 
@@ -76,17 +78,16 @@ func (s IngestStats) HitRate() float64 {
 }
 
 // Ingestor turns byte streams into Blobs through the bulk wave
-// pipeline: chunk sub-DAGs and the chunk index build through one shared
-// segment.Builder (level-order batch canonicalization), and a warm
+// pipeline: chunk sub-DAGs and the chunk index build through
+// segment.BuildWords (level-order batch canonicalization), and a warm
 // chunk→PLID memo resolves every previously-seen chunk with a single
-// revalidating reference-count touch — re-ingesting a near-duplicate
-// document runs Builder waves only for the edit region's chunks.
+// revalidation of its root line — re-ingesting a near-duplicate document
+// builds only the edit region's chunks.
 //
-// An Ingestor is NOT safe for concurrent use (same rule as
-// segment.Builder): give each goroutine its own, or serialize access.
+// An Ingestor is NOT safe for concurrent use: give each goroutine its
+// own, or serialize access.
 type Ingestor struct {
 	m   word.Mem
-	b   *segment.Builder
 	cfg Config
 
 	memo        map[string]memoEntry
@@ -102,7 +103,7 @@ type Ingestor struct {
 func NewIngestor(m word.Mem, cfg Config) *Ingestor {
 	norm, _, _ := cfg.norm()
 	return &Ingestor{
-		m: m, b: segment.NewBuilder(m, 0), cfg: norm,
+		m: m, cfg: norm,
 		memoEntries: DefaultMemoEntries, memoByteCap: DefaultMemoBytes,
 	}
 }
@@ -115,18 +116,16 @@ func (g *Ingestor) Config() Config { return g.cfg }
 func (g *Ingestor) Stats() IngestStats { return g.stats }
 
 // Close drops the memo (entries hold no references, so nothing is
-// released) and the Builder's scratch. The Ingestor is reusable
-// afterwards with a cold memo.
+// released). The Ingestor is reusable afterwards with a cold memo.
 func (g *Ingestor) Close() {
 	g.memo = nil
 	g.memoBytes = 0
-	g.b.Close()
 }
 
 // IngestBytes builds the canonical Blob holding data. The caller owns
 // one reference on the index root (ReleaseBlob to drop). Chunks already
-// known to the memo cost one revalidating RC touch each; the rest build
-// through the shared Builder's waves.
+// known to the memo cost one revalidation each; the rest build through
+// segment.BuildBytes.
 func (g *Ingestor) IngestBytes(data []byte) Blob {
 	var sc pool.Scratch
 	defer sc.Release()
@@ -154,7 +153,7 @@ func (g *Ingestor) IngestBytes(data []byte) Blob {
 		off += n
 	}
 	iw[1] = uint64(chunks)
-	idx := g.b.BuildWords(iw, it)
+	idx := segment.BuildWords(g.m, iw, it)
 	// The index lines took their own references on every chunk root
 	// during the build; drop the ingest-local ones.
 	for i := 0; i < chunks; i++ {
@@ -168,10 +167,10 @@ func (g *Ingestor) IngestBytes(data []byte) Blob {
 }
 
 // chunkSeg resolves one chunk to an owned sub-DAG root: a memo hit
-// revalidates-and-retains the remembered root (one RC touch, no lookup
-// traffic, no Builder work), a miss builds the chunk through the shared
-// Builder and remembers the result. The returned segment owns one
-// root reference either way.
+// revalidates-and-retains the remembered root (one root-line probe and
+// one RC touch, no lookup traffic, no build), a miss builds the chunk
+// and remembers the result. The returned segment owns one root
+// reference either way.
 func (g *Ingestor) chunkSeg(chunk []byte) segment.Seg {
 	g.stats.Chunks++
 	if g.memoEntries > 0 {
@@ -189,7 +188,7 @@ func (g *Ingestor) chunkSeg(chunk []byte) segment.Seg {
 	}
 	g.stats.ChunkBuilds++
 	g.stats.BytesBuilt += uint64(len(chunk))
-	s := g.b.BuildBytes(chunk)
+	s := segment.BuildBytes(g.m, chunk)
 	g.memoAdd(chunk, s)
 	return s
 }

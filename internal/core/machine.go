@@ -439,13 +439,36 @@ func (m *Machine) ReadLineBatchInto(ps []word.PLID, out []word.Content) {
 // Retain implements word.Mem.
 func (m *Machine) Retain(p word.PLID) { m.store.RetainTo(p, m.rc) }
 
-// RetainIfContent implements word.Mem: it acquires a
-// reference on p only if the line is still live with content c. This is
-// the same primitive the LLC content-hit path uses, with the same
-// accounting (one RC touch), so a caller-side content memo (for example
-// segment.Builder's) charges exactly what an LLC content hit would.
+// RetainIfContent implements word.Mem: it acquires a reference on p only
+// if the line is still live with content c. The caller holds no
+// reference on p (a content memo remembered it), and hardware can check
+// such a PLID only by reading its line (§3.1): every revalidation, stale
+// ones included, is charged that read before the RC touch of a
+// successful retain.
 func (m *Machine) RetainIfContent(p word.PLID, c word.Content) bool {
+	m.checkRead(p)
 	return m.store.RetainIfContentTo(p, c, m.rc)
+}
+
+// checkRead charges reading line p to check its content: one LLC data
+// probe and, on a miss, one DRAM data read. A miss does not fill the LLC:
+// with no reference held, p may be freed (and reallocated) meanwhile, and
+// a fill could then cache content the line no longer holds.
+func (m *Machine) checkRead(p word.PLID) {
+	if p == word.Zero {
+		return
+	}
+	m.readOps.Add(1)
+	if m.llc == nil {
+		m.store.ChargeRead(p)
+		return
+	}
+	var t cachesim.Tally
+	var c word.Content
+	if !m.llc.ReadData(m.dataSet(p), uint64(p), &c, &t) {
+		m.store.ChargeRead(p)
+	}
+	m.llc.Publish(&t)
 }
 
 // RetainDeferred bumps p's reference count immediately but hands the

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cachesim"
+	"repro/internal/store"
 	"repro/internal/word"
 )
 
@@ -66,6 +68,58 @@ func TestCachedReadAvoidsDRAM(t *testing.T) {
 	m.ReadLine(p)
 	if got := m.Stats().Store.DataReads; got != before {
 		t.Fatalf("cached read caused %d DRAM reads", got-before)
+	}
+}
+
+// TestRetainIfContentChargesTheCheckRead: a content memo holds no
+// reference on the PLID it revalidates, so the check reads the line
+// (§3.1). With the line flushed from the LLC, a revalidation charges one
+// DRAM data read more than a Retain — through the machine and through a
+// scope, and when the line was freed (a stale revalidation) too.
+func TestRetainIfContentChargesTheCheckRead(t *testing.T) {
+	m := NewMachine(TestConfig())
+	c := leaf(m, "remembered, not referenced")
+	p := m.LookupLine(c)
+	flush := func() {
+		m.FlushCache()
+		m.llc.Invalidate(m.dataSet(p), cachesim.Key{Kind: cachesim.KindData, ID: uint64(p)})
+	}
+	cost := func(op func()) store.Stats {
+		flush()
+		before := m.Stats().Store
+		op()
+		after := m.Stats().Store
+		return store.Stats{DataReads: after.DataReads - before.DataReads, RCReads: after.RCReads - before.RCReads}
+	}
+	m.Retain(p) // the RC line is resident from here on
+	retain := cost(func() { m.Retain(p) })
+	want := store.Stats{DataReads: retain.DataReads + 1, RCReads: retain.RCReads}
+	if got := cost(func() {
+		if !m.RetainIfContent(p, c) {
+			t.Fatal("revalidation of a live line failed")
+		}
+	}); got != want {
+		t.Fatalf("machine revalidation charged %+v, want %+v", got, want)
+	}
+	sc := m.Scope()
+	if got := cost(func() {
+		if !sc.RetainIfContent(p, c) {
+			t.Fatal("scoped revalidation of a live line failed")
+		}
+	}); got != want {
+		t.Fatalf("scoped revalidation charged %+v, want %+v", got, want)
+	}
+	sc.Close()
+	for rc := m.RefCount(p); rc > 0; rc-- {
+		m.Release(p)
+	}
+	stale := store.Stats{DataReads: 1}
+	if got := cost(func() {
+		if m.RetainIfContent(p, c) {
+			t.Fatal("revalidation of a freed line succeeded")
+		}
+	}); got != stale {
+		t.Fatalf("stale revalidation charged %+v, want %+v", got, stale)
 	}
 }
 

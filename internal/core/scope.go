@@ -212,6 +212,7 @@ func (s *Scope) ReadLineBatchInto(ps []word.PLID, out []word.Content) {
 }
 
 func (s *Scope) RetainIfContent(p word.PLID, c word.Content) bool {
+	s.m.checkRead(p)
 	return s.m.store.RetainIfContentTo(p, c, s.inc)
 }
 

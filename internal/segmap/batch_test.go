@@ -56,19 +56,11 @@ func (b *Batch) Load(v word.VSID) (Entry, error) {
 
 // Store buffers an entry update. Ownership of the caller's reference on
 // e.Seg.Root transfers to the batch (released if the batch fails). Like
-// Map.CAS, storing through a read-only or weak capability is rejected:
-// a weak alias is a non-updating reference, and following it to the
-// target at commit time would let the alias holder mutate an entry it
-// was never granted (§2.3: "CAS through a read-only or weak reference
-// always fails").
+// Map.CAS, storing through a read-only capability is rejected.
 func (b *Batch) Store(v word.VSID, e Entry) error {
 	if IsReadOnly(v) {
 		b.noteDenied(v)
 		return fmt.Errorf("segmap: batch store through read-only VSID %#x", uint64(v))
-	}
-	if IsWeak(v) {
-		b.noteDenied(v)
-		return fmt.Errorf("segmap: batch store through weak VSID %#x", uint64(v))
 	}
 	id := baseID(v)
 	if prev, ok := b.writes[id]; ok {
@@ -81,7 +73,7 @@ func (b *Batch) Store(v word.VSID, e Entry) error {
 func (b *Batch) noteDenied(v word.VSID) {
 	sm := b.sm
 	sm.mu.Lock()
-	if s := sm.statSlot(v); s != nil {
+	if s := sm.liveSlot(v); s != nil {
 		s.stats.Denied++
 	}
 	sm.mu.Unlock()
@@ -95,7 +87,7 @@ func (b *Batch) Commit() bool {
 	sm.mu.Lock()
 	for v := range b.writes {
 		s, err := sm.slotFor(v)
-		if err != nil || s == nil {
+		if err != nil {
 			drop := b.takeWrites()
 			sm.mu.Unlock()
 			releaseAll(sm.mem, drop)
@@ -103,7 +95,7 @@ func (b *Batch) Commit() bool {
 		}
 		if seen, ok := b.reads[v]; ok && s.e.Seg.Root != seen {
 			sm.casFail++
-			if st := sm.statSlot(v); st != nil {
+			if st := sm.liveSlot(v); st != nil {
 				st.stats.Conflicts++
 			}
 			drop := b.takeWrites()
@@ -112,8 +104,8 @@ func (b *Batch) Commit() bool {
 			return false
 		}
 	}
-	// The weak/read-only screen ran in Store, and slotFor above resolved
-	// plain live slots only, so every write lands on the entry it named.
+	// The read-only screen ran in Store, and slotFor above resolved live
+	// slots only, so every write lands on the entry it named.
 	var displaced []segment.Seg
 	for v, e := range b.writes {
 		s, _ := sm.slotFor(v)

@@ -8,135 +8,6 @@ import (
 	"repro/internal/word"
 )
 
-// Regression: Batch.Store used to accept a weak-alias VSID and silently
-// follow it to the target at commit, letting a non-updating reference
-// mutate the entry it aliased. A weak VSID must be rejected at Store,
-// exactly like Map.CAS rejects it.
-func TestBatchStoreRejectsWeakVSID(t *testing.T) {
-	m, sm := setup(t)
-	v := sm.Create(Entry{Seg: mkSeg(m, "guarded target")})
-	w := sm.CreateWeakAlias(v)
-
-	b := sm.Begin()
-	evil := mkSeg(m, "smuggled write!")
-	if err := b.Store(w, Entry{Seg: evil, Size: 15}); err == nil {
-		b.Abort()
-		t.Fatal("batch store through weak VSID accepted")
-	}
-	// The rejected store leaves ownership with the caller.
-	segment.ReleaseSeg(m, evil)
-	b.Abort()
-
-	e, _ := sm.Load(v)
-	if string(segment.ReadBytes(m, e.Seg, 0, 14)) != "guarded target" {
-		t.Fatalf("target mutated through weak alias: %q",
-			segment.ReadBytes(m, e.Seg, 0, 14))
-	}
-	segment.ReleaseSeg(m, e.Seg)
-
-	snap := sm.Snapshot()
-	if snap.Total.Denied == 0 {
-		t.Fatal("capability denial not recorded in Snapshot")
-	}
-	if err := m.CheckConsistency(sm.externalRefs()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A batch that mixes a valid store with a weak-VSID store must still
-// commit the valid one after the weak store errors out.
-func TestBatchWeakRejectionDoesNotPoisonBatch(t *testing.T) {
-	m, sm := setup(t)
-	v := sm.Create(Entry{Seg: mkSeg(m, "aa")})
-	w := sm.CreateWeakAlias(v)
-
-	b := sm.Begin()
-	bad := mkSeg(m, "xx")
-	if err := b.Store(w, Entry{Seg: bad}); err == nil {
-		t.Fatal("weak store accepted")
-	}
-	segment.ReleaseSeg(m, bad)
-	b.Store(v, Entry{Seg: mkSeg(m, "bb"), Size: 2})
-	if !b.Commit() {
-		t.Fatal("commit of remaining valid store failed")
-	}
-	e, _ := sm.Load(v)
-	if string(segment.ReadBytes(m, e.Seg, 0, 2)) != "bb" {
-		t.Fatal("valid store lost")
-	}
-	segment.ReleaseSeg(m, e.Seg)
-}
-
-// Regression: CreateWeakAlias of a VSID that is itself a weak alias used
-// to record the alias *slot* as its target. Deleting the intermediate
-// alias then wrongly zeroed the second-level alias while the base segment
-// was still live — and deleting the base left the second-level alias
-// resurrecting through a dangling chain. The chain must be resolved to
-// the base target at creation.
-func TestWeakAliasOfWeakAliasTracksBaseTarget(t *testing.T) {
-	m, sm := setup(t)
-	v := sm.Create(Entry{Seg: mkSeg(m, "base segment data")})
-	w1 := sm.CreateWeakAlias(v)
-	w2 := sm.CreateWeakAlias(w1)
-
-	// Deleting the intermediate alias must NOT affect w2: its target is
-	// the base entry, which is still live.
-	if err := sm.Delete(w1); err != nil {
-		t.Fatal(err)
-	}
-	e, err := sm.Load(w2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Seg.Root == word.Zero {
-		t.Fatal("alias-of-alias zeroed by intermediate alias deletion")
-	}
-	if string(segment.ReadBytes(m, e.Seg, 0, 17)) != "base segment data" {
-		t.Fatalf("alias-of-alias reads %q", segment.ReadBytes(m, e.Seg, 0, 17))
-	}
-	segment.ReleaseSeg(m, e.Seg)
-
-	// Deleting the base must zero w2 like any weak reference.
-	if err := sm.Delete(v); err != nil {
-		t.Fatal(err)
-	}
-	e, err = sm.Load(w2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Seg.Root != word.Zero {
-		t.Fatal("alias-of-alias survived base target deletion")
-	}
-	if m.LiveLines() != 0 {
-		t.Fatal("alias chain kept the segment alive")
-	}
-}
-
-// An alias of an already-zeroed alias must itself read as zero, not
-// resurrect through slot reuse of the base target.
-func TestWeakAliasOfDeadAliasStaysZero(t *testing.T) {
-	m, sm := setup(t)
-	v := sm.Create(Entry{Seg: mkSeg(m, "short-lived")})
-	w1 := sm.CreateWeakAlias(v)
-	if err := sm.Delete(v); err != nil {
-		t.Fatal(err)
-	}
-	// w1 now reads zero; a new alias chained through it must too — even
-	// after the base slot is reused by an unrelated entry.
-	w2 := sm.CreateWeakAlias(w1)
-	v2 := sm.Create(Entry{Seg: mkSeg(m, "new occupant")})
-	e, err := sm.Load(w2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Seg.Root != word.Zero {
-		t.Fatal("alias of dead alias resurrected against slot reuse")
-	}
-	if err := sm.Delete(v2); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Snapshot must expose per-VSID commit/conflict/denial/abort counters and
 // keep Total monotone across entry deletion.
 func TestSnapshotTelemetry(t *testing.T) {
@@ -178,8 +49,8 @@ func TestSnapshotTelemetry(t *testing.T) {
 	if snap.Total != st {
 		t.Fatalf("total %+v != per-VSID %+v with one entry", snap.Total, st)
 	}
-	if snap.Entries != 1 || snap.Weak != 0 {
-		t.Fatalf("entries=%d weak=%d", snap.Entries, snap.Weak)
+	if snap.Entries != 1 {
+		t.Fatalf("entries=%d", snap.Entries)
 	}
 
 	// Totals survive slot reclamation.
@@ -254,12 +125,7 @@ func TestConcurrentCASBatchDelete(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < rounds/2; i++ {
 			v := sm.Create(Entry{Seg: segment.BuildBytes(m, []byte("churned entry"))})
-			w := sm.CreateWeakAlias(v)
-			if e, err := sm.Load(w); err == nil && e.Seg.Root != word.Zero {
-				segment.ReleaseSeg(m, e.Seg)
-			}
 			sm.Delete(v)
-			sm.Delete(w)
 		}
 	}()
 	wg.Wait()

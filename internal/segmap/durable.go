@@ -10,10 +10,6 @@ import (
 // mutable state in the architecture, so root publishes observed here —
 // together with the store's line liveness journal — are everything the
 // write-ahead layer (internal/durable) needs to reconstruct the machine.
-// Weak aliases are deliberately not journaled: they are non-owning
-// ephemeral references whose zeroing semantics would require persisting
-// slot generations; a restarted process re-creates any aliases it needs
-// (documented limitation, see DESIGN.md).
 
 // Journal observes entry publishes and deletes for the write-ahead log.
 // Both methods are called with sm.mu held — that lock is the publish
@@ -43,7 +39,7 @@ type DumpEntry struct {
 	E Entry
 }
 
-// Dump returns every live non-weak entry under one lock acquisition —
+// Dump returns every live entry under one lock acquisition —
 // the checkpoint snapshot. The returned roots are NOT retained: the
 // caller must pair the dump with log positioning (see internal/durable)
 // rather than holding the segments.
@@ -53,7 +49,7 @@ func (sm *Map) Dump() []DumpEntry {
 	out := make([]DumpEntry, 0, len(sm.slots))
 	for i := range sm.slots {
 		s := &sm.slots[i]
-		if !s.used || s.weak {
+		if !s.used {
 			continue
 		}
 		out = append(out, DumpEntry{V: word.VSID(i + 1), E: s.e})
@@ -77,7 +73,7 @@ func (sm *Map) Restore(entries []DumpEntry) error {
 	}
 	var max word.VSID
 	for _, de := range entries {
-		if de.V == 0 || de.V&(roBit|weakBit) != 0 {
+		if de.V == 0 || de.V&roBit != 0 {
 			return fmt.Errorf("segmap: restore of invalid VSID %#x", uint64(de.V))
 		}
 		if de.V > max {

@@ -10,12 +10,6 @@
 // its CAS attempts fail, matching the paper's "a reference can be passed
 // as read-only, restricting the process from updating the root PLID".
 //
-// Weak references are aliases that do not pin the segment: after the
-// target entry is deleted, loads through the alias return the zero
-// segment rather than keeping the DAG alive. Weak VSIDs carry no update
-// capability either: a CAS through a weak alias always fails, like a
-// read-only reference.
-//
 // The map keeps per-VSID conflict telemetry — commit, conflict,
 // capability-denial and abort counts — exposed by Snapshot, the
 // observability surface the §5.1.1 contention experiments read.
@@ -42,21 +36,13 @@ const (
 // roBit marks a VSID value as a read-only capability.
 const roBit word.VSID = 1 << 62
 
-// weakBit marks a VSID value as a weak alias.
-const weakBit word.VSID = 1 << 61
-
 // ReadOnlyRef derives the read-only capability for a VSID.
 func ReadOnlyRef(v word.VSID) word.VSID { return v | roBit }
 
 // IsReadOnly reports whether a VSID is a read-only capability.
 func IsReadOnly(v word.VSID) bool { return v&roBit != 0 }
 
-// IsWeak reports whether a VSID is a weak alias (either the weak
-// capability bit on the value, or a VSID naming a weak-alias slot carries
-// it from CreateWeakAlias).
-func IsWeak(v word.VSID) bool { return v&weakBit != 0 }
-
-func baseID(v word.VSID) word.VSID { return v &^ (roBit | weakBit) }
+func baseID(v word.VSID) word.VSID { return v &^ roBit }
 
 // Entry is one segment map record. Size is the segment's logical byte
 // length — software metadata kept alongside the architectural
@@ -72,7 +58,7 @@ type Entry struct {
 type VSIDStats struct {
 	Commits   uint64 // successful publishes
 	Conflicts uint64 // publishes lost to a concurrent committer (stale root)
-	Denied    uint64 // attempts rejected by capability checks (read-only/weak)
+	Denied    uint64 // attempts rejected by the read-only capability check
 }
 
 func (s VSIDStats) add(o VSIDStats) VSIDStats {
@@ -84,13 +70,9 @@ func (s VSIDStats) add(o VSIDStats) VSIDStats {
 }
 
 type slot struct {
-	used     bool
-	weak     bool
-	gen      uint64    // bumped on delete, detects slot reuse
-	alias    word.VSID // weak aliases point at their target's VSID
-	aliasGen uint64    // target generation observed at alias creation
-	e        Entry
-	stats    VSIDStats
+	used  bool
+	e     Entry
+	stats VSIDStats
 }
 
 // Map is a virtual segment map. All methods are safe for concurrent use.
@@ -131,37 +113,10 @@ func (sm *Map) Create(e Entry) word.VSID {
 	return v
 }
 
-// CreateWeakAlias returns a weak VSID for target: loading through it
-// yields target's current segment until target is deleted, after which it
-// yields the zero segment (the paper's "reference that should be zeroed
-// when the segment is reclaimed"). An alias of a VSID that is itself a
-// weak alias resolves the chain at creation time: the new alias binds to
-// the base target (and the base target's generation), so it tracks the
-// real segment's lifetime rather than the intermediate alias slot's.
-func (sm *Map) CreateWeakAlias(target word.VSID) word.VSID {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	id := baseID(target)
-	var gen uint64
-	if id != 0 && uint64(id) <= uint64(len(sm.slots)) {
-		t := &sm.slots[id-1]
-		if t.used && t.weak {
-			// Alias-of-alias: bind to the base target the intermediate
-			// alias observed, including its generation — so if the base
-			// was already reclaimed, the new alias reads zero too.
-			id, gen = t.alias, t.aliasGen
-		} else {
-			gen = t.gen
-		}
-	}
-	return sm.install(slot{used: true, weak: true, alias: id, aliasGen: gen}) | weakBit
-}
-
 func (sm *Map) install(s slot) word.VSID {
 	if n := len(sm.free); n > 0 {
 		v := sm.free[n-1]
 		sm.free = sm.free[:n-1]
-		s.gen = sm.slots[v-1].gen // preserve reuse detection
 		sm.slots[v-1] = s
 		return v
 	}
@@ -169,58 +124,33 @@ func (sm *Map) install(s slot) word.VSID {
 	return word.VSID(len(sm.slots))
 }
 
-func (sm *Map) slotFor(v word.VSID) (*slot, error) {
+// liveSlot returns the live slot v names, or nil when it names none.
+func (sm *Map) liveSlot(v word.VSID) *slot {
 	id := baseID(v)
-	if id == 0 || uint64(id) > uint64(len(sm.slots)) {
-		return nil, fmt.Errorf("segmap: invalid VSID %#x", uint64(v))
+	if id == 0 || uint64(id) > uint64(len(sm.slots)) || !sm.slots[id-1].used {
+		return nil
 	}
-	s := &sm.slots[id-1]
-	if !s.used {
-		return nil, fmt.Errorf("segmap: dangling VSID %#x", uint64(v))
-	}
-	if s.weak {
-		if s.alias == 0 || uint64(s.alias) > uint64(len(sm.slots)) {
-			return nil, nil
-		}
-		t := &sm.slots[s.alias-1]
-		if !t.used || t.gen != s.aliasGen {
-			return nil, nil // weak target reclaimed (or slot reused): zero
-		}
-		return t, nil
-	}
-	return s, nil
+	return &sm.slots[id-1]
 }
 
-// statSlot returns the slot whose telemetry an operation on v should be
-// charged to: the named slot itself (not the alias target), so denials
-// through a weak alias show up against the alias. Returns nil when v does
-// not name a live slot.
-func (sm *Map) statSlot(v word.VSID) *slot {
-	id := baseID(v)
-	if id == 0 || uint64(id) > uint64(len(sm.slots)) {
-		return nil
+// slotFor is liveSlot reporting a VSID that names no live slot as an
+// error.
+func (sm *Map) slotFor(v word.VSID) (*slot, error) {
+	if s := sm.liveSlot(v); s != nil {
+		return s, nil
 	}
-	s := &sm.slots[id-1]
-	if !s.used {
-		return nil
-	}
-	return s
+	return nil, fmt.Errorf("segmap: invalid VSID %#x", uint64(v))
 }
 
 // Load returns a stable snapshot of the segment: the root reference count
 // is bumped so concurrent commits cannot reclaim the DAG under the
-// reader. Callers release it with segment.ReleaseSeg when done. Loading
-// through a reclaimed weak alias returns the zero segment.
+// reader. Callers release it with segment.ReleaseSeg when done.
 func (sm *Map) Load(v word.VSID) (Entry, error) {
 	sm.mu.Lock()
 	s, err := sm.slotFor(v)
 	if err != nil {
 		sm.mu.Unlock()
 		return Entry{}, err
-	}
-	if s == nil {
-		sm.mu.Unlock()
-		return Entry{}, nil // zeroed weak reference
 	}
 	e := s.e
 	touch := retainUnder(sm.mem, e.Seg)
@@ -259,7 +189,7 @@ func (sm *Map) Flags(v word.VSID) (Flags, error) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	s, err := sm.slotFor(v)
-	if err != nil || s == nil {
+	if err != nil {
 		return 0, err
 	}
 	return s.e.Flags, nil
@@ -269,20 +199,20 @@ func (sm *Map) Flags(v word.VSID) (Flags, error) {
 // root still equals old's root — the non-blocking atomic update of §2.2.
 // On success the map takes ownership of the caller's reference on
 // next.Root and releases its reference on the old root; on failure the
-// caller keeps ownership of next. CAS through a read-only or weak
-// reference always fails.
+// caller keeps ownership of next. CAS through a read-only reference
+// always fails.
 func (sm *Map) CAS(v word.VSID, old segment.Seg, next segment.Seg, size uint64) bool {
 	sm.mu.Lock()
-	if IsReadOnly(v) || IsWeak(v) {
+	if IsReadOnly(v) {
 		sm.casFail++
-		if s := sm.statSlot(v); s != nil {
+		if s := sm.liveSlot(v); s != nil {
 			s.stats.Denied++
 		}
 		sm.mu.Unlock()
 		return false
 	}
 	s, err := sm.slotFor(v)
-	if err != nil || s == nil {
+	if err != nil {
 		sm.casFail++
 		sm.mu.Unlock()
 		return false
@@ -309,40 +239,32 @@ func (sm *Map) CAS(v word.VSID, old segment.Seg, next segment.Seg, size uint64) 
 	return true
 }
 
-// Delete removes the entry, releasing its reference on the root. Weak
-// aliases to it start reading as zero. Deleting through a read-only
-// reference fails.
+// Delete removes the entry, releasing its reference on the root.
+// Deleting through a read-only reference fails.
 func (sm *Map) Delete(v word.VSID) error {
 	sm.mu.Lock()
 	if IsReadOnly(v) {
-		if s := sm.statSlot(v); s != nil {
+		if s := sm.liveSlot(v); s != nil {
 			s.stats.Denied++
 		}
 		sm.mu.Unlock()
 		return fmt.Errorf("segmap: delete through read-only VSID %#x", uint64(v))
 	}
-	id := baseID(v)
-	if id == 0 || uint64(id) > uint64(len(sm.slots)) || !sm.slots[id-1].used {
+	s, err := sm.slotFor(v)
+	if err != nil {
 		sm.mu.Unlock()
-		return fmt.Errorf("segmap: invalid VSID %#x", uint64(v))
+		return err
 	}
-	s := &sm.slots[id-1]
-	var release segment.Seg
-	doRelease := !s.weak
-	if doRelease {
-		release = s.e.Seg
-	}
+	id := baseID(v)
+	release := s.e.Seg
 	sm.reclaimed = sm.reclaimed.add(s.stats)
-	wasWeak := s.weak
-	*s = slot{gen: s.gen + 1}
+	*s = slot{}
 	sm.free = append(sm.free, id)
-	if sm.journal != nil && !wasWeak {
+	if sm.journal != nil {
 		sm.journal.JournalDelete(id)
 	}
 	sm.mu.Unlock()
-	if doRelease {
-		segment.ReleaseSeg(sm.mem, release)
-	}
+	segment.ReleaseSeg(sm.mem, release)
 	return nil
 }
 
@@ -355,8 +277,7 @@ func (sm *Map) CASStats() (uint64, uint64) {
 
 // Snapshot is a point-in-time view of the map's conflict telemetry.
 type Snapshot struct {
-	Entries int // live entries (including weak aliases)
-	Weak    int // of which weak aliases
+	Entries int // live entries
 	CASOK   uint64
 	CASFail uint64
 	// PerVSID holds the counters of live slots with any recorded
@@ -383,9 +304,6 @@ func (sm *Map) Snapshot() Snapshot {
 			continue
 		}
 		snap.Entries++
-		if s.weak {
-			snap.Weak++
-		}
 		snap.Total = snap.Total.add(s.stats)
 		if s.stats != (VSIDStats{}) {
 			snap.PerVSID[word.VSID(i+1)] = s.stats

@@ -98,45 +98,6 @@ func TestReadOnlyRefCannotUpdate(t *testing.T) {
 	}
 }
 
-func TestWeakAliasZeroesAfterDelete(t *testing.T) {
-	m, sm := setup(t)
-	v := sm.Create(Entry{Seg: mkSeg(m, "weakly referenced")})
-	w := sm.CreateWeakAlias(v)
-	e, err := sm.Load(w)
-	if err != nil || e.Seg.Root == word.Zero {
-		t.Fatalf("weak load before delete: %v, %+v", err, e)
-	}
-	segment.ReleaseSeg(m, e.Seg)
-	if err := sm.Delete(v); err != nil {
-		t.Fatal(err)
-	}
-	e, err = sm.Load(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Seg.Root != word.Zero {
-		t.Fatal("weak reference not zeroed after reclamation")
-	}
-	if m.LiveLines() != 0 {
-		t.Fatal("weak alias kept the segment alive")
-	}
-}
-
-func TestWeakAliasDetectsSlotReuse(t *testing.T) {
-	m, sm := setup(t)
-	v := sm.Create(Entry{Seg: mkSeg(m, "first occupant")})
-	w := sm.CreateWeakAlias(v)
-	sm.Delete(v)
-	v2 := sm.Create(Entry{Seg: mkSeg(m, "second occupant")})
-	if v2 != v {
-		t.Skip("slot not reused; nothing to check")
-	}
-	e, _ := sm.Load(w)
-	if e.Seg.Root != word.Zero {
-		t.Fatal("weak alias resurrected against an unrelated segment")
-	}
-}
-
 func TestDeleteReleasesRoot(t *testing.T) {
 	m, sm := setup(t)
 	v := sm.Create(Entry{Seg: mkSeg(m, "to be deleted, content long enough to use lines")})
@@ -248,7 +209,7 @@ func (sm *Map) externalRefs() map[word.PLID]uint64 {
 	defer sm.mu.Unlock()
 	ext := make(map[word.PLID]uint64)
 	for _, s := range sm.slots {
-		if s.used && !s.weak && s.e.Seg.Root != word.Zero {
+		if s.used && s.e.Seg.Root != word.Zero {
 			ext[s.e.Seg.Root]++
 		}
 	}

@@ -68,14 +68,12 @@ func quadAccounting(t *testing.T) accountingPin {
 			ws[i] = math.Float64bits(float64(1 + rng.Intn(40)))
 		}
 	}
-	b := NewBuilder(m, 0)
-	defer b.Close()
-	rows := b.CanonLeaves(ws) // top, bot per block
-	edges := b.CanonNodes(rows)
+	rows := CanonLeaves(m, ws) // top, bot per block
+	edges := CanonNodes(m, rows)
 	releaseAll(m, rows)
 	for len(edges) > 1 {
-		halves := b.CanonNodes(edges) // left, right per parent
-		parents := b.CanonNodes(halves)
+		halves := CanonNodes(m, edges) // left, right per parent
+		parents := CanonNodes(m, halves)
 		releaseAll(m, halves)
 		releaseAll(m, edges)
 		edges = parents

@@ -3,6 +3,7 @@ package segment
 import (
 	"encoding/binary"
 
+	"repro/internal/pool"
 	"repro/internal/word"
 )
 
@@ -15,10 +16,10 @@ import (
 // CanonBatch: one batched store lookup per level, within-level duplicate
 // lines deduplicated by the batch (the duplicate retains its twin's line
 // instead of looking it up again), and each level's children released
-// once their parents hold their own references. The batch carries no
-// memo: a one-shot build cannot amortize the memo's per-line table
-// inserts. Bulk producers that build many segments should hold their own
-// Builder so its memo persists across calls.
+// once their parents hold their own references. Lookup-by-content is the
+// only canonicalization (§3.1): nothing is remembered between builds, so
+// what a build charges depends on its input and the memory's state
+// alone, and one serialized schedule keeps it independent of GOMAXPROCS.
 func BuildWords(m word.Mem, ws []uint64, ts []word.Tag) Seg {
 	cb := AcquireCanonBatch(m)
 	defer cb.Close()
@@ -29,6 +30,96 @@ func BuildWords(m word.Mem, ws []uint64, ts []word.Tag) Seg {
 // packed little-endian into raw words.
 func BuildBytes(m word.Mem, b []byte) Seg {
 	return BuildWords(m, packWordsLE(b), nil)
+}
+
+// CanonLeaves canonicalizes many raw-word leaf lines at once: ws is the
+// flat concatenation of the leaves' words, arity per leaf (a short tail is
+// zero-padded). Each returned edge owns one reference when it carries a
+// PLID — the batch equivalent of one CanonLeaf call per leaf.
+func CanonLeaves(m word.Mem, ws []uint64) []Edge {
+	cb := AcquireCanonBatch(m)
+	defer cb.Close()
+	edges := make([]Edge, (len(ws)+cb.arity-1)/cb.arity)
+	resolveLeaves(cb, ws, nil, edges)
+	return edges
+}
+
+// CanonNodes canonicalizes many independent interior nodes at once:
+// children is the flat concatenation of the nodes' child edges, arity per
+// node (a short tail reads as zero subtrees). Ownership follows CanonNode:
+// child edges are borrowed (release them after the call if you own them)
+// and each returned edge owns one reference when it carries a PLID.
+func CanonNodes(m word.Mem, children []Edge) []Edge {
+	cb := AcquireCanonBatch(m)
+	defer cb.Close()
+	parents := make([]Edge, (len(children)+cb.arity-1)/cb.arity)
+	resolveNodes(cb, children, parents)
+	return parents
+}
+
+// buildLevels builds the segment holding ws bottom-up through cb, one
+// Resolve per level. Children are released only after their parents
+// resolved: fresh parent lines take their own references on them during
+// the batch lookup, which requires the builder's references to still be
+// live.
+func buildLevels(cb *CanonBatch, ws []uint64, ts []word.Tag) Seg {
+	if len(ws) == 0 {
+		return Seg{Root: word.Zero, Height: 0}
+	}
+	arity := cb.arity
+	height := HeightFor(arity, uint64(len(ws)))
+	// The per-level edge buffers are wave scratch: every slot is written
+	// before it is read, and the only value that outlives the loop is the
+	// materialized root.
+	var sc pool.Scratch
+	defer sc.Release()
+	edges := poolEdges.Get(&sc, (len(ws)+arity-1)/arity)
+	resolveLeaves(cb, ws, ts, edges)
+	for level := 1; level <= height; level++ {
+		next := poolEdges.Get(&sc, (len(edges)+arity-1)/arity)
+		resolveNodes(cb, edges, next)
+		releaseAll(cb.m, edges)
+		edges = next
+	}
+	return Seg{Root: materializeRoot(cb.m, edges[0]), Height: height}
+}
+
+// resolveLeaves canonicalizes one leaf level: out[l] covers words
+// ws[l*arity : (l+1)*arity], missing tail words reading as zero raw data.
+// Nil tags treat every word as raw.
+func resolveLeaves(cb *CanonBatch, ws []uint64, ts []word.Tag, out []Edge) {
+	var kids [word.MaxWords]Edge
+	for l := range out {
+		for i := range kids[:cb.arity] {
+			kids[i] = ZeroEdge
+			if j := l*cb.arity + i; j < len(ws) {
+				kids[i].W = ws[j]
+				if ts != nil {
+					kids[i].T = ts[j]
+				}
+			}
+		}
+		cb.Leaf(kids[:cb.arity], &out[l])
+	}
+	cb.Resolve()
+}
+
+// resolveNodes canonicalizes one interior level: out[p] covers child
+// edges children[p*arity : (p+1)*arity], missing tail children reading as
+// zero subtrees. Child edges are borrowed.
+func resolveNodes(cb *CanonBatch, children, out []Edge) {
+	var kids [word.MaxWords]Edge
+	for p := range out {
+		lo := p * cb.arity
+		if hi := lo + cb.arity; hi <= len(children) {
+			cb.Node(children[lo:hi], &out[p])
+			continue
+		}
+		n := copy(kids[:cb.arity], children[lo:])
+		clear(kids[n:cb.arity])
+		cb.Node(kids[:cb.arity], &out[p])
+	}
+	cb.Resolve()
 }
 
 // packWordsLE packs a byte string little-endian into 64-bit words,

@@ -4,7 +4,7 @@ import "repro/internal/word"
 
 // BuildWordsSerial is the line-at-a-time reference implementation of
 // BuildWords: one lookup-by-content per line, in canonical order. It is
-// the oracle the batch pipeline (BuildWords, the Builder, WriteBatch) is
+// the oracle the batch pipeline (BuildWords, CanonLeaves/CanonNodes, WriteBatch) is
 // verified against: it must reach the PLID-identical root.
 func BuildWordsSerial(m word.Mem, ws []uint64, ts []word.Tag) Seg {
 	arity := m.LineWords()

@@ -10,11 +10,9 @@ import (
 	"repro/internal/word"
 )
 
-// MemoSize returns the number of memoized lines.
-func (b *Builder) MemoSize() int { return len(b.memo) }
-
 // randWords produces a word slice with zero runs and repeated blocks, the
-// shapes that exercise zero elision, inlining, compaction and the memo.
+// shapes that exercise zero elision, inlining, compaction and within-level
+// dedup.
 func randWords(rng *rand.Rand, n int) []uint64 {
 	ws := make([]uint64, n)
 	i := 0
@@ -31,7 +29,7 @@ func randWords(rng *rand.Rand, n int) []uint64 {
 				ws[i+j] = uint64(rng.Intn(200))
 			}
 			i += run
-		case 2: // repeat of an earlier block (memo / dedup fodder)
+		case 2: // repeat of an earlier block (dedup fodder)
 			if i > run {
 				copy(ws[i:i+run], ws[i-run:i])
 			} else {
@@ -58,30 +56,23 @@ func TestBuilderMatchesSerial(t *testing.T) {
 		for _, n := range sizes {
 			ws := randWords(rng, n)
 			want := BuildWordsSerial(m, ws, nil)
-			b := NewBuilder(m, 1)
-			got := b.BuildWords(ws, nil)
+			got := BuildWords(m, ws, nil)
 			if !got.Equal(want) {
 				t.Fatalf("arity %d n=%d: bulk root %#x/h%d != serial %#x/h%d",
 					arity, n, got.Root, got.Height, want.Root, want.Height)
 			}
-			// Rebuild through the now-warm memo: still the same root.
-			again := b.BuildWords(ws, nil)
+			// Rebuild while the first build still holds every line: the
+			// batch lookups now hit, and the root is the same.
+			again := BuildWords(m, ws, nil)
 			if !again.Equal(want) {
-				t.Fatalf("arity %d n=%d: memoized rebuild root %#x != %#x",
+				t.Fatalf("arity %d n=%d: rebuild root %#x != %#x",
 					arity, n, again.Root, want.Root)
 			}
-			// The memo-less package-level build, at every size.
-			one := BuildWords(m, ws, nil)
-			if !one.Equal(want) {
-				t.Fatalf("arity %d n=%d: BuildWords root %#x != %#x", arity, n, one.Root, want.Root)
-			}
-			ReleaseSeg(m, one)
 			ReleaseSeg(m, want)
 			ReleaseSeg(m, got)
 			ReleaseSeg(m, again)
-			b.Close()
 			if live := m.LiveLines(); live != 0 {
-				t.Fatalf("arity %d n=%d: %d lines leaked after release+Close", arity, n, live)
+				t.Fatalf("arity %d n=%d: %d lines leaked after release", arity, n, live)
 			}
 		}
 	}
@@ -95,34 +86,36 @@ func TestBuilderSparseMatchesSerial(t *testing.T) {
 		ws[1234] = 0xdeadbeef
 		ws[4999] = 1
 		want := BuildWordsSerial(m, ws, nil)
-		b := NewBuilder(m, 0)
-		got := b.BuildWords(ws, nil)
+		got := BuildWords(m, ws, nil)
 		if !got.Equal(want) {
 			t.Fatalf("arity %d: sparse bulk root %#x != serial %#x", m.LineWords(), got.Root, want.Root)
 		}
 		ReleaseSeg(m, want)
 		ReleaseSeg(m, got)
-		b.Close()
 		if live := m.LiveLines(); live != 0 {
 			t.Fatalf("arity %d: %d lines leaked", m.LineWords(), live)
 		}
 	}
 }
 
+// TestBuilderBuildBytesMatchesPackage: BuildBytes is BuildWords over the
+// little-endian packing of its bytes, so its root is the serial oracle's
+// over the same words.
 func TestBuilderBuildBytesMatchesPackage(t *testing.T) {
 	m := core.NewMachine(core.TestConfig())
 	data := make([]byte, 1023)
 	rng := rand.New(rand.NewSource(7))
 	rng.Read(data)
-	want := BuildBytes(m, data)
-	b := NewBuilder(m, 0)
-	got := b.BuildBytes(data)
+	want := BuildWordsSerial(m, packWordsLE(data), nil)
+	got := BuildBytes(m, data)
 	if !got.Equal(want) {
 		t.Fatalf("BuildBytes roots differ: %#x vs %#x", got.Root, want.Root)
 	}
 	ReleaseSeg(m, want)
 	ReleaseSeg(m, got)
-	b.Close()
+	if live := m.LiveLines(); live != 0 {
+		t.Fatalf("%d lines leaked", live)
+	}
 }
 
 func TestPackWordsLE(t *testing.T) {
@@ -145,37 +138,6 @@ func TestPackWordsLE(t *testing.T) {
 				t.Fatalf("n=%d word %d: %#x want %#x", n, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestBuilderMemoHitsSkipLookups(t *testing.T) {
-	// A memo hit must not charge phantom DRAM lookups: rebuilding content
-	// the memo already holds performs zero lookup-by-content operations.
-	m := core.NewMachine(core.TestConfig())
-	rng := rand.New(rand.NewSource(9))
-	ws := make([]uint64, 2048)
-	for i := range ws {
-		ws[i] = rng.Uint64() // full-width so every leaf needs a real line
-	}
-	b := NewBuilder(m, 1)
-	first := b.BuildWords(ws, nil)
-	before := m.Stats().Store
-	second := b.BuildWords(ws, nil)
-	after := m.Stats().Store
-	if d := after.Lookups - before.Lookups; d != 0 {
-		t.Fatalf("memoized rebuild reached DRAM with %d lookups", d)
-	}
-	if d := after.LookupTraffic() - before.LookupTraffic(); d != 0 {
-		t.Fatalf("memoized rebuild charged %d lookup-traffic accesses", d)
-	}
-	if !first.Equal(second) {
-		t.Fatalf("memoized rebuild changed root: %#x vs %#x", second.Root, first.Root)
-	}
-	ReleaseSeg(m, first)
-	ReleaseSeg(m, second)
-	b.Close()
-	if live := m.LiveLines(); live != 0 {
-		t.Fatalf("%d lines leaked", live)
 	}
 }
 
@@ -216,83 +178,6 @@ func TestBatchLookupChargesLikeSerialLookup(t *testing.T) {
 	if bulk.Allocs != serial.Allocs || bulk.Lookups != serial.Lookups {
 		t.Fatalf("batch allocs/lookups %d/%d != serial %d/%d",
 			bulk.Allocs, bulk.Lookups, serial.Allocs, serial.Lookups)
-	}
-}
-
-func TestBuilderMemoHoldsNoRefs(t *testing.T) {
-	// The memo records content→PLID associations without references:
-	// releasing the only segment frees every line even while the memo
-	// still remembers them, and the now-stale entries must fail
-	// revalidation and fall back to real lookups on the next build.
-	m := core.NewMachine(core.TestConfig())
-	b := NewBuilder(m, 0)
-	payload := []byte("content remembered by the memo but owned only by the segment")
-	seg := b.BuildBytes(payload)
-	if b.MemoSize() == 0 {
-		t.Fatalf("expected memo entries after a build")
-	}
-	ReleaseSeg(m, seg)
-	if live := m.LiveLines(); live != 0 {
-		t.Fatalf("memo pinned %d lines after segment release", live)
-	}
-	again := b.BuildBytes(payload)
-	want := BuildWordsSerial(m, packWordsLE(payload), nil)
-	if !again.Equal(want) {
-		t.Fatalf("rebuild through a stale memo produced root %#x, want %#x",
-			again.Root, want.Root)
-	}
-	ReleaseSeg(m, again)
-	ReleaseSeg(m, want)
-	b.Close()
-	if live := m.LiveLines(); live != 0 {
-		t.Fatalf("%d lines leaked after Close", live)
-	}
-}
-
-// TestBuilderMemoInsertsUntilCap pins the memo policy: a long-lived
-// Builder over content that never repeats records every miss — well past
-// the point where a hit-rate policy would have given up on it — until the
-// table holds memoCap entries, after which it keeps serving lookups and
-// stops learning.
-func TestBuilderMemoInsertsUntilCap(t *testing.T) {
-	m := core.NewMachine(core.TestConfig())
-	b := NewBuilder(m, 1)
-	defer b.Close()
-	if b.memoCap != defaultMemoCap {
-		t.Fatalf("memo cap %d, want %d", b.memoCap, defaultMemoCap)
-	}
-	rng := rand.New(rand.NewSource(21))
-	ws := make([]uint64, 512)
-	build := func() {
-		for i := range ws {
-			ws[i] = rng.Uint64()
-		}
-		ReleaseSeg(m, b.BuildWords(ws, nil))
-	}
-	// The first build creates the table, so its level-0 inserts have no
-	// consultation to pair with; count from there.
-	build()
-	s0 := b.Stats()
-	for b.Stats().MemoLookups-s0.MemoLookups < 1<<15 {
-		build()
-	}
-	st := b.Stats()
-	if got, want := st.MemoInserts-s0.MemoInserts, (st.MemoLookups-s0.MemoLookups)-(st.MemoHits-s0.MemoHits); got != want {
-		t.Fatalf("memo inserted %d of %d misses over fresh content: %+v", got, want, st)
-	}
-
-	// Past the cap only a stale entry's slot (its line was freed and the
-	// entry dropped on revalidation) takes a new insert.
-	b.memoCap = b.MemoSize() + 10
-	build()
-	build()
-	after := b.Stats()
-	if b.MemoSize() != b.memoCap {
-		t.Fatalf("memo holds %d entries, cap %d", b.MemoSize(), b.memoCap)
-	}
-	misses := (after.MemoLookups - st.MemoLookups) - (after.MemoHits - st.MemoHits)
-	if inserts := after.MemoInserts - st.MemoInserts; inserts >= misses/2 {
-		t.Fatalf("full memo recorded %d of %d misses", inserts, misses)
 	}
 }
 
@@ -440,9 +325,9 @@ func TestMaterializeRootCompactMultiStep(t *testing.T) {
 // --- concurrency ----------------------------------------------------------
 
 func TestBuildersConcurrentIdenticalRoots(t *testing.T) {
-	// Many Builders over one shared machine, all building the same inputs
-	// concurrently, must agree on every root and leak nothing. Run with
-	// -race: this is the store/LLC/builder interleaving stress.
+	// Many goroutines over one shared machine, all building the same
+	// inputs concurrently, must agree on every root and leak nothing. Run
+	// with -race: this is the store/LLC/build interleaving stress.
 	m := core.NewMachine(core.Config{
 		LineBytes: 32, BucketBits: 12, DataWays: 12, CacheLines: 512, CacheWays: 4,
 	})
@@ -459,11 +344,9 @@ func TestBuildersConcurrentIdenticalRoots(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			b := NewBuilder(m, 1)
-			defer b.Close()
 			segs := make([]Seg, len(inputs))
 			for i, ws := range inputs {
-				segs[i] = b.BuildWords(ws, nil)
+				segs[i] = BuildWords(m, ws, nil)
 			}
 			roots[g] = segs
 		}(g)

@@ -18,14 +18,9 @@ import (
 // The produced edges follow the CanonLeaf/CanonNode ownership contract:
 // each out edge owns one reference when it carries a PLID; ownership of
 // the submitted child edges is untouched.
-//
-// A Builder attaches itself as memo, and Resolve then consults its
-// content memo before the batched lookup. WriteBatch and the merge engine
-// leave memo nil.
 type CanonBatch struct {
 	m     word.Mem
 	arity int
-	memo  *Builder
 	pendC []word.Content
 	pendO []*Edge
 
@@ -49,13 +44,13 @@ type canonDup struct {
 // steady-state WriteBatch, Merge or build allocates neither the batch nor
 // its dedup map. Resolve zeroes the *Edge output pointers it consumed
 // (they point into pooled wnodes and edge scratch); the reset zeroes any
-// submitted but unresolved ones and drops the borrowed memory system and
-// memo, keeping every buffer's capacity and the dedup map's buckets. Both
+// submitted but unresolved ones and drops the borrowed memory system,
+// keeping every buffer's capacity and the dedup map's buckets. Both
 // cost what the last call used, not what the buffers once grew to: small
 // builds borrow the instance a large wave just returned.
 var canonBatchPool = pool.NewItems[CanonBatch]("segment.canonbatch", func(b *CanonBatch) {
 	clear(b.pendO)
-	b.m, b.arity, b.memo = nil, 0, nil
+	b.m, b.arity = nil, 0
 	b.pendC = b.pendC[:0]
 	b.pendO = b.pendO[:0]
 	b.firstAt = pool.ResetMap(b.firstAt, 0)
@@ -152,11 +147,9 @@ func (b *CanonBatch) Node(edges []Edge, out *Edge) {
 }
 
 // Resolve turns the pending contents into owned PLID edges and resets the
-// batch for the next level. With a memo attached, each pending content
-// first consults it in submission order (a hit is retained by its
-// revalidation and needs no lookup); the misses are deduplicated by full
-// content, looked up in one batch and remembered, and each duplicate
-// retains its unique's line. It reports how many lookups were issued.
+// batch for the next level. The pending contents are deduplicated by
+// full content and looked up in one batch, and each duplicate retains its
+// unique's line. It reports how many lookups were issued.
 func (b *CanonBatch) Resolve() uint64 {
 	if len(b.pendC) == 0 {
 		return 0
@@ -171,12 +164,6 @@ func (b *CanonBatch) Resolve() uint64 {
 	uniqO := b.pendO[:0]
 	dups := b.dups[:0]
 	for i, c := range b.pendC {
-		if b.memo != nil {
-			if p, ok := b.memo.recall(c); ok {
-				*b.pendO[i] = PLIDEdge(p)
-				continue
-			}
-		}
 		if dedupe {
 			if j, ok := b.firstAt[c]; ok {
 				dups = append(dups, canonDup{b.pendO[i], j})
@@ -191,13 +178,8 @@ func (b *CanonBatch) Resolve() uint64 {
 		b.plids = make([]word.PLID, len(uniqC))
 	}
 	plids := b.plids[:len(uniqC)]
-	if len(uniqC) > 0 {
-		b.m.LookupLineBatchInto(uniqC, plids)
-	}
+	b.m.LookupLineBatchInto(uniqC, plids)
 	for j, out := range uniqO {
-		if b.memo != nil {
-			b.memo.memoAdd(uniqC[j], plids[j])
-		}
 		*out = PLIDEdge(plids[j]) // consumes the lookup's reference
 	}
 	for _, d := range dups {

@@ -18,9 +18,9 @@ import (
 // system only through word.Mem, so for one seeded script every PLID they
 // return, every content they read back and every counter the machine
 // charges are a function of the engines' memory-operation schedule alone.
-// The script drives the engines the way the served path does: a fresh
-// Builder per write window of at most 128 key/value pairs (as hds.Apply
-// builds them), one WriteBatch per window into a map-shaped segment,
+// The script drives the engines the way the served path does: BuildBytes
+// of every key and value of a write window of at most 128 pairs (as
+// hds.Apply builds them), one WriteBatch per window into a map-shaped segment,
 // DiffWords between successive versions, ScanWords, GatherWordsInto,
 // ReadBytesBulk of stored values and merge.Merge of two disjoint forks.
 // Each window's build, commit and release of the build references and of
@@ -29,12 +29,14 @@ import (
 // keep-if-present (segment.Update.Keep), as hds.Apply writes it. The
 // constants were recorded on the commit before word.Mem lost its
 // optional-capability probe and the Builder its adaptive memo, and
-// re-recorded when the scope came in and again when WriteBatch stopped
-// fetching fully rewritten subtrees and re-looking-up kept key leaves:
-// each time every PLID, word and content stayed the same — words, the
-// digest without the WriteStats and machine-stats records, did not move
-// — and only the traffic counters did. A change that moves any of them
-// changed what the engines ask of memory.
+// re-recorded when the scope came in, when WriteBatch stopped fetching
+// fully rewritten subtrees and re-looking-up kept key leaves, and when
+// the builds stopped consulting a content memo (the memo-statistics
+// record left the script then): each time every PLID, word and content
+// stayed the same — words, the digest without the WriteStats and
+// machine-stats records, did not move — and only the traffic counters
+// did. A change that moves any of them changed what the engines ask of
+// memory.
 
 // engineTrace folds everything the script observes into one FNV-1a
 // digest, h, and everything but the traffic counters — the WriteStats
@@ -89,7 +91,7 @@ func runEngineGolden(t *testing.T, lineBytes int) engineGolden {
 	g := &engineTrace{h: 14695981039346656037, words: 14695981039346656037}
 
 	// values holds what each key's slot should read back; recent feeds
-	// near-duplicate values (shared prefixes, repeats) so memo hits and
+	// near-duplicate values (shared prefixes, repeats) so lookup hits and
 	// within-level dedup happen as they do on redundant served traffic.
 	values := make([][]byte, goldenKeys)
 	var recent [][]byte
@@ -111,14 +113,11 @@ func runEngineGolden(t *testing.T, lineBytes int) engineGolden {
 	}
 	slotWords := uint64(4*goldenKeys + goldenScratch)
 	cur := segment.BuildWords(m, make([]uint64, slotWords), nil)
-	var memoLookups, memoHits uint64
 
 	for win := 0; win < goldenWindows; win++ {
-		// Build: a fresh Builder per window, one worker (served windows
-		// never reach the parallel threshold), keys and values interleaved.
+		// Build: keys and values interleaved, as hds.Apply builds them.
 		n := 1 + rng.Intn(goldenMaxWindow)
 		sc := m.Scope()
-		b := segment.NewBuilder(sc, 1)
 		var built []segment.Seg
 		var ups []segment.Update
 		for i := 0; i < n; i++ {
@@ -128,8 +127,8 @@ func runEngineGolden(t *testing.T, lineBytes int) engineGolden {
 			if len(recent) > 32 {
 				recent = recent[1:]
 			}
-			ks := b.BuildBytes([]byte(fmt.Sprintf("key-%04d", k)))
-			vs := b.BuildBytes(v)
+			ks := segment.BuildBytes(sc, []byte(fmt.Sprintf("key-%04d", k)))
+			vs := segment.BuildBytes(sc, v)
 			g.add('K', uint64(ks.Root), uint64(ks.Height))
 			g.add('V', uint64(vs.Root), uint64(vs.Height))
 			built = append(built, ks, vs)
@@ -145,11 +144,6 @@ func runEngineGolden(t *testing.T, lineBytes int) engineGolden {
 				segment.Update{Idx: base + 2, W: uint64(ks.Root), T: word.TagPLID, Keep: true},
 				segment.Update{Idx: base + 3, W: 8, T: word.TagRaw, Keep: true})
 		}
-		bs := b.Stats()
-		memoLookups += bs.MemoLookups
-		memoHits += bs.MemoHits
-		g.add('M', bs.MemoLookups, bs.MemoHits, bs.MemoInserts)
-		b.Close()
 
 		// Write: one wave commit of the window, then drop the build
 		// references (the map DAG holds its own).
@@ -246,32 +240,32 @@ func runEngineGolden(t *testing.T, lineBytes int) engineGolden {
 		t.Fatalf("%d B lines: %v", lineBytes, err)
 	}
 	st := m.Stats()
-	if memoHits == 0 || st.Cache.DirtyEvts == 0 || st.Store.LookupHits == 0 {
-		t.Fatalf("%d B lines: script missed a path: memo %d/%d, %+v", lineBytes, memoHits, memoLookups, st)
+	if st.Cache.DirtyEvts == 0 || st.Store.LookupHits == 0 {
+		t.Fatalf("%d B lines: script missed a path: %+v", lineBytes, st)
 	}
 	return engineGolden{digest: g.h, words: g.words, stats: st}
 }
 
 func TestEngineTransparencyGolden(t *testing.T) {
 	want := map[int]engineGolden{
-		16: {digest: 0x2e963b3532443d1, words: 0x3eade0d4905ed9af, stats: core.Stats{
-			Store: store.Stats{SigReads: 0x9e41, SigWrites: 0x8987, DataReads: 0x928e, LookupReads: 0x1a24, DataWrites: 0x892f,
-				RCReads: 0x2d66, RCWrites: 0x3554, DeallocOps: 0x8987, Lookups: 0x9e41, LookupHits: 0x14ba, Allocs: 0x8987,
-				Frees: 0x8987, FalseSig: 0x56a, Overflows: 0x2267},
-			Cache:     cachesim.Stats{Hits: 0x2acf, Misses: 0x16604, Inserts: 0x16604, Evictions: 0x1537b, DirtyEvts: 0xb668},
-			LookupOps: 0x9ea3, ReadOps: 0xaf31}},
-		32: {digest: 0x9e455e01ffd8e022, words: 0xb36acc839287ae81, stats: core.Stats{
-			Store: store.Stats{SigReads: 0x3dde, SigWrites: 0x32ab, DataReads: 0x2825, LookupReads: 0xc4b, DataWrites: 0x3151,
-				RCReads: 0x1a98, RCWrites: 0x23f6, DeallocOps: 0x32ab, Lookups: 0x3dde, LookupHits: 0xb33, Allocs: 0x32ab,
-				Frees: 0x32ab, FalseSig: 0x118, Overflows: 0x4e},
-			Cache:     cachesim.Stats{Hits: 0x236a, Misses: 0x8944, Inserts: 0x8944, Evictions: 0x7ae3, DirtyEvts: 0x41c0},
-			LookupOps: 0x3e20, ReadOps: 0x4207}},
-		64: {digest: 0x76b19e45fa7db3d2, words: 0x6267db060a2cc8d3, stats: core.Stats{
-			Store: store.Stats{SigReads: 0x280b, SigWrites: 0x1ef6, DataReads: 0x11b6, LookupReads: 0x96d, DataWrites: 0x1d12,
-				RCReads: 0x12c2, RCWrites: 0x1d73, DeallocOps: 0x1ef6, Lookups: 0x280b, LookupHits: 0x915, Allocs: 0x1ef6,
-				Frees: 0x1ef6, FalseSig: 0x58, Overflows: 0x0},
-			Cache:     cachesim.Stats{Hits: 0x2120, Misses: 0x5577, Inserts: 0x5577, Evictions: 0x4a59, DirtyEvts: 0x215a},
-			LookupOps: 0x2895, ReadOps: 0x2a1c}},
+		16: {digest: 0x6b171aff45942aa3, words: 0x2a32738243c9e89d, stats: core.Stats{
+			Store: store.Stats{SigReads: 0xb45a, SigWrites: 0x8987, DataReads: 0x928e, LookupReads: 0x30ab, DataWrites: 0x8936,
+				RCReads: 0x2d66, RCWrites: 0x3554, DeallocOps: 0x8987, Lookups: 0xb45a, LookupHits: 0x2ad3, Allocs: 0x8987,
+				Frees: 0x8987, FalseSig: 0x5d8, Overflows: 0x2267},
+			Cache:     cachesim.Stats{Hits: 0x5512, Misses: 0x17c1d, Inserts: 0x17c1d, Evictions: 0x16999, DirtyEvts: 0xb670},
+			LookupOps: 0xdeff, ReadOps: 0xaf31}},
+		32: {digest: 0x3c463905db161225, words: 0xb7be2181c7d37e6e, stats: core.Stats{
+			Store: store.Stats{SigReads: 0x3fc3, SigWrites: 0x32ab, DataReads: 0x2825, LookupReads: 0xe35, DataWrites: 0x3184,
+				RCReads: 0x1a98, RCWrites: 0x23f6, DeallocOps: 0x32ab, Lookups: 0x3fc3, LookupHits: 0xd18, Allocs: 0x32ab,
+				Frees: 0x32ab, FalseSig: 0x11d, Overflows: 0x4e},
+			Cache:     cachesim.Stats{Hits: 0x369f, Misses: 0x8b29, Inserts: 0x8b29, Evictions: 0x7cfa, DirtyEvts: 0x41f1},
+			LookupOps: 0x533a, ReadOps: 0x4207}},
+		64: {digest: 0x76a278eda7958681, words: 0x55f4351692229bbb, stats: core.Stats{
+			Store: store.Stats{SigReads: 0x2870, SigWrites: 0x1ef6, DataReads: 0x11b3, LookupReads: 0x9d4, DataWrites: 0x1d39,
+				RCReads: 0x12c2, RCWrites: 0x1d73, DeallocOps: 0x1ef6, Lookups: 0x2870, LookupHits: 0x97a, Allocs: 0x1ef6,
+				Frees: 0x1ef6, FalseSig: 0x5a, Overflows: 0x0},
+			Cache:     cachesim.Stats{Hits: 0x2d59, Misses: 0x55d9, Inserts: 0x55d9, Evictions: 0x4ae3, DirtyEvts: 0x2187},
+			LookupOps: 0x3530, ReadOps: 0x2a1c}},
 	}
 	for _, lineBytes := range []int{16, 32, 64} {
 		got := runEngineGolden(t, lineBytes)

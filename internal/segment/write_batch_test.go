@@ -235,11 +235,10 @@ func TestWriteBatchAccountingPin(t *testing.T) {
 			for i := range ws {
 				ws[i] = rng.Uint64()
 			}
-			// Single-threaded: the bulk Builder shards a level's lookups
-			// across workers, and the order in which workers reach the
-			// store decides which way (or overflow slot) each line gets
-			// and what the row buffers see. Accounting is a pure function
-			// of a serialized op schedule, so twins must be built by one.
+			// Line at a time: the order in which lines reach the store
+			// decides which way (or overflow slot) each line gets and
+			// what the row buffers see. Accounting is a pure function of
+			// a serialized op schedule, so twins must be built by one.
 			return BuildWordsSerial(m, ws, nil)
 		}
 		sa, sb := preload(ma), preload(mb)

@@ -31,8 +31,6 @@ type QTS struct {
 // order-independent.
 func BuildQTS(m word.Mem, mat *Matrix) *QTS {
 	dim := mat.Dim()
-	b := segment.NewBuilder(m, 0)
-	defer b.Close()
 
 	// Partition: each nonzero descends to its leaf block, accumulating a
 	// base-4 quadrant path (2 bits per level, slots matching quadNode:
@@ -74,7 +72,7 @@ func BuildQTS(m word.Mem, mat *Matrix) *QTS {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
 	// Leaf level: every populated 2x2 block canonicalized in one batch.
-	edges := leafBlocks(m, b, keys, blocks)
+	edges := leafBlocks(m, keys, blocks)
 
 	// Interior levels, bottom-up: group nodes by parent path (key >> 2),
 	// slot them by the dropped digit, canonicalize the whole level at once.
@@ -95,7 +93,7 @@ func BuildQTS(m word.Mem, mat *Matrix) *QTS {
 			}
 			grp[k&3] = edges[i]
 		}
-		parents := quadNodes(m, b, parentKeys, children)
+		parents := quadNodes(m, parentKeys, children)
 		releaseEdges(m, edges...)
 		keys, edges = parentKeys, parents
 	}
@@ -109,22 +107,22 @@ func BuildQTS(m word.Mem, mat *Matrix) *QTS {
 
 // leafBlocks canonicalizes every populated 2x2 block in one batch,
 // returning one owned edge per key (in key order).
-func leafBlocks(m word.Mem, b *segment.Builder, keys []uint64, blocks map[uint64]*[4]uint64) []segment.Edge {
+func leafBlocks(m word.Mem, keys []uint64, blocks map[uint64]*[4]uint64) []segment.Edge {
 	arity := m.LineWords()
 	if arity >= 4 {
 		ws := make([]uint64, len(keys)*arity)
 		for i, k := range keys {
 			copy(ws[i*arity:], blocks[k][:])
 		}
-		return b.CanonLeaves(ws)
+		return segment.CanonLeaves(m, ws)
 	}
 	// 2-word lines: each block is two value lines under one node.
 	ws := make([]uint64, len(keys)*4)
 	for i, k := range keys {
 		copy(ws[i*4:], blocks[k][:])
 	}
-	rows := b.CanonLeaves(ws) // top, bot per block
-	out := b.CanonNodes(rows)
+	rows := segment.CanonLeaves(m, ws) // top, bot per block
+	out := segment.CanonNodes(m, rows)
 	releaseEdges(m, rows...)
 	return out
 }
@@ -132,22 +130,22 @@ func leafBlocks(m word.Mem, b *segment.Builder, keys []uint64, blocks map[uint64
 // quadNodes combines each parent's four quadrant edges into one node edge
 // per parent, the batch equivalent of quadNode (same [ [A11,A22],
 // [A12,A21^T] ] layout). Child edges are borrowed.
-func quadNodes(m word.Mem, b *segment.Builder, parentKeys []uint64, children map[uint64]*[4]segment.Edge) []segment.Edge {
+func quadNodes(m word.Mem, parentKeys []uint64, children map[uint64]*[4]segment.Edge) []segment.Edge {
 	arity := m.LineWords()
 	if arity >= 4 {
 		flat := make([]segment.Edge, len(parentKeys)*arity)
 		for i, pk := range parentKeys {
 			copy(flat[i*arity:], children[pk][:])
 		}
-		return b.CanonNodes(flat)
+		return segment.CanonNodes(m, flat)
 	}
 	// 2-word lines: left = [A11, A22], right = [A12, A21^T], top = [left, right].
 	lr := make([]segment.Edge, len(parentKeys)*4)
 	for i, pk := range parentKeys {
 		copy(lr[i*4:], children[pk][:])
 	}
-	halves := b.CanonNodes(lr) // left, right per parent
-	out := b.CanonNodes(halves)
+	halves := segment.CanonNodes(m, lr) // left, right per parent
+	out := segment.CanonNodes(m, halves)
 	releaseEdges(m, halves...)
 	return out
 }

@@ -535,7 +535,7 @@ func (s *Store) LookupTo(c word.Content, rc RCSink) (word.PLID, bool) {
 }
 
 // LookupBatch performs lookup-by-content for every content in cs, the bulk
-// write-path primitive behind segment.Builder: contents are grouped by
+// write-path primitive behind segment.CanonBatch: contents are grouped by
 // bucket stripe so each stripe lock is taken once per batch (not once per
 // line), every bucket record is loaded before any is processed (warm),
 // DRAM accounting is accumulated locally and flushed with one
@@ -956,8 +956,7 @@ func (s *Store) Read(p word.PLID) word.Content {
 	if p == word.Zero {
 		return word.NewContent(s.arity)
 	}
-	s.bump(s.shardOf(p), cDataReads)
-	s.rows.touch(s.rowOf(p))
+	s.ChargeRead(p)
 	unlock := s.rlockLine(p)
 	ln := s.lineAt(p)
 	used, c := ln.used(), ln.load()
@@ -966,6 +965,15 @@ func (s *Store) Read(p word.PLID) word.Content {
 		panic(fmt.Sprintf("store: read of freed PLID %#x", uint64(p)))
 	}
 	return c
+}
+
+// ChargeRead counts one DRAM data read of p's line without returning its
+// content. A caller holding no reference on p reads the line to check it
+// (a content memo revalidating a remembered PLID), so p may have been
+// freed since: the read is charged all the same.
+func (s *Store) ChargeRead(p word.PLID) {
+	s.bump(s.shardOf(p), cDataReads)
+	s.rows.touch(s.rowOf(p))
 }
 
 // Peek returns a line's content without simulating a DRAM access. The

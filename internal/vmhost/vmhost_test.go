@@ -148,21 +148,19 @@ func ingestMachine() *core.Machine {
 }
 
 // ingest synthesizes one VM image and builds it as one segment.
-func ingest(b *segment.Builder, c Class, instance int) segment.Seg {
+func ingest(m *core.Machine, c Class, instance int) segment.Seg {
 	image := make([]byte, 0, c.Pages*PageBytes)
 	SynthesizeVM(c, instance, func(page []byte) { image = append(image, page...) })
-	return b.BuildBytes(image)
+	return segment.BuildBytes(m, image)
 }
 
 func TestIngestIdenticalVMsShareEverything(t *testing.T) {
 	m := ingestMachine()
-	bld := segment.NewBuilder(m, 1)
-	defer bld.Close()
 	c, _ := ClassByName("file")
 
-	a := ingest(bld, c, 0)
+	a := ingest(m, c, 0)
 	lines := m.LiveLines()
-	b := ingest(bld, c, 0) // same class, same instance: identical image
+	b := ingest(m, c, 0) // same class, same instance: identical image
 	if !a.Equal(b) {
 		t.Fatalf("identical VM images got roots %#x vs %#x", a.Root, b.Root)
 	}
@@ -180,13 +178,11 @@ func TestIngestSameClassSharesMostLines(t *testing.T) {
 	// A second instance of the same class shares OS, app and delta-ancestor
 	// content: it must allocate well under half of what the first did.
 	m := ingestMachine()
-	bld := segment.NewBuilder(m, 1)
-	defer bld.Close()
 	c, _ := ClassByName("web")
 
-	ingest(bld, c, 0)
+	ingest(m, c, 0)
 	first := m.LiveLines()
-	ingest(bld, c, 1)
+	ingest(m, c, 1)
 	added := m.LiveLines() - first
 	if added*2 >= first {
 		t.Fatalf("second instance allocated %d of %d lines; cross-VM sharing missing", added, first)
@@ -196,13 +192,11 @@ func TestIngestSameClassSharesMostLines(t *testing.T) {
 func TestIngestMatchesSynthesis(t *testing.T) {
 	// The segment must hold exactly the synthesized image bytes.
 	m := ingestMachine()
-	bld := segment.NewBuilder(m, 1)
-	defer bld.Close()
 	c, _ := ClassByName("standby")
 
 	var want []byte
 	SynthesizeVM(c, 3, func(page []byte) { want = append(want, page...) })
-	seg := ingest(bld, c, 3)
+	seg := ingest(m, c, 3)
 	got := segment.ReadBytes(m, seg, 0, uint64(len(want)))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("ingested image does not match synthesis (%d vs %d bytes)", len(got), len(want))

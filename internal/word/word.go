@@ -194,8 +194,10 @@ type Mem interface {
 	// still live and still holds content c, reporting whether it did: the
 	// revalidation behind content memos, whose remembered line may have
 	// been freed (and reallocated for other content) by a concurrent
-	// release. False sends the caller to LookupLine. A successful call
-	// charges exactly one reference-count touch, never lookup traffic.
+	// release. False sends the caller to LookupLine. Every call charges
+	// the read that checks the line (an LLC data probe, a DRAM data read
+	// on a miss), and a successful one one reference-count touch; never
+	// lookup traffic.
 	RetainIfContent(p PLID, c Content) bool
 	// Retain adds a reference to p. Retaining Zero is a no-op.
 	Retain(p PLID)

@@ -42,8 +42,6 @@ var reachAllowlist = map[string]string{
 	"internal/core.Machine.RefCount":         "reference-count probe; tests of other packages assert on it",
 	"internal/hds.Map.BytesScan":             "the one whole-map walk; hds and kvstore tests check exact map contents with it",
 	"internal/segment.GatherWords":           "bench/bench_test.go calls it; it goes when the benchmark moves to GatherWordsInto",
-	"internal/segment.DiffWords":             "the engine golden and the hds map-diff fixture drive it; a segment _test.go file once that fixture's two tests go",
-	"internal/segmap.Map.CreateWeakAlias":    "weak aliases, next deletion pass: the slot state and six segmap tests go with it",
 }
 
 // implicitMethods are called by the standard library through an
