@@ -309,9 +309,7 @@ func (m *Machine) lookupLineBatchInto(cs []word.Content, out []word.PLID, rc sto
 			}
 		}
 	}
-	if m.llc != nil {
-		m.llc.Publish(&t)
-	}
+	m.publish(&t)
 }
 
 // ReadLine implements word.Mem: read-by-PLID through the LLC. The caller
@@ -538,7 +536,11 @@ func (m *Machine) fill(set int, p word.PLID, c *word.Content, dirty bool, t *cac
 // Dirty eviction later costs one RC-line write. The store invokes this
 // callback with none of its locks held, so the eviction path may write
 // back into the store.
-func (m *Machine) rcTouch(p word.PLID, init bool) { m.touchRC(m.rcRow(p), init) }
+func (m *Machine) rcTouch(p word.PLID, init bool) {
+	var t cachesim.Tally
+	m.touchRC(m.rcRow(p), init, &t)
+	m.publish(&t)
+}
 
 // rcRow names the RC line holding p's count: its bucket row's (Figure 2),
 // or for an overflow line one of the overflow area's RC rows.
@@ -549,9 +551,9 @@ func (m *Machine) rcRow(p word.PLID) uint64 {
 	return 1<<40 | uint64(p)>>4
 }
 
-// touchRC charges one access to RC line id: a cached count update, or
-// with no LLC one DRAM write (after a read, unless init).
-func (m *Machine) touchRC(id uint64, init bool) {
+// touchRC charges one access to RC line id: a cached count update counted
+// in t, or with no LLC one DRAM write (after a read, unless init).
+func (m *Machine) touchRC(id uint64, init bool, t *cachesim.Tally) {
 	if m.llc == nil {
 		if !init {
 			m.store.RCLineRead()
@@ -559,9 +561,7 @@ func (m *Machine) touchRC(id uint64, init bool) {
 		m.store.RCLineWrite()
 		return
 	}
-	var t cachesim.Tally
-	hit, victim, dirty := m.llc.TouchRC(int(id&m.setMask), id, &t)
-	m.llc.Publish(&t)
+	hit, victim, dirty := m.llc.TouchRC(int(id&m.setMask), id, t)
 	if hit {
 		return
 	}
@@ -570,6 +570,13 @@ func (m *Machine) touchRC(id uint64, init bool) {
 	}
 	if dirty {
 		m.writeBack(victim)
+	}
+}
+
+// publish adds t's LLC events to the cache's counters.
+func (m *Machine) publish(t *cachesim.Tally) {
+	if m.llc != nil {
+		m.llc.Publish(t)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/cachesim"
 	"repro/internal/pool"
 	"repro/internal/store"
 	"repro/internal/word"
@@ -94,12 +95,14 @@ func (s *Scope) count(p word.PLID, init bool, dir int) {
 	}
 }
 
-// Close charges the netted RC-line traffic and returns the scope to the
-// pool.
+// Close charges the netted RC-line traffic, its LLC events published
+// once for all rows, and returns the scope to the pool.
 func (s *Scope) Close() {
+	var t cachesim.Tally
 	for _, c := range s.charges() {
-		s.m.touchRC(c.row, c.init)
+		s.m.touchRC(c.row, c.init, &t)
 	}
+	s.m.publish(&t)
 	scopePool.Put(s)
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cachesim"
 	"repro/internal/word"
 )
 
@@ -202,12 +203,18 @@ func TestScopeNettingMatchesReference(t *testing.T) {
 				t.Fatalf("round %d, scope of %d events: charged %d rows, reference %d (first difference at %d)",
 					round, 3*size, len(have), len(need), firstDiff(have, need))
 			}
+			// Close charges every row through one tally; the reference
+			// publishes each row's events on their own.
+			var all cachesim.Tally
 			for _, c := range have {
-				got.touchRC(c.row, c.init)
+				got.touchRC(c.row, c.init, &all)
 			}
+			got.publish(&all)
 			scopePool.Put(sc)
 			for _, c := range need {
-				want.touchRC(c.row, c.init)
+				var one cachesim.Tally
+				want.touchRC(c.row, c.init, &one)
+				want.publish(&one)
 			}
 			if g, w := got.Stats(), want.Stats(); g != w {
 				t.Fatalf("round %d, scope of %d events: stats %+v, reference %+v", round, 3*size, g, w)

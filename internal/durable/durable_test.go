@@ -469,6 +469,10 @@ func TestDurableBackgroundCheckpoints(t *testing.T) {
 	opts := testOpts(dir)
 	opts.CheckpointEvery = 5 * time.Millisecond
 	h, db := openHeap(t, opts)
+	// Close stops the background checkpoint loop; a Skip or Fatal before
+	// the explicit Close below must not leave it writing into the
+	// removed TempDir. Close is idempotent.
+	defer db.Close()
 	mp := hds.NewMap(h)
 	db.Bind("kv:test", mp.VSID())
 	deadline := time.Now().Add(200 * time.Millisecond)

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/merge"
+	"repro/internal/pool"
 	"repro/internal/segmap"
 	"repro/internal/segment"
 	"repro/internal/word"
@@ -41,8 +42,8 @@ type ApplyOptions struct {
 }
 
 // Apply binds every pair in one committed update — the single bulk
-// mutation entry point. Every key and value string is built through
-// segment.BuildBytes (one batched lookup per DAG level), every pair
+// mutation entry point. Every key and value string is built in build
+// waves (one batched lookup per DAG level for many strings), every pair
 // lowers to its slot words, and the whole batch
 // canonicalizes in a single bottom-up wave commit (segment.WriteBatch)
 // published according to opts. The whole update, retries included, runs
@@ -96,25 +97,29 @@ func dupSlot(keys []String) bool {
 	return false
 }
 
-// buildPairs constructs every pair's key and value string over m
-// (tombstones build only the key) and returns the release closure
-// dropping the build references once the committed map DAG holds its
-// own.
+// buildPairs constructs every pair's key and value string over m in
+// build waves (segment.BuildBytesMany; a tombstone's value is the empty
+// string, which costs nothing) and returns the release closure dropping
+// the build references once the committed map DAG holds its own.
 func (mp *Map) buildPairs(m word.Mem, pairs []Pair) (keys, vals []String, release func()) {
-	keys = make([]String, len(pairs))
-	vals = make([]String, len(pairs))
+	n := len(pairs)
+	var sc pool.Scratch
+	defer sc.Release()
+	bss := poolBytes.Get(&sc, 2*n)
 	for i, p := range pairs {
-		keys[i] = String{Seg: segment.BuildBytes(m, p.Key), Len: uint64(len(p.Key))}
+		bss[2*i], bss[2*i+1] = p.Key, nil
 		if !p.Delete {
-			vals[i] = String{Seg: segment.BuildBytes(m, p.Value), Len: uint64(len(p.Value))}
+			bss[2*i+1] = p.Value
 		}
 	}
+	strs := newStringsInto(m, bss, make([]String, 0, 2*n))
+	keys, vals = make([]String, n), make([]String, n)
+	for i := range pairs {
+		keys[i], vals[i] = strs[2*i], strs[2*i+1]
+	}
 	return keys, vals, func() {
-		for i := range pairs {
-			segment.ReleaseSeg(m, keys[i].Seg)
-			if !pairs[i].Delete {
-				segment.ReleaseSeg(m, vals[i].Seg)
-			}
+		for _, s := range strs {
+			segment.ReleaseSeg(m, s.Seg)
 		}
 	}
 }

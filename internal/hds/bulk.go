@@ -16,24 +16,30 @@ type Pair struct {
 }
 
 // poolRanges, poolIdxs and poolTags back the Into-variants' per-call
-// gather scratch.
+// gather scratch; poolBytes and poolSegs a build wave's strings and roots.
 var (
 	poolRanges = pool.NewSlice[segment.Range]("hds.ranges")
 	poolIdxs   = pool.NewSlice[uint64]("hds.idxs")
 	poolTags   = pool.NewSlice[word.Tag]("hds.tags")
+	poolBytes  = pool.NewSlice[[]byte]("hds.bytes", pool.WithClearOnPut())
+	poolSegs   = pool.NewSlice[segment.Seg]("hds.segs")
 )
 
-// NewStringsInto builds many strings, one segment.BuildBytes each,
-// appending into out, which is reused across calls. The caller owns one
-// reference per string.
+// NewStringsInto builds many strings in build waves
+// (segment.BuildBytesMany), appending into out, which is reused across
+// calls. The caller owns one reference per string.
 func NewStringsInto(h *Heap, bss [][]byte, out []String) []String {
 	return newStringsInto(h.M, bss, out)
 }
 
 func newStringsInto(m word.Mem, bss [][]byte, out []String) []String {
+	var sc pool.Scratch
+	defer sc.Release()
+	segs := poolSegs.Get(&sc, len(bss))
+	segment.BuildBytesMany(m, bss, segs)
 	out = out[:0]
-	for _, bs := range bss {
-		out = append(out, String{Seg: segment.BuildBytes(m, bs), Len: uint64(len(bs))})
+	for i, bs := range bss {
+		out = append(out, String{Seg: segs[i], Len: uint64(len(bs))})
 	}
 	return out
 }

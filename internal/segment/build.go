@@ -12,24 +12,111 @@ import (
 // reads as zero. The returned segment owns one reference on its root.
 // Passing nil tags treats every word as raw data.
 //
-// Every build, one word or a million, routes through one pooled
-// CanonBatch: one batched store lookup per level, within-level duplicate
-// lines deduplicated by the batch (the duplicate retains its twin's line
-// instead of looking it up again), and each level's children released
-// once their parents hold their own references. Lookup-by-content is the
-// only canonicalization (§3.1): nothing is remembered between builds, so
-// what a build charges depends on its input and the memory's state
-// alone, and one serialized schedule keeps it independent of GOMAXPROCS.
+// Every build is the one-string case of a build wave (buildWave).
+// Lookup-by-content is the only canonicalization (§3.1): nothing is
+// remembered between builds, so what a build charges depends on its input
+// and the memory's state alone, and one serialized schedule keeps it
+// independent of GOMAXPROCS.
 func BuildWords(m word.Mem, ws []uint64, ts []word.Tag) Seg {
-	cb := AcquireCanonBatch(m)
-	defer cb.Close()
-	return buildLevels(cb, ws, ts)
+	strs := [1]waveString{{n: len(ws)}}
+	var out [1]Seg
+	buildWave(m, ws, ts, strs[:], out[:])
+	return out[0]
 }
 
 // BuildBytes builds the canonical segment holding the byte string b,
 // packed little-endian into raw words.
 func BuildBytes(m word.Mem, b []byte) Seg {
-	return BuildWords(m, packWordsLE(b), nil)
+	var out [1]Seg
+	BuildBytesMany(m, [][]byte{b}, out[:])
+	return out[0]
+}
+
+// BuildBytesMany builds out[i] as BuildBytes(m, bss[i]) would, in build
+// waves of about waveLeaves leaves: a window of strings costs one lookup
+// batch per level of its tallest string, not a few per string.
+func BuildBytesMany(m word.Mem, bss [][]byte, out []Seg) {
+	var sc pool.Scratch
+	defer sc.Release()
+	strs := poolWaveStrs.Get(&sc, len(bss))
+	for lo, hi := 0, 0; lo < len(bss); lo = hi {
+		words := 0
+		for hi = lo; hi < len(bss) && words < waveLeaves*m.LineWords(); hi++ {
+			strs[hi] = waveString{n: (len(bss[hi]) + 7) / 8}
+			words += strs[hi].n
+		}
+		ws, at := poolU64.Get(&sc, words), 0
+		for i := lo; i < hi; i++ {
+			packWordsLE(ws[at:at+strs[i].n], bss[i])
+			at += strs[i].n
+		}
+		buildWave(m, ws, nil, strs[lo:hi], out[lo:hi])
+	}
+}
+
+// waveLeaves is the leaf count past which a build wave takes no further
+// string. Every layer pools its batch scratch at the size of the largest
+// batch it served, so the bound, not the largest window, sets what a
+// server keeps.
+const waveLeaves = 1024
+
+// waveString is one string of a build wave: its word count, then its edge
+// count and offset at the current level, its height and its top edge.
+type waveString struct {
+	n, at, height int
+	top           Edge
+}
+
+// buildWave builds the segment of every string in strs, whose words are
+// ws (and ts, nil for raw data) concatenated in order, into out, through
+// one CanonBatch: one Resolve for all leaves, then one per level, equal
+// contents deduplicated within it; a string drops out above its height.
+// Children are released only after their parents resolved (fresh parent
+// lines take their own references on them in the batch lookup), and the
+// roots are materialized at the end, in string order.
+func buildWave(m word.Mem, ws []uint64, ts []word.Tag, strs []waveString, out []Seg) {
+	cb := AcquireCanonBatch(m)
+	defer cb.Close()
+	var sc pool.Scratch
+	defer sc.Release()
+	arity := cb.arity
+	// A level of n edges has at most n/arity + 1 parents per string.
+	edges := poolEdges.Get(&sc, len(ws)/arity+len(strs))
+	w, n := 0, 0 // words submitted, edges in use
+	for i := range strs {
+		s := &strs[i]
+		var st []word.Tag
+		if ts != nil {
+			st = ts[w : w+s.n]
+		}
+		nl := (s.n + arity - 1) / arity
+		submitLeaves(cb, ws[w:w+s.n], st, edges[n:n+nl])
+		w += s.n
+		*s = waveString{n: nl, at: n, height: HeightFor(arity, uint64(s.n))}
+		n += nl
+	}
+	cb.Resolve()
+	for level := 0; n > 0; level++ {
+		next := poolEdges.Get(&sc, n/arity+len(strs))
+		at := 0
+		for i := range strs {
+			switch s := &strs[i]; {
+			case s.height == level && s.n > 0:
+				s.top, edges[s.at] = edges[s.at], ZeroEdge // the root's reference leaves the level
+			case s.height > level:
+				np := (s.n + arity - 1) / arity
+				submitNodes(cb, edges[s.at:s.at+s.n], next[at:at+np])
+				s.n, s.at = np, at
+				at += np
+			}
+		}
+		cb.Resolve()
+		releaseAll(m, edges[:n])
+		edges, n = next, at
+	}
+	for i, s := range strs {
+		out[i] = Seg{Root: materializeRoot(m, s.top), Height: s.height}
+	}
 }
 
 // CanonLeaves canonicalizes many raw-word leaf lines at once: ws is the
@@ -40,7 +127,8 @@ func CanonLeaves(m word.Mem, ws []uint64) []Edge {
 	cb := AcquireCanonBatch(m)
 	defer cb.Close()
 	edges := make([]Edge, (len(ws)+cb.arity-1)/cb.arity)
-	resolveLeaves(cb, ws, nil, edges)
+	submitLeaves(cb, ws, nil, edges)
+	cb.Resolve()
 	return edges
 }
 
@@ -53,41 +141,15 @@ func CanonNodes(m word.Mem, children []Edge) []Edge {
 	cb := AcquireCanonBatch(m)
 	defer cb.Close()
 	parents := make([]Edge, (len(children)+cb.arity-1)/cb.arity)
-	resolveNodes(cb, children, parents)
+	submitNodes(cb, children, parents)
+	cb.Resolve()
 	return parents
 }
 
-// buildLevels builds the segment holding ws bottom-up through cb, one
-// Resolve per level. Children are released only after their parents
-// resolved: fresh parent lines take their own references on them during
-// the batch lookup, which requires the builder's references to still be
-// live.
-func buildLevels(cb *CanonBatch, ws []uint64, ts []word.Tag) Seg {
-	if len(ws) == 0 {
-		return Seg{Root: word.Zero, Height: 0}
-	}
-	arity := cb.arity
-	height := HeightFor(arity, uint64(len(ws)))
-	// The per-level edge buffers are wave scratch: every slot is written
-	// before it is read, and the only value that outlives the loop is the
-	// materialized root.
-	var sc pool.Scratch
-	defer sc.Release()
-	edges := poolEdges.Get(&sc, (len(ws)+arity-1)/arity)
-	resolveLeaves(cb, ws, ts, edges)
-	for level := 1; level <= height; level++ {
-		next := poolEdges.Get(&sc, (len(edges)+arity-1)/arity)
-		resolveNodes(cb, edges, next)
-		releaseAll(cb.m, edges)
-		edges = next
-	}
-	return Seg{Root: materializeRoot(cb.m, edges[0]), Height: height}
-}
-
-// resolveLeaves canonicalizes one leaf level: out[l] covers words
+// submitLeaves submits one string's leaves to cb: out[l] covers words
 // ws[l*arity : (l+1)*arity], missing tail words reading as zero raw data.
-// Nil tags treat every word as raw.
-func resolveLeaves(cb *CanonBatch, ws []uint64, ts []word.Tag, out []Edge) {
+// Nil tags treat every word as raw. The edges are final after cb.Resolve.
+func submitLeaves(cb *CanonBatch, ws []uint64, ts []word.Tag, out []Edge) {
 	var kids [word.MaxWords]Edge
 	for l := range out {
 		for i := range kids[:cb.arity] {
@@ -101,13 +163,13 @@ func resolveLeaves(cb *CanonBatch, ws []uint64, ts []word.Tag, out []Edge) {
 		}
 		cb.Leaf(kids[:cb.arity], &out[l])
 	}
-	cb.Resolve()
 }
 
-// resolveNodes canonicalizes one interior level: out[p] covers child
-// edges children[p*arity : (p+1)*arity], missing tail children reading as
-// zero subtrees. Child edges are borrowed.
-func resolveNodes(cb *CanonBatch, children, out []Edge) {
+// submitNodes submits one string's interior nodes to cb: out[p] covers
+// child edges children[p*arity : (p+1)*arity], missing tail children
+// reading as zero subtrees. Child edges are borrowed. The edges are final
+// after cb.Resolve.
+func submitNodes(cb *CanonBatch, children, out []Edge) {
 	var kids [word.MaxWords]Edge
 	for p := range out {
 		lo := p * cb.arity
@@ -119,27 +181,20 @@ func resolveNodes(cb *CanonBatch, children, out []Edge) {
 		clear(kids[n:cb.arity])
 		cb.Node(kids[:cb.arity], &out[p])
 	}
-	cb.Resolve()
 }
 
-// packWordsLE packs a byte string little-endian into 64-bit words,
-// zero-padding the final partial word. Full words decode with
-// binary.LittleEndian; only the tail (< 8 bytes) takes the shift loop.
-func packWordsLE(b []byte) []uint64 {
-	n := (len(b) + 7) / 8
-	ws := make([]uint64, n)
+// packWordsLE packs a byte string little-endian into dst, its
+// (len(b)+7)/8 words, zero-padding the final partial word.
+func packWordsLE(dst []uint64, b []byte) {
 	full := len(b) / 8
-	for i := 0; i < full; i++ {
-		ws[i] = binary.LittleEndian.Uint64(b[i*8:])
+	for i := range full {
+		dst[i] = binary.LittleEndian.Uint64(b[i*8:])
 	}
-	if full < n {
-		var v uint64
-		for k := full * 8; k < len(b); k++ {
-			v |= uint64(b[k]) << (8 * (k - full*8))
-		}
-		ws[full] = v
+	if full < len(dst) {
+		var tail [8]byte
+		copy(tail[:], b[full*8:])
+		dst[full] = binary.LittleEndian.Uint64(tail[:])
 	}
-	return ws
 }
 
 // NewSparse returns an empty segment of the given height, ready for sparse

@@ -106,7 +106,7 @@ func TestBuilderBuildBytesMatchesPackage(t *testing.T) {
 	data := make([]byte, 1023)
 	rng := rand.New(rand.NewSource(7))
 	rng.Read(data)
-	want := BuildWordsSerial(m, packWordsLE(data), nil)
+	want := BuildWordsSerial(m, packWords(data), nil)
 	got := BuildBytes(m, data)
 	if !got.Equal(want) {
 		t.Fatalf("BuildBytes roots differ: %#x vs %#x", got.Root, want.Root)
@@ -118,6 +118,17 @@ func TestBuilderBuildBytesMatchesPackage(t *testing.T) {
 	}
 }
 
+// packWords packs b into fresh words. packWordsLE writes every word of
+// its destination, so it starts from stale ones, as pooled scratch does.
+func packWords(b []byte) []uint64 {
+	ws := make([]uint64, (len(b)+7)/8)
+	for i := range ws {
+		ws[i] = ^uint64(0)
+	}
+	packWordsLE(ws, b)
+	return ws
+}
+
 func TestPackWordsLE(t *testing.T) {
 	// The binary.LittleEndian fast path must agree with the byte-shift
 	// definition on every alignment, including the empty string.
@@ -125,7 +136,7 @@ func TestPackWordsLE(t *testing.T) {
 	for n := 0; n <= 33; n++ {
 		bs := make([]byte, n)
 		rng.Read(bs)
-		got := packWordsLE(bs)
+		got := packWords(bs)
 		want := make([]uint64, (n+7)/8)
 		for i := range bs {
 			want[i/8] |= uint64(bs[i]) << (8 * (i % 8))

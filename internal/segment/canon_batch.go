@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"math/bits"
+
 	"repro/internal/pool"
 	"repro/internal/word"
 )
@@ -24,11 +26,11 @@ type CanonBatch struct {
 	pendC []word.Content
 	pendO []*Edge
 
-	// Resolve's scratch, reused across levels (and, for pooled
-	// instances, across engine calls): the within-level dedup map is
-	// emptied rather than reallocated, the duplicate list and the PLID
-	// result buffer keep their capacity.
-	firstAt map[word.Content]int
+	// Resolve's scratch, reused across levels and (pooled) engine calls:
+	// the dedup index is emptied through the slots it filled, the other
+	// buffers keep their capacity.
+	firstAt []int32  // open-addressed: 0 is empty, else a unique's index + 1
+	filled  []uint32 // the slots of firstAt this level filled
 	dups    []canonDup
 	plids   []word.PLID
 }
@@ -42,10 +44,10 @@ type canonDup struct {
 
 // canonBatchPool recycles CanonBatch instances across engine calls so a
 // steady-state WriteBatch, Merge or build allocates neither the batch nor
-// its dedup map. Resolve zeroes the *Edge output pointers it consumed
+// its dedup index. Resolve zeroes the *Edge output pointers it consumed
 // (they point into pooled wnodes and edge scratch); the reset zeroes any
 // submitted but unresolved ones and drops the borrowed memory system,
-// keeping every buffer's capacity and the dedup map's buckets. Both
+// keeping every buffer's capacity and the dedup index's slots. Both
 // cost what the last call used, not what the buffers once grew to: small
 // builds borrow the instance a large wave just returned.
 var canonBatchPool = pool.NewItems[CanonBatch]("segment.canonbatch", func(b *CanonBatch) {
@@ -53,7 +55,9 @@ var canonBatchPool = pool.NewItems[CanonBatch]("segment.canonbatch", func(b *Can
 	b.m, b.arity = nil, 0
 	b.pendC = b.pendC[:0]
 	b.pendO = b.pendO[:0]
-	b.firstAt = pool.ResetMap(b.firstAt, 0)
+	if len(b.firstAt) > 1<<16 { // a bulk load's index, not a window's
+		b.firstAt, b.filled = nil, nil
+	}
 })
 
 // AcquireCanonBatch borrows a canonicalizer over m from the pool,
@@ -73,27 +77,10 @@ func (b *CanonBatch) Close() { canonBatchPool.Put(b) }
 // mirroring CanonLeaf: the zero edge and the inline encoding resolve
 // immediately, a real leaf line pends until Resolve.
 func (b *CanonBatch) Leaf(edges []Edge, out *Edge) {
-	c := word.NewContent(b.arity)
-	allZero, allSmallRaw := true, true
-	for i := 0; i < b.arity; i++ {
-		e := edges[i]
-		c.W[i], c.T[i] = e.W, e.T
-		if e.W != 0 || e.T != word.TagRaw {
-			allZero = false
-		}
-		if e.T != word.TagRaw {
-			allSmallRaw = false
-		}
-	}
-	if allZero {
-		*out = ZeroEdge
+	c := edgeContent(edges[:b.arity])
+	if e, ok := compactLeaf(&c); ok {
+		*out = e
 		return
-	}
-	if allSmallRaw {
-		if w, ok := word.PackInline(c.W[:b.arity], b.arity); ok {
-			*out = Edge{W: w, T: word.TagInline}
-			return
-		}
 	}
 	b.pendC = append(b.pendC, c)
 	b.pendO = append(b.pendO, out)
@@ -104,43 +91,10 @@ func (b *CanonBatch) Leaf(edges []Edge, out *Edge) {
 // single-child encodings resolve immediately (retaining the compacted
 // target), a real interior line pends until Resolve.
 func (b *CanonBatch) Node(edges []Edge, out *Edge) {
-	plidBits := b.m.PLIDBits()
-	c := word.NewContent(b.arity)
-	nz, idx := 0, -1
-	for i := 0; i < b.arity; i++ {
-		e := edges[i]
-		c.W[i], c.T[i] = e.W, e.T
-		if !e.IsZero() {
-			nz++
-			idx = i
-		}
-	}
-	if nz == 0 {
-		*out = ZeroEdge
+	c := edgeContent(edges[:b.arity])
+	if e, ok := compactNode(b.m, &c); ok {
+		*out = e
 		return
-	}
-	if nz == 1 {
-		child := edges[idx]
-		switch child.T {
-		case word.TagPLID:
-			steps := [1]int{idx}
-			if w, ok := word.EncodeCompact(word.PLID(child.W), steps[:], b.arity, plidBits); ok {
-				b.m.Retain(word.PLID(child.W))
-				*out = Edge{W: w, T: word.TagCompact}
-				return
-			}
-		case word.TagCompact:
-			// Prepend idx to the child's decoded path on the stack: the
-			// decode lands in sbuf[1:], leaving slot 0 for the new step.
-			var sbuf [word.MaxCompactPath + 1]int
-			p, path := word.DecodeCompactInto(child.W, b.arity, plidBits, sbuf[1:])
-			sbuf[0] = idx
-			if w, ok := word.EncodeCompact(p, sbuf[:1+len(path)], b.arity, plidBits); ok {
-				b.m.Retain(p)
-				*out = Edge{W: w, T: word.TagCompact}
-				return
-			}
-		}
 	}
 	b.pendC = append(b.pendC, c)
 	b.pendO = append(b.pendO, out)
@@ -155,21 +109,28 @@ func (b *CanonBatch) Resolve() uint64 {
 		return 0
 	}
 	// A lone pending content has nothing to deduplicate against, so a
-	// one-line level (a short key, the top of a tree) skips the map.
+	// one-line level (a short key, the top of a tree) skips the index,
+	// which has two slots or more per pending content.
 	dedupe := len(b.pendC) > 1
-	if dedupe && b.firstAt == nil {
-		b.firstAt = make(map[word.Content]int, len(b.pendC))
+	if dedupe && len(b.firstAt) < 2*len(b.pendC) {
+		b.firstAt = make([]int32, 1<<bits.Len(uint(2*len(b.pendC)-1)))
 	}
+	mask := uint64(len(b.firstAt) - 1)
 	uniqC := b.pendC[:0] // compacts in place; position i is read before any write can reach it
 	uniqO := b.pendO[:0]
 	dups := b.dups[:0]
 	for i, c := range b.pendC {
 		if dedupe {
-			if j, ok := b.firstAt[c]; ok {
-				dups = append(dups, canonDup{b.pendO[i], j})
+			at := dedupHash(&c) & mask
+			for b.firstAt[at] != 0 && uniqC[b.firstAt[at]-1] != c {
+				at = (at + 1) & mask
+			}
+			if j := b.firstAt[at]; j != 0 {
+				dups = append(dups, canonDup{b.pendO[i], int(j - 1)})
 				continue
 			}
-			b.firstAt[c] = len(uniqC)
+			b.firstAt[at] = int32(len(uniqC) + 1)
+			b.filled = append(b.filled, uint32(at))
 		}
 		uniqC = append(uniqC, c)
 		uniqO = append(uniqO, b.pendO[i])
@@ -187,17 +148,13 @@ func (b *CanonBatch) Resolve() uint64 {
 		b.m.Retain(p)
 		*d.out = PLIDEdge(p)
 	}
-	// Empty the dedup map by deleting this level's keys: clear() costs the
-	// map's grown capacity, which one large level would otherwise charge
-	// every later small level — and, through the pool, every later build
-	// of every engine. A map grown past KeepMapEntries is dropped instead.
-	if len(b.firstAt) > pool.KeepMapEntries {
-		b.firstAt = nil
-	} else if dedupe {
-		for _, c := range uniqC {
-			delete(b.firstAt, c)
-		}
+	// Empty the dedup index through the slots this level filled: clearing
+	// it whole would charge one large level's capacity to every later
+	// small level, and through the pool to every engine's later builds.
+	for _, at := range b.filled {
+		b.firstAt[at] = 0
 	}
+	b.filled = b.filled[:0]
 	n := uint64(len(uniqC))
 	clear(b.pendO)
 	clear(dups)
@@ -205,4 +162,14 @@ func (b *CanonBatch) Resolve() uint64 {
 	b.pendO = b.pendO[:0]
 	b.dups = dups[:0]
 	return n
+}
+
+// dedupHash mixes a content for the dedup index, folding each product's
+// high bits into the low ones the index's mask keeps.
+func dedupHash(c *word.Content) (h uint64) {
+	for i := range c.N {
+		h = (h ^ c.W[i] ^ uint64(c.T[i])<<56) * 0x9E3779B97F4A7C15
+		h ^= h >> 29
+	}
+	return h
 }

@@ -108,26 +108,12 @@ func CanonLeaf(m word.Mem, ws []uint64, ts []word.Tag) Edge {
 	if len(ws) != arity || len(ts) != arity {
 		panic(fmt.Sprintf("segment: leaf of %d/%d words, arity %d", len(ws), len(ts), arity))
 	}
-	allZero, allSmallRaw := true, true
-	for i := 0; i < arity; i++ {
-		if ws[i] != 0 || ts[i] != word.TagRaw {
-			allZero = false
-		}
-		if ts[i] != word.TagRaw {
-			allSmallRaw = false
-		}
-	}
-	if allZero {
-		return ZeroEdge
-	}
-	if allSmallRaw {
-		if w, ok := word.PackInline(ws, arity); ok {
-			return Edge{W: w, T: word.TagInline}
-		}
-	}
 	c := word.NewContent(arity)
 	copy(c.W[:arity], ws)
 	copy(c.T[:arity], ts)
+	if e, ok := compactLeaf(&c); ok {
+		return e
+	}
 	return PLIDEdge(m.LookupLine(c))
 }
 
@@ -139,41 +125,75 @@ func CanonLeaf(m word.Mem, ws []uint64, ts []word.Tag) Edge {
 // ownership of the child edges is untouched (release them after the call
 // if you own them).
 func CanonNode(m word.Mem, children []Edge) Edge {
-	arity := m.LineWords()
-	if len(children) != arity {
-		panic(fmt.Sprintf("segment: node of %d children, arity %d", len(children), arity))
+	if len(children) != m.LineWords() {
+		panic(fmt.Sprintf("segment: node of %d children, arity %d", len(children), m.LineWords()))
 	}
-	nz, idx := 0, -1
-	for i, e := range children {
-		if !e.IsZero() {
-			nz++
+	c := edgeContent(children)
+	if e, ok := compactNode(m, &c); ok {
+		return e
+	}
+	return PLIDEdge(m.LookupLine(c))
+}
+
+// edgeContent is the line content whose words are the given edges.
+func edgeContent(es []Edge) word.Content {
+	c := word.NewContent(len(es))
+	for i, e := range es {
+		c.W[i], c.T[i] = e.W, e.T
+	}
+	return c
+}
+
+// compactLeaf is the edge of a leaf holding c when that needs no line: the
+// zero edge, or the inline encoding of small raw words.
+func compactLeaf(c *word.Content) (Edge, bool) {
+	if c.IsZero() {
+		return ZeroEdge, true
+	}
+	for i := 0; i < int(c.N); i++ {
+		if c.T[i] != word.TagRaw {
+			return Edge{}, false
+		}
+	}
+	if w, ok := word.PackInline(c.W[:c.N], int(c.N)); ok {
+		return Edge{W: w, T: word.TagInline}, true
+	}
+	return Edge{}, false
+}
+
+// compactNode is the edge of an interior node holding c when that needs no
+// line: the zero edge, or the path-compacted encoding of a lone PLID or
+// compacted child, which retains the compacted target.
+func compactNode(m word.Mem, c *word.Content) (Edge, bool) {
+	arity, idx := int(c.N), -1
+	for i := 0; i < arity; i++ {
+		if !(Edge{W: c.W[i], T: c.T[i]}).IsZero() {
+			if idx >= 0 {
+				return Edge{}, false // two children: a real line
+			}
 			idx = i
 		}
 	}
-	if nz == 0 {
-		return ZeroEdge
+	if idx < 0 {
+		return ZeroEdge, true
 	}
-	if nz == 1 {
-		child := children[idx]
-		switch child.T {
-		case word.TagPLID:
-			if w, ok := word.EncodeCompact(word.PLID(child.W), []int{idx}, arity, m.PLIDBits()); ok {
-				m.Retain(word.PLID(child.W))
-				return Edge{W: w, T: word.TagCompact}
-			}
-		case word.TagCompact:
-			p, path := word.DecodeCompact(child.W, arity, m.PLIDBits())
-			if w, ok := word.EncodeCompact(p, append([]int{idx}, path...), arity, m.PLIDBits()); ok {
-				m.Retain(p)
-				return Edge{W: w, T: word.TagCompact}
-			}
-		}
+	// The path is built on the stack: a compacted child's decoded path
+	// lands in path[1:], behind the new step.
+	path := [word.MaxCompactPath + 1]int{idx}
+	p, tail := word.PLID(c.W[idx]), path[1:1]
+	switch c.T[idx] {
+	case word.TagCompact:
+		p, tail = word.DecodeCompactInto(c.W[idx], arity, m.PLIDBits(), path[1:])
+	case word.TagPLID:
+	default:
+		return Edge{}, false
 	}
-	c := word.NewContent(arity)
-	for i, e := range children {
-		c.W[i], c.T[i] = e.W, e.T
+	w, ok := word.EncodeCompact(p, path[:1+len(tail)], arity, m.PLIDBits())
+	if !ok {
+		return Edge{}, false
 	}
-	return PLIDEdge(m.LookupLine(c))
+	m.Retain(p)
+	return Edge{W: w, T: word.TagCompact}, true
 }
 
 // releaseAll drops ownership of every edge in es.

@@ -3,38 +3,68 @@ package segment
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/pool"
 	"repro/internal/word"
 )
 
-// White-box pins for the map retention bound in the pooled wave state:
-// a dedup map grown past pool.KeepMapEntries by one oversized call must
-// not survive into the freelist, where its O(grown capacity) clear cost
-// would tax every later (typically much smaller) engine call. This was
-// a live bug: one 65536-key bulk load made every subsequent single-key
-// WriteBatch ~30x slower, forever, through the retained map alone.
-
-func bigContentMap(n int) map[word.Content]int {
-	m := make(map[word.Content]int, n)
-	for i := 0; i < n; i++ {
-		var c word.Content
-		c.W[0] = uint64(i) + 1
-		m[c] = i
-	}
-	return m
-}
+// White-box pins for the retention bounds in the pooled wave state: a
+// dedup table grown past its bound by one oversized call must not
+// survive into the freelist, where it would pin memory (a map would also
+// tax every later, typically much smaller, engine call with its
+// O(grown capacity) clear cost). This was a live bug: one 65536-key bulk
+// load made every subsequent single-key WriteBatch ~30x slower, forever,
+// through the retained map alone.
 
 func TestCanonBatchResetDropsOversizedDedupMap(t *testing.T) {
 	b := canonBatchPool.Get()
-	b.firstAt = bigContentMap(pool.KeepMapEntries + 1)
+	b.firstAt = make([]int32, 1<<17)
 	canonBatchPool.Put(b) // runs the pooled reset
 	b2 := canonBatchPool.Get()
 	defer canonBatchPool.Put(b2)
-	if len(b2.firstAt) != 0 {
-		t.Fatalf("reset left %d entries", len(b2.firstAt))
-	}
 	if b2 == b && b2.firstAt != nil {
-		t.Fatal("oversized dedup map survived the pool round trip")
+		t.Fatal("oversized dedup index survived the pool round trip")
+	}
+}
+
+// TestCanonBatchDedupIndexEmptiedBySlots: a level leaves the dedup index
+// empty, so a table kept across levels and windows never reports a
+// duplicate from an earlier one, and a level with many duplicates of a
+// few contents resolves them all to their twins' lines.
+func TestCanonBatchDedupIndexEmptiedBySlots(t *testing.T) {
+	m := core.NewMachine(core.TestConfig())
+	arity := m.LineWords()
+	leaf := func(i int) []Edge {
+		es := make([]Edge, arity)
+		for j := range es {
+			es[j] = Edge{W: 1<<62 | uint64(i)<<40 | uint64(j), T: word.TagRaw} // too wide to inline
+		}
+		return es
+	}
+	cb := AcquireCanonBatch(m)
+	defer cb.Close()
+	for round := 0; round < 3; round++ {
+		out := make([]Edge, 3000)
+		for i := range out {
+			cb.Leaf(leaf(round*10+i%7), &out[i])
+		}
+		if got := cb.Resolve(); got != 7 {
+			t.Fatalf("round %d: %d lookups for 7 distinct leaves", round, got)
+		}
+		for i, e := range out {
+			if e != out[i%7] {
+				t.Fatalf("round %d: leaf %d resolved to %v, its twin to %v", round, i, e, out[i%7])
+			}
+		}
+		for _, at := range cb.firstAt {
+			if at != 0 {
+				t.Fatalf("round %d: the dedup index kept a slot", round)
+			}
+		}
+		releaseAll(m, out)
+	}
+	if live := m.LiveLines(); live != 0 {
+		t.Fatalf("%d lines leaked", live)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 var (
 	poolU64       = pool.NewSlice[uint64]("segment.u64")
 	poolEdges     = pool.NewSlice[Edge]("segment.edge")
+	poolWaveStrs  = pool.NewSlice[waveString]("segment.wavestring")
 	poolReqs      = pool.NewSlice[bulkReq]("segment.bulkreq")
 	poolBulkNodes = pool.NewSlice[bulkNode]("segment.bulknode")
 	poolPLIDs     = pool.NewSlice[word.PLID]("segment.plid")

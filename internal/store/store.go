@@ -197,8 +197,8 @@ type Store struct {
 	shards    [numStripes + 1]statsShard
 
 	// OnRCTouch, when non-nil, is the RCSink of the methods that take
-	// none (Lookup, LookupBatchInto, Retain, RetainIfContent, Release);
-	// their ...To forms report to the sink the caller passes instead.
+	// none (LookupBatchInto, Release and the test hooks); their ...To
+	// forms report to the sink the caller passes instead.
 	OnRCTouch RCSink
 
 	// journal, when set, observes line liveness transitions for the
@@ -1007,13 +1007,11 @@ func (s *Store) RefCount(p word.PLID) uint64 {
 	return atomic.LoadUint64(ln.rc())
 }
 
-// Retain adds one reference to p without touching DRAM counters; the
-// caller models the reference-count line traffic (they are cached). Only
-// a shared lock is needed: the caller already holds a reference (so the
-// line cannot die), and the increment itself is atomic.
-func (s *Store) Retain(p word.PLID) { s.RetainTo(p, s.OnRCTouch) }
-
-// RetainTo is Retain reporting its reference-count event to rc.
+// RetainTo adds one reference to p, reporting its reference-count event
+// to rc, without touching DRAM counters; the caller models the
+// reference-count line traffic (they are cached). Only a shared lock is
+// needed: the caller already holds a reference (so the line cannot die),
+// and the increment itself is atomic.
 func (s *Store) RetainTo(p word.PLID, rc RCSink) {
 	if p == word.Zero {
 		return
@@ -1022,7 +1020,7 @@ func (s *Store) RetainTo(p word.PLID, rc RCSink) {
 	fire1(p, false, rc)
 }
 
-// RetainQuiet is Retain reporting to no sink: the caller takes
+// RetainQuiet is RetainTo reporting to no sink: the caller takes
 // responsibility for reporting the reference-count traffic afterwards.
 // It exists so a caller holding its own lock can take a reference
 // atomically with its read while keeping the callback's cache traffic out
@@ -1041,18 +1039,12 @@ func (s *Store) RetainQuiet(p word.PLID) {
 	unlock()
 }
 
-// RetainIfContent adds one reference to p only if the line is live and
-// still holds content c, reporting whether it did. The cache layer uses it
-// on content hits: between a cache probe and the retain, the line may have
-// been freed (and its slot even reallocated for different content) by a
-// concurrent release, in which case the caller must fall back to the
-// authoritative lookup path.
-func (s *Store) RetainIfContent(p word.PLID, c word.Content) bool {
-	return s.RetainIfContentTo(p, c, s.OnRCTouch)
-}
-
-// RetainIfContentTo is RetainIfContent reporting its reference-count
-// event to rc.
+// RetainIfContentTo adds one reference to p only if the line is live and
+// still holds content c, reporting whether it did and its reference-count
+// event to rc. The cache layer uses it on content hits: between a cache
+// probe and the retain, the line may have been freed (and its slot even
+// reallocated for different content) by a concurrent release, in which
+// case the caller must fall back to the authoritative lookup path.
 func (s *Store) RetainIfContentTo(p word.PLID, c word.Content, rc RCSink) bool {
 	if p == word.Zero {
 		return false
