@@ -18,6 +18,9 @@ import (
 //     compact/inline decoders (DecodeCompactInto / UnpackInlineInto) and
 //     of slice sorting (slices.SortFunc; sort.Slice's reflection header
 //     allocates per call), and take recurring buffers from internal/pool.
+//   - The wave engines number the lines and indexes of a wave with
+//     pool.Index, never a per-wave Go map: a map's hashing, growth and
+//     rehash cost as much as the walk itself (DESIGN.md "Bulk reads").
 //   - sync.Pool appears nowhere outside internal/pool: a private pool
 //     would bypass the bucketed stats (hits/misses/oversize) the bench
 //     and server surfaces report, and sync.Pool's GC draining breaks the
@@ -38,18 +41,16 @@ var sourceGuards = []struct {
 	fix    string
 }{
 	{
-		name: "NoAdHocScratchInWaveEngines",
-		re:   regexp.MustCompile(`word\.(DecodeCompact|UnpackInline)\(|sort\.Slice\(|sync\.Pool`),
-		files: []string{
-			filepath.Join("internal", "segment", "build.go"),
-			filepath.Join("internal", "segment", "read_bulk.go"),
-			filepath.Join("internal", "segment", "scan.go"),
-			filepath.Join("internal", "segment", "write_batch.go"),
-			filepath.Join("internal", "segment", "canon_batch.go"),
-			filepath.Join("internal", "merge", "merge.go"),
-			filepath.Join("internal", "iterreg", "iterreg.go"),
-		},
-		fix: "allocating form in wave engine — use the Into variant / slices.SortFunc / internal/pool",
+		name:  "NoAdHocScratchInWaveEngines",
+		re:    regexp.MustCompile(`word\.(DecodeCompact|UnpackInline)\(|sort\.Slice\(|sync\.Pool`),
+		files: waveEngineFiles,
+		fix:   "allocating form in wave engine — use the Into variant / slices.SortFunc / internal/pool",
+	},
+	{
+		name:  "NoGoMapDedupInWaveEngines",
+		re:    regexp.MustCompile(`pool\.NewMap|pool\.ResetMap|map\[word\.PLID\]`),
+		files: waveEngineFiles,
+		fix:   "Go map dedup in wave engine — number keys with a pool.Index",
 	},
 	{
 		name:   "NoSyncPoolOutsidePoolPackage",
@@ -63,6 +64,17 @@ var sourceGuards = []struct {
 		exempt: "bench",
 		fix:    "segment.Builder outside bench/ — build with segment.BuildWords/BuildBytes/CanonLeaves/CanonNodes",
 	},
+}
+
+// waveEngineFiles are the wave engines' source files.
+var waveEngineFiles = []string{
+	filepath.Join("internal", "segment", "build.go"),
+	filepath.Join("internal", "segment", "read_bulk.go"),
+	filepath.Join("internal", "segment", "scan.go"),
+	filepath.Join("internal", "segment", "write_batch.go"),
+	filepath.Join("internal", "segment", "canon_batch.go"),
+	filepath.Join("internal", "merge", "merge.go"),
+	filepath.Join("internal", "iterreg", "iterreg.go"),
 }
 
 func TestSourceGuards(t *testing.T) {

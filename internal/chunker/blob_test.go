@@ -94,13 +94,19 @@ func ReadBlob(m word.Mem, b Blob) ([]byte, bool) {
 		return nil, false
 	}
 	out := make([]byte, b.Len)
-	chunkWords := segment.GatherRanges(m, ranges)
+	words := uint64(0)
+	for _, r := range ranges {
+		words += r.N
+	}
+	flat := make([]uint64, words)
+	segment.GatherRanges(m, ranges, flat)
 	ri := 0
 	off := uint64(0)
 	for i := 0; i < b.Chunks; i++ {
 		root, clen := vals[2+2*i], vals[3+2*i]
 		if root != 0 {
-			ws := chunkWords[ri]
+			ws := flat[:ranges[ri].N]
+			flat = flat[ranges[ri].N:]
 			ri++
 			full := clen / 8
 			for j := uint64(0); j < full; j++ {

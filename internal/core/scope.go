@@ -30,9 +30,9 @@ type Scope struct {
 	// event of one store call moves counts the same way — down for a
 	// release, up (or an initialization) for everything else.
 	inc, dec store.RCSink
-	at       flatIndex  // PLID -> its entry in nets
+	at       pool.Index // PLID -> its entry in nets
 	nets     []rcNet    // in first-touch order
-	rows     flatIndex  // Close scratch: RC row -> its entry in due
+	rows     pool.Index // Close scratch: RC row -> its entry in due
 	due      []rcCharge // Close scratch: rows to charge, in order
 }
 
@@ -49,22 +49,19 @@ type rcCharge struct {
 	init bool // every surviving PLID in the row is fresh
 }
 
-// scopeKeep bounds the tables a pooled scope keeps: one served write
-// window touches a few thousand PLIDs.
-const scopeKeep = 1 << 14
-
-// scopePool empties a scope's tables by the slots their keys filled, so
-// a scope grown large by one update costs every later small one nothing
-// to reset. A scope grown past scopeKeep PLIDs drops its tables and
-// buffers instead.
+// scopePool empties a scope's indexes by the slots their keys filled,
+// so a scope grown large by one update costs every later small one
+// nothing to reset. A scope grown past pool.KeepIndexKeys PLIDs drops
+// its tables and buffers instead.
 var scopePool = pool.NewItems[Scope]("core.scope", func(s *Scope) {
-	if len(s.nets) > scopeKeep {
-		*s = Scope{inc: s.inc, dec: s.dec}
-		return
+	s.at.Reset()
+	s.rows.Reset()
+	s.m = nil
+	if len(s.nets) > pool.KeepIndexKeys {
+		s.nets, s.due = nil, nil
+	} else {
+		s.nets, s.due = s.nets[:0], s.due[:0]
 	}
-	s.at.reset()
-	s.rows.reset()
-	s.m, s.nets, s.due = nil, s.nets[:0], s.due[:0]
 })
 
 // Scope opens a netting scope over m. Close it when the update is done.
@@ -75,16 +72,12 @@ func (m *Machine) Scope() *Scope {
 		s.inc = func(p word.PLID, init bool) { s.count(p, init, 1) }
 		s.dec = func(p word.PLID, init bool) { s.count(p, init, -1) }
 	}
-	if s.at.slots == nil {
-		s.at.init()
-		s.rows.init()
-	}
 	return s
 }
 
 // count records one reference-count event; the host count already moved.
 func (s *Scope) count(p word.PLID, init bool, dir int) {
-	i, seen := s.at.number(uint64(p))
+	i, seen := s.at.Number(uint64(p))
 	if !seen {
 		s.nets = append(s.nets, rcNet{p: p, fresh: init})
 	}
@@ -114,87 +107,13 @@ func (s *Scope) charges() []rcCharge {
 			continue
 		}
 		row := s.m.rcRow(n.p)
-		j, seen := s.rows.number(row)
+		j, seen := s.rows.Number(row)
 		if !seen {
 			s.due = append(s.due, rcCharge{row: row, init: true})
 		}
 		s.due[j].init = s.due[j].init && n.fresh
 	}
 	return s.due
-}
-
-// flatIndex numbers distinct keys 0, 1, 2, ... in first-insertion order:
-// an open-addressed, linearly probed table of numbers over the keys it
-// has handed out. Like the LLC model, it is flat and pointer-free, so a
-// probe is one hash, a slot load and, on a filled slot, one key compare.
-// reset empties exactly the slots its keys filled: emptying the whole
-// table would cost its grown capacity, which one large update would
-// otherwise charge every later small one.
-type flatIndex struct {
-	slots []int32   // 0 is empty, else a key's number + 1; length a power of two
-	shift uint      // 64 - log2(len(slots))
-	keys  []flatKey // by number
-}
-
-type flatKey struct {
-	k    uint64
-	slot uint32 // where the key's number sits in slots
-}
-
-// flatMinBits sizes a fresh table; it doubles whenever it is half full.
-const flatMinBits = 8
-
-func (t *flatIndex) init() {
-	t.slots = make([]int32, 1<<flatMinBits)
-	t.shift = 64 - flatMinBits
-}
-
-// number returns k's number, giving k the next one if it has none, and
-// whether k was already numbered.
-func (t *flatIndex) number(k uint64) (int, bool) {
-	mask := uint64(len(t.slots) - 1)
-	i := t.home(k)
-	for n := t.slots[i]; n != 0; n = t.slots[i] {
-		if t.keys[n-1].k == k {
-			return int(n - 1), true
-		}
-		i = (i + 1) & mask
-	}
-	n := len(t.keys)
-	t.keys = append(t.keys, flatKey{k: k, slot: uint32(i)})
-	t.slots[i] = int32(n + 1)
-	if 2*len(t.keys) > len(t.slots) {
-		t.grow()
-	}
-	return n, false
-}
-
-// home is k's first slot. Fibonacci hashing: the product's top bits
-// depend on every bit of k, so bucket numbers and PLIDs that differ only
-// in their low bits still spread.
-func (t *flatIndex) home(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 >> t.shift }
-
-// grow doubles the table and places every key again, in number order.
-func (t *flatIndex) grow() {
-	t.slots = make([]int32, 2*len(t.slots))
-	t.shift--
-	mask := uint64(len(t.slots) - 1)
-	for n := range t.keys {
-		i := t.home(t.keys[n].k)
-		for t.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = int32(n + 1)
-		t.keys[n].slot = uint32(i)
-	}
-}
-
-// reset forgets every key, keeping the table's capacity.
-func (t *flatIndex) reset() {
-	for _, k := range t.keys {
-		t.slots[k.slot] = 0
-	}
-	t.keys = t.keys[:0]
 }
 
 // The word.Mem methods forward to the Machine, reporting RC events here.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cachesim"
+	"repro/internal/pool"
 	"repro/internal/word"
 )
 
@@ -169,7 +170,7 @@ func TestScopeNettingMatchesReference(t *testing.T) {
 		few = append(few, word.PLID(ovBase+slot))
 	}
 	rng := rand.New(rand.NewPCG(45, 1))
-	sizes := []int{300, 5, 2 * scopeKeep, 40, 3000, 1, 600, 20}
+	sizes := []int{300, 5, 2 * pool.KeepIndexKeys, 40, 3000, 1, 600, 20}
 	for round := 0; round < 6; round++ {
 		for _, size := range sizes {
 			plids := few
@@ -195,8 +196,8 @@ func TestScopeNettingMatchesReference(t *testing.T) {
 					ref.count(p, false, -1)
 				}
 			}
-			if size == 2*scopeKeep && len(sc.nets) <= scopeKeep {
-				t.Fatalf("the large scope netted %d PLIDs, not more than scopeKeep", len(sc.nets))
+			if size == 2*pool.KeepIndexKeys && len(sc.nets) <= pool.KeepIndexKeys {
+				t.Fatalf("the large scope netted %d PLIDs, not more than pool.KeepIndexKeys", len(sc.nets))
 			}
 			have, need := sc.charges(), ref.charges(want)
 			if !slices.Equal(have, need) {

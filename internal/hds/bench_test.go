@@ -20,7 +20,7 @@ var hicampdConfig = core.Config{LineBytes: 16, BucketBits: 18, DataWays: 12, Cac
 // deduplicate across values, as the served benchmark's values do). It
 // returns the keys' names and fill, which rewrites a value buffer with a
 // fresh value for key.
-func windowMap(b *testing.B, h *Heap, keys int) (mp *Map, names [][]byte, fill func(dst []byte, key int)) {
+func windowMap(tb testing.TB, h *Heap, keys int) (mp *Map, names [][]byte, fill func(dst []byte, key int)) {
 	const valueBytes = 256
 	mp = NewMap(h)
 	var corpus []byte
@@ -51,7 +51,7 @@ func windowMap(b *testing.B, h *Heap, keys int) (mp *Map, names [][]byte, fill f
 		pairs[i] = Pair{Key: names[i], Value: v}
 	}
 	if err := mp.Apply(pairs, ApplyOptions{}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return mp, names, fill
 }

@@ -1,6 +1,8 @@
 package hds
 
 import (
+	"encoding/binary"
+
 	"repro/internal/pool"
 	"repro/internal/segment"
 	"repro/internal/word"
@@ -162,23 +164,32 @@ func BytesManyInto(h *Heap, ss []String, flat []byte, out [][]byte) ([][]byte, [
 	var sc pool.Scratch
 	defer sc.Release()
 	rs := poolRanges.Get(&sc, len(ss))
-	total := uint64(0)
+	words, total := uint64(0), uint64(0)
 	for i, s := range ss {
 		rs[i] = segment.Range{Seg: s.Seg, N: (s.Len + 7) / 8}
+		words += rs[i].N
 		total += s.Len
 	}
-	words := segment.GatherRanges(h.M, rs)
-	flat = flat[:0]
+	ws := poolIdxs.Get(&sc, int(words))
+	segment.GatherRanges(h.M, rs, ws)
 	if uint64(cap(flat)) < total {
-		flat = make([]byte, 0, total)
+		flat = make([]byte, total)
 	}
+	flat = flat[:total]
 	out = out[:0]
-	for i, s := range ss {
-		start := len(flat)
-		for j := uint64(0); j < s.Len; j++ {
-			flat = append(flat, byte(words[i][j/8]>>(8*(j%8))))
+	start := uint64(0)
+	for _, s := range ss {
+		b := flat[start : start+s.Len : start+s.Len]
+		for len(b) >= 8 {
+			binary.LittleEndian.PutUint64(b, ws[0])
+			b, ws = b[8:], ws[1:]
 		}
-		out = append(out, flat[start:len(flat):len(flat)])
+		for j := range b {
+			b[j] = byte(ws[0] >> (8 * j))
+		}
+		ws = ws[min(len(b), 1):]
+		out = append(out, flat[start:start+s.Len:start+s.Len])
+		start += s.Len
 	}
 	return out, flat
 }

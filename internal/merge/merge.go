@@ -161,14 +161,14 @@ type merger struct {
 	levels     [][]*mnode
 	plids      []word.PLID
 	contents   []word.Content
-	readAt     map[word.PLID]int
+	readAt     pool.Index
 	eo, em, ec []segment.Edge
 }
 
 // mergerPool recycles merge walk state; resetMerger drops the parked
 // *mnode pointers (the nodes themselves return to mnodePool in coWalk's
-// teardown) while keeping every buffer's capacity and the dedup map's
-// buckets.
+// teardown) while keeping every buffer's capacity and the dedup index's
+// table.
 var mergerPool = pool.NewItems[merger]("merge.merger", resetMerger)
 
 func resetMerger(w *merger) {
@@ -180,10 +180,9 @@ func resetMerger(w *merger) {
 	w.plids = w.plids[:0]
 	w.contents = w.contents[:0]
 	// The descent's last wave is its widest (levels grow toward the
-	// leaves), so readAt is at peak entry count here: drop it past the
-	// keep bound rather than pinning its O(capacity) clear cost on
-	// every later borrower.
-	w.readAt = pool.ResetMap(w.readAt, 0)
+	// leaves), so readAt is at peak entry count here: past the keep
+	// bound it drops its table rather than pinning it in the pool.
+	w.readAt.Reset()
 	w.eo, w.em, w.ec = w.eo[:0], w.em[:0], w.ec[:0]
 }
 
@@ -240,9 +239,6 @@ func coWalk(m word.Mem, vo, vm, vc side, height int, st *Stats) (segment.Edge, e
 			}
 		}
 	}()
-	if w.readAt == nil {
-		w.readAt = make(map[word.PLID]int)
-	}
 	if cap(w.eo) < arity {
 		w.eo = make([]segment.Edge, arity)
 		w.em = make([]segment.Edge, arity)
@@ -256,7 +252,7 @@ func coWalk(m word.Mem, vo, vm, vc side, height int, st *Stats) (segment.Edge, e
 	// three versions, then per-node triple expansion and child skipping.
 	plids := w.plids
 	defer func() { w.plids = plids[:0] }()
-	readAt := w.readAt
+	readAt := &w.readAt
 	eo, em, ec := w.eo[:arity], w.em[:arity], w.ec[:arity]
 	for lvl := height; lvl >= 0; lvl-- {
 		nodes := levels[lvl]
@@ -264,13 +260,11 @@ func coWalk(m word.Mem, vo, vm, vc side, height int, st *Stats) (segment.Edge, e
 			continue
 		}
 		plids = plids[:0]
-		clear(readAt)
+		readAt.Reset()
 		collect := func(s side) {
 			if s.d == 0 && s.e.T == word.TagPLID && s.e.W != 0 {
-				p := word.PLID(s.e.W)
-				if _, ok := readAt[p]; !ok {
-					readAt[p] = len(plids)
-					plids = append(plids, p)
+				if _, seen := readAt.Number(s.e.W); !seen {
+					plids = append(plids, word.PLID(s.e.W))
 				}
 			}
 		}
@@ -410,7 +404,7 @@ func coWalk(m word.Mem, vo, vm, vc side, height int, st *Stats) (segment.Edge, e
 // leftmost child of an implicit zero-padded parent), everything else
 // expands through the batch-read contents or the access-free local forms
 // (zero, inline, compact).
-func expandSide(m word.Mem, s side, lvl int, contents []word.Content, readAt map[word.PLID]int, buf []segment.Edge) {
+func expandSide(m word.Mem, s side, lvl int, contents []word.Content, readAt *pool.Index, buf []segment.Edge) {
 	for i := range buf {
 		buf[i] = segment.Edge{}
 	}
@@ -419,7 +413,8 @@ func expandSide(m word.Mem, s side, lvl int, contents []word.Content, readAt map
 		buf[0] = s.e
 	case s.e.IsZero():
 	case s.e.T == word.TagPLID:
-		c := contents[readAt[word.PLID(s.e.W)]]
+		j, _ := readAt.Number(s.e.W)
+		c := contents[j]
 		for i := range buf {
 			buf[i] = segment.Edge{W: c.W[i], T: c.T[i]}
 		}

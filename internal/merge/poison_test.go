@@ -1,31 +1,33 @@
 package merge
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/pool"
-	"repro/internal/word"
 )
 
-// White-box pin for the merger's map retention bound, mirroring the
-// segment package's poison tests: the descent's read-dedup map is at
-// its widest when the walk ends, and an oversized one must be dropped
-// by the pooled reset rather than pinning its O(grown capacity) clear
-// cost on every later merge.
+// White-box pin for the merger's index retention bound, mirroring the
+// segment package's poison tests: the descent's read-dedup index is at
+// its widest when the walk ends, and an oversized one must go back to
+// the pool as the zero Index rather than pin its table for every later
+// merge.
 func TestMergerResetDropsOversizedReadMap(t *testing.T) {
 	w := mergerPool.Get()
-	w.readAt = make(map[word.PLID]int, pool.KeepMapEntries+1)
-	for i := 0; i < pool.KeepMapEntries+1; i++ {
-		w.readAt[word.PLID(i+1)] = i
+	defer mergerPool.Put(w)
+	for i := 0; i <= pool.KeepIndexKeys; i++ {
+		w.readAt.Number(uint64(i + 1))
 	}
 	resetMerger(w)
-	if w.readAt != nil {
-		t.Fatal("oversized read-dedup map survived reset")
+	if !reflect.ValueOf(w.readAt).IsZero() {
+		t.Fatal("oversized read-dedup index survived reset")
 	}
-	w.readAt = map[word.PLID]int{1: 1}
+	w.readAt.Number(1)
 	resetMerger(w)
-	if w.readAt == nil || len(w.readAt) != 0 {
-		t.Fatalf("steady-state map not cleared in place: %v", w.readAt)
+	if reflect.ValueOf(w.readAt).IsZero() {
+		t.Fatal("steady-state index dropped its table instead of emptying it")
 	}
-	mergerPool.Put(w)
+	if n, seen := w.readAt.Number(2); n != 0 || seen {
+		t.Fatalf("index not emptied by reset: numbered (%d, %v)", n, seen)
+	}
 }

@@ -102,7 +102,7 @@ func Snapshot() []PoolStats {
 }
 
 // released is the intrusive link Scratch tracks borrowed buffers with.
-// Implementations (Buf, MapBuf) are pooled alongside their payload, so
+// Implementations (Buf, Index) are pooled alongside their payload, so
 // tracking a borrow never allocates: storing a pointer in an interface
 // does not box.
 type released interface {
@@ -314,121 +314,107 @@ func (p *SlicePool[T]) Snapshot() PoolStats {
 	return ps
 }
 
-// MapBuf is one pooled map with its scratch link.
-type MapBuf[K comparable, V any] struct {
-	M    map[K]V
-	pool *MapPool[K, V]
-	next released
+// Index numbers distinct keys 0, 1, 2, ... in first-insertion order —
+// the wave engines' dedup table: an open-addressed, linearly probed table
+// of numbers over the keys it has handed out. It is flat and
+// pointer-free, so a probe is one hash, a slot load and, on a filled
+// slot, one key compare. Reset empties exactly the slots its keys
+// filled: emptying the whole table would cost its grown capacity, which
+// one large call would otherwise charge every later small one. The zero
+// value is ready to use.
+type Index struct {
+	slots []int32    // 0 is empty, else a key's number + 1; length a power of two
+	shift uint       // 64 - log2(len(slots))
+	keys  []indexKey // by number
+	next  released
 }
 
-func (b *MapBuf[K, V]) reclaim() released {
-	n := b.next
-	b.next = nil
-	b.Release()
+type indexKey struct {
+	k    uint64
+	slot uint32 // where the key's number sits in slots
+}
+
+// KeepIndexKeys bounds the keys an index may hold and keep its table
+// through Reset: one served window's widest wave numbers a few thousand
+// lines. An index grown past it drops its table, so one oversized call
+// pins no memory in a pool.
+const KeepIndexKeys = 1 << 14
+
+// indexMinBits sizes a fresh table; it doubles whenever it is half full.
+const indexMinBits = 8
+
+// Number returns k's number, giving k the next one if it has none, and
+// whether k was already numbered.
+func (t *Index) Number(k uint64) (int, bool) {
+	if t.slots == nil {
+		t.slots = make([]int32, 1<<indexMinBits)
+		t.shift = 64 - indexMinBits
+	}
+	mask := uint64(len(t.slots) - 1)
+	i := t.home(k)
+	for n := t.slots[i]; n != 0; n = t.slots[i] {
+		if t.keys[n-1].k == k {
+			return int(n - 1), true
+		}
+		i = (i + 1) & mask
+	}
+	n := len(t.keys)
+	t.keys = append(t.keys, indexKey{k: k, slot: uint32(i)})
+	t.slots[i] = int32(n + 1)
+	if 2*len(t.keys) > len(t.slots) {
+		t.grow()
+	}
+	return n, false
+}
+
+// home is k's first slot. Fibonacci hashing: the product's top bits
+// depend on every bit of k, so bucket numbers and PLIDs that differ only
+// in their low bits still spread.
+func (t *Index) home(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 >> t.shift }
+
+// grow doubles the table and places every key again, in number order.
+func (t *Index) grow() {
+	t.slots = make([]int32, 2*len(t.slots))
+	t.shift--
+	mask := uint64(len(t.slots) - 1)
+	for n := range t.keys {
+		i := t.home(t.keys[n].k)
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(n + 1)
+		t.keys[n].slot = uint32(i)
+	}
+}
+
+// Reset forgets every key, keeping the table's capacity unless it holds
+// more than KeepIndexKeys keys.
+func (t *Index) Reset() {
+	if len(t.keys) > KeepIndexKeys {
+		*t = Index{next: t.next} // a dropped index is the zero Index
+		return
+	}
+	for _, k := range t.keys {
+		t.slots[k.slot] = 0
+	}
+	t.keys = t.keys[:0]
+}
+
+var indexes = NewItems[Index]("pool.index", (*Index).Reset)
+
+// GetIndex borrows an empty index through sc.
+func GetIndex(sc *Scratch) *Index {
+	t := indexes.Get()
+	t.next = sc.head
+	sc.head = t
+	return t
+}
+
+func (t *Index) reclaim() released {
+	n := t.next
+	t.next = nil
+	indexes.Put(t)
 	return n
-}
-
-// Release clears the map — Go's clear keeps the bucket array, so the
-// next Get reuses the grown capacity instead of re-growing from empty —
-// and returns it to the pool.
-func (b *MapBuf[K, V]) Release() { b.pool.put(b) }
-
-// KeepMapEntries bounds the entry count past which a dormant map is
-// dropped instead of cleared. clear() on a Go map costs time
-// proportional to the map's grown bucket capacity — not its entry count
-// — and that capacity never shrinks, so a single oversized wave would
-// otherwise tax every later borrower with the historical peak's clear
-// cost forever. Dropping past the bound is the map analogue of the
-// slice bins' Oversize rule: pathological sizes are served but never
-// retained. The bound sits above every steady-state wave the
-// allocation pins exercise, so dropping never perturbs them.
-const KeepMapEntries = 1 << 10
-
-// ResetMap returns m emptied for reuse: cleared in place when small,
-// replaced by a fresh map when its entry count exceeds keep (entry
-// count at reset time is the capacity proxy — the engines reset their
-// maps at the fullest point of the wave that grew them). keep <= 0
-// selects KeepMapEntries. A nil m stays nil, for callers that
-// lazily size the map on first use.
-func ResetMap[K comparable, V any](m map[K]V, keep int) map[K]V {
-	if keep <= 0 {
-		keep = KeepMapEntries
-	}
-	if len(m) > keep {
-		return nil
-	}
-	clear(m)
-	return m
-}
-
-// MapPool hands out cleared maps. Maps are cleared, not reallocated,
-// while they stay at steady-state size — a wave-dedup map grows to its
-// working-set size once and every later borrow starts from that
-// capacity with zero rehashing — but a map grown past KeepMapEntries is
-// dropped on put so its O(capacity) clear cost cannot outlive the one
-// oversized call that paid for it.
-type MapPool[K comparable, V any] struct {
-	name                   string
-	keep                   int
-	mu                     sync.Mutex
-	free                   []*MapBuf[K, V]
-	hits, misses, returned uint64
-}
-
-// NewMap constructs and registers a map pool.
-func NewMap[K comparable, V any](name string) *MapPool[K, V] {
-	p := &MapPool[K, V]{name: name, keep: 64}
-	register(p)
-	return p
-}
-
-// GetBuf acquires an owned, empty map buffer; the owner must Release it.
-func (p *MapPool[K, V]) GetBuf() *MapBuf[K, V] {
-	p.mu.Lock()
-	var b *MapBuf[K, V]
-	if k := len(p.free); k > 0 {
-		b = p.free[k-1]
-		p.free[k-1] = nil
-		p.free = p.free[:k-1]
-		p.hits++
-	} else {
-		p.misses++
-	}
-	p.mu.Unlock()
-	if b == nil {
-		b = &MapBuf[K, V]{M: make(map[K]V), pool: p}
-	}
-	return b
-}
-
-// Get borrows an empty map through sc.
-func (p *MapPool[K, V]) Get(sc *Scratch) map[K]V {
-	b := p.GetBuf()
-	b.next = sc.head
-	sc.head = b
-	return b.M
-}
-
-func (p *MapPool[K, V]) put(b *MapBuf[K, V]) {
-	if b.M = ResetMap(b.M, KeepMapEntries); b.M == nil {
-		b.M = make(map[K]V)
-	}
-	p.mu.Lock()
-	p.returned++
-	if len(p.free) < p.keep {
-		p.free = append(p.free, b)
-	}
-	p.mu.Unlock()
-}
-
-// Stats returns the pool's counters.
-func (p *MapPool[K, V]) Stats() Stats { return p.Snapshot().Stats }
-
-// Snapshot implements the registry interface.
-func (p *MapPool[K, V]) Snapshot() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return PoolStats{Name: p.name, Stats: Stats{Hits: p.hits, Misses: p.misses, Returned: p.returned}}
 }
 
 // ItemPool hands out reusable node structs (wave-tree nodes, scanner

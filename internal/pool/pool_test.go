@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -159,88 +158,86 @@ func TestClearOnPut(t *testing.T) {
 	sc2.Release()
 }
 
-// TestMapClearedNotReallocated pins the map-pool contract: a returned
-// map comes back empty but keeps its grown bucket capacity (the second
-// borrow's inserts do not count as a fresh map's growth — we can only
-// observe emptiness plus hit accounting, so pin those).
-func TestMapClearedNotReallocated(t *testing.T) {
-	p := NewMap[uint64, int]("test.map")
+// TestIndexEmptiedNotReallocated pins the index contract: keys are
+// numbered 0, 1, 2, ... in first-insertion order (across table growth),
+// and a returned index comes back empty with its grown table kept.
+func TestIndexEmptiedNotReallocated(t *testing.T) {
+	before := indexes.Stats()
 	var sc Scratch
-	m := p.Get(&sc)
-	for i := uint64(0); i < 100; i++ {
-		m[i] = int(i)
+	x := GetIndex(&sc)
+	for i := uint64(0); i < 1000; i++ {
+		k := i * 0x10001 // spread and collide in the low bits
+		if n, seen := x.Number(k); n != int(i) || seen {
+			t.Fatalf("key %d numbered (%d, %v), want (%d, false)", i, n, seen, i)
+		}
+		if n, seen := x.Number(k); n != int(i) || !seen {
+			t.Fatalf("key %d renumbered (%d, %v)", i, n, seen)
+		}
 	}
+	grown := len(x.slots)
 	sc.Release()
 
 	var sc2 Scratch
-	m2 := p.Get(&sc2)
-	if len(m2) != 0 {
-		t.Fatalf("reused map has %d entries", len(m2))
+	x2 := GetIndex(&sc2)
+	if x2 != x || len(x2.slots) != grown {
+		t.Fatalf("reused index: same %v, table %d, want %d", x2 == x, len(x2.slots), grown)
+	}
+	for _, n := range x2.slots {
+		if n != 0 {
+			t.Fatal("reset left a slot filled")
+		}
+	}
+	if n, seen := x2.Number(5 * 0x10001); n != 0 || seen {
+		t.Fatalf("first key after reset numbered (%d, %v)", n, seen)
 	}
 	sc2.Release()
 
-	want := Stats{Hits: 1, Misses: 1, Returned: 2}
-	if got := p.Stats(); got != want {
-		t.Fatalf("got %+v want %+v", got, want)
+	got := indexes.Stats()
+	got.Hits -= before.Hits
+	got.Misses -= before.Misses
+	got.Returned -= before.Returned
+	if got.Hits+got.Misses != 2 || got.Returned != 2 {
+		t.Fatalf("index pool counters moved by %+v", got)
 	}
 }
 
-// TestResetMapDropsOversized pins the map retention bound: a map at or
-// under the keep bound is cleared in place (same buckets, no rehash on
-// the next fill), one past it is dropped — clear() costs O(grown
-// capacity), not O(entries), so an oversized map kept in a pool would
-// tax every later borrower with the historical peak's clear cost.
-func TestResetMapDropsOversized(t *testing.T) {
-	small := map[uint64]int{1: 1, 2: 2}
-	if got := ResetMap(small, 4); got == nil || len(got) != 0 {
-		t.Fatalf("small map not cleared in place: %v", got)
+// TestIndexResetDropsOversized pins the index retention bound: an index
+// at or under KeepIndexKeys keeps its table, one past it drops it.
+func TestIndexResetDropsOversized(t *testing.T) {
+	var small, big Index
+	small.Number(1)
+	small.Reset()
+	if small.slots == nil {
+		t.Fatal("small index dropped its table")
 	}
-	big := map[uint64]int{}
-	for i := uint64(0); i < 8; i++ {
-		big[i] = int(i)
+	for i := uint64(0); i <= KeepIndexKeys; i++ {
+		big.Number(i)
 	}
-	if got := ResetMap(big, 4); got != nil {
-		t.Fatalf("oversized map retained: %v", got)
+	big.Reset()
+	if big.slots != nil || big.keys != nil {
+		t.Fatal("oversized index kept its table")
 	}
-	if got := ResetMap[uint64, int](nil, 4); got != nil {
-		t.Fatal("nil map must stay nil")
+	if n, seen := big.Number(7); n != 0 || seen {
+		t.Fatalf("dropped index numbered (%d, %v)", n, seen)
 	}
 }
 
-// TestMapPoolDropsOversized pins the same bound end to end: releasing a
-// map grown past KeepMapEntries hands the next borrower a fresh map,
-// while a steady-state-sized map keeps its identity across the round
-// trip.
-func TestMapPoolDropsOversized(t *testing.T) {
-	p := NewMap[uint64, int]("test.map.drop")
+// TestIndexPoolDropsOversized pins the same bound end to end: returning
+// an index grown past KeepIndexKeys hands the next borrower an index
+// with no table.
+func TestIndexPoolDropsOversized(t *testing.T) {
 	var sc Scratch
-	m := p.Get(&sc)
-	id := reflect.ValueOf(m).Pointer()
-	for i := uint64(0); i < KeepMapEntries+1; i++ {
-		m[i] = int(i)
+	x := GetIndex(&sc)
+	for i := uint64(0); i <= KeepIndexKeys; i++ {
+		x.Number(i)
 	}
 	sc.Release()
-
 	var sc2 Scratch
-	m2 := p.Get(&sc2)
-	if reflect.ValueOf(m2).Pointer() == id {
-		t.Fatal("map grown past KeepMapEntries survived the pool round trip")
+	x2 := GetIndex(&sc2)
+	defer sc2.Release()
+	if x2 == x && x2.slots != nil {
+		t.Fatal("index grown past KeepIndexKeys kept its table through the pool")
 	}
-	if len(m2) != 0 {
-		t.Fatalf("fresh map has %d entries", len(m2))
-	}
-	for i := uint64(0); i < 10; i++ {
-		m2[i] = int(i)
-	}
-	id2 := reflect.ValueOf(m2).Pointer()
-	sc2.Release()
-
-	var sc3 Scratch
-	m3 := p.Get(&sc3)
-	if reflect.ValueOf(m3).Pointer() != id2 {
-		t.Fatal("steady-state map was dropped instead of cleared")
-	}
-	sc3.Release()
 }
 
 // TestItemPoolResets pins the item pool: reset runs on Put, capacity of
@@ -279,11 +276,11 @@ func TestItemPoolResets(t *testing.T) {
 func TestScratchReleasesAll(t *testing.T) {
 	ps := NewSlice[uint64]("test.multi.u64")
 	pb := NewSlice[byte]("test.multi.byte")
-	pm := NewMap[int, int]("test.multi.map")
+	returned := indexes.Stats().Returned
 	var sc Scratch
 	_ = ps.Get(&sc, 5)
 	_ = pb.GetCap(&sc, 300)
-	_ = pm.Get(&sc)
+	_ = GetIndex(&sc)
 	_ = ps.Get(&sc, 5000)
 	sc.Release()
 
@@ -293,8 +290,8 @@ func TestScratchReleasesAll(t *testing.T) {
 	if got := pb.Stats().Returned; got != 1 {
 		t.Fatalf("byte returned %d", got)
 	}
-	if got := pm.Stats().Returned; got != 1 {
-		t.Fatalf("map returned %d", got)
+	if got := indexes.Stats().Returned - returned; got != 1 {
+		t.Fatalf("index returned %d", got)
 	}
 	// Double release is a no-op.
 	sc.Release()
@@ -340,7 +337,7 @@ func TestOwnedBufHandoff(t *testing.T) {
 // under -race -cpu=1,4 (CI does) to pin the freelists race-clean.
 func TestConcurrentStress(t *testing.T) {
 	ps := NewSlice[uint64]("test.stress.u64")
-	pm := NewMap[uint64, int]("test.stress.map")
+	returned := indexes.Stats().Returned
 	const goroutines = 10
 	const rounds = 200
 	var wg sync.WaitGroup
@@ -354,8 +351,7 @@ func TestConcurrentStress(t *testing.T) {
 				for i := range s {
 					s[i] = uint64(g)
 				}
-				m := pm.Get(&sc)
-				m[uint64(r)] = g
+				GetIndex(&sc).Number(uint64(r))
 				b := ps.GetBuf(64)
 				b.S[0] = uint64(r)
 				b.Release()
@@ -371,8 +367,8 @@ func TestConcurrentStress(t *testing.T) {
 	if st.Returned != goroutines*rounds*2 {
 		t.Fatalf("returned count: %+v", st)
 	}
-	if got := pm.Stats().Returned; got != goroutines*rounds {
-		t.Fatalf("map returned %d", got)
+	if got := indexes.Stats().Returned - returned; got != goroutines*rounds {
+		t.Fatalf("index returned %d", got)
 	}
 }
 
@@ -380,7 +376,7 @@ func TestConcurrentStress(t *testing.T) {
 // snapshot, sorted by name.
 func TestRegistrySnapshot(t *testing.T) {
 	_ = NewSlice[int]("test.zz.reg")
-	_ = NewMap[int, int]("test.aa.reg")
+	_ = NewItems[int]("test.aa.reg", nil)
 	snap := Snapshot()
 	var sawA, sawZ bool
 	for i, ps := range snap {

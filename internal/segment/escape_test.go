@@ -45,10 +45,17 @@ func TestEscapeResultsDontAliasPooledScratch(t *testing.T) {
 			at[i] = uint64(5 + i)
 		}
 		expect(round+" bulk", bulk, at)
-		ranges := GatherRanges(m, []Range{
+		// GatherRanges writes into the caller's buffer: stale contents
+		// must not show through, and the buffer must not be kept.
+		flat := make([]uint64, 16+32)
+		for i := range flat {
+			flat[i] = 0xFEEDFACE
+		}
+		GatherRanges(m, []Range{
 			{Seg: seg, Off: 0, N: 16},
 			{Seg: seg, Off: 100, N: 32},
-		})
+		}, flat)
+		ranges := [][]uint64{flat[:16], flat[16:]}
 		expect(round+" range0", ranges[0], seqIdx(0, 16))
 		expect(round+" range1", ranges[1], seqIdx(100, 32))
 		return vals, tags, bulk, ranges

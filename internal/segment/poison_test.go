@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -10,11 +11,12 @@ import (
 
 // White-box pins for the retention bounds in the pooled wave state: a
 // dedup table grown past its bound by one oversized call must not
-// survive into the freelist, where it would pin memory (a map would also
-// tax every later, typically much smaller, engine call with its
-// O(grown capacity) clear cost). This was a live bug: one 65536-key bulk
-// load made every subsequent single-key WriteBatch ~30x slower, forever,
-// through the retained map alone.
+// survive into the freelist, where it would pin memory (and, for a table
+// emptied whole rather than by the slots its keys filled, tax every
+// later, typically much smaller, engine call with its O(grown capacity)
+// clear cost). This was a live bug: one 65536-key bulk load made every
+// subsequent single-key WriteBatch ~30x slower, forever, through a
+// retained Go map alone.
 
 func TestCanonBatchResetDropsOversizedDedupMap(t *testing.T) {
 	b := canonBatchPool.Get()
@@ -68,20 +70,26 @@ func TestCanonBatchDedupIndexEmptiedBySlots(t *testing.T) {
 	}
 }
 
+// TestScannerResetDropsOversizedDedupMap: the scanner's dedup index,
+// grown past pool.KeepIndexKeys by one oversized scan, goes back to the
+// pool as the zero Index, while one of steady-state size keeps its table
+// and comes back empty.
 func TestScannerResetDropsOversizedDedupMap(t *testing.T) {
 	sc := scannerPool.Get()
-	sc.at = make(map[word.PLID]int, pool.KeepMapEntries+1)
-	for i := 0; i < pool.KeepMapEntries+1; i++ {
-		sc.at[word.PLID(i+1)] = i
+	defer scannerPool.Put(sc)
+	for i := 0; i <= pool.KeepIndexKeys; i++ {
+		sc.at.Number(uint64(i + 1))
 	}
 	resetScanner(sc)
-	if sc.at != nil {
-		t.Fatal("oversized scan dedup map survived reset")
+	if !reflect.ValueOf(sc.at).IsZero() {
+		t.Fatal("oversized scan dedup index survived reset")
 	}
-	sc.at = map[word.PLID]int{1: 1}
+	sc.at.Number(1)
 	resetScanner(sc)
-	if sc.at == nil || len(sc.at) != 0 {
-		t.Fatalf("steady-state map not cleared in place: %v", sc.at)
+	if reflect.ValueOf(sc.at).IsZero() {
+		t.Fatal("steady-state index dropped its table instead of emptying it")
 	}
-	scannerPool.Put(sc)
+	if n, seen := sc.at.Number(2); n != 0 || seen {
+		t.Fatalf("index not emptied by reset: numbered (%d, %v)", n, seen)
+	}
 }

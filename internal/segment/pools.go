@@ -22,6 +22,4 @@ var (
 	poolUpdates   = pool.NewSlice[Update]("segment.update")
 	poolWLevels   = pool.NewSlice[[]*wnode]("segment.wlevels", pool.WithClearOnPut())
 	poolWNodes    = pool.NewSlice[*wnode]("segment.wnodes", pool.WithClearOnPut())
-	poolPlidAt    = pool.NewMap[word.PLID, int]("segment.dedup.plid")
-	poolIdxAt     = pool.NewMap[uint64, int]("segment.dedup.idx")
 )

@@ -3,6 +3,7 @@ package segment
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -39,18 +40,28 @@ func readWordsBulk(m word.Mem, s Seg, off, n uint64) []uint64 {
 func TestGatherWordsMatchesReadWord(t *testing.T) {
 	for _, m := range machines(t) {
 		rng := rand.New(rand.NewSource(42))
-		s, _ := randSeg(m, rng, 700)
-		idxs := make([]uint64, 0, 300)
-		for i := 0; i < 300; i++ {
-			// Scattered, duplicated, and out-of-capacity indexes.
-			idxs = append(idxs, uint64(rng.Intn(900)))
-		}
-		vals, tags := GatherWords(m, s, idxs)
-		for i, idx := range idxs {
-			w, tg := ReadWord(m, s, idx)
-			if vals[i] != w || tags[i] != tg {
-				t.Fatalf("arity %d: idx %d: got (%#x,%v), want (%#x,%v)",
-					m.LineWords(), idx, vals[i], tags[i], w, tg)
+		for si, s := range gatherSegs(t, m, rng) {
+			// Scattered, duplicated, adjacent and out-of-capacity indexes.
+			var idxs []uint64
+			for i := 0; i < 400; i++ {
+				switch rng.Intn(3) {
+				case 0:
+					idxs = append(idxs, uint64(rng.Intn(1100)))
+				case 1:
+					if len(idxs) > 0 {
+						idxs = append(idxs, idxs[len(idxs)-1]+1)
+					}
+				default:
+					idxs = append(idxs, uint64(rng.Intn(40)))
+				}
+			}
+			vals, tags := GatherWords(m, s, idxs)
+			for i, idx := range idxs {
+				w, tg := ReadWord(m, s, idx)
+				if vals[i] != w || tags[i] != tg {
+					t.Fatalf("arity %d seg %d: idx %d: got (%#x,%v), want (%#x,%v)",
+						m.LineWords(), si, idx, vals[i], tags[i], w, tg)
+				}
 			}
 		}
 	}
@@ -59,13 +70,11 @@ func TestGatherWordsMatchesReadWord(t *testing.T) {
 func TestReadWordsBulkMatchesSerial(t *testing.T) {
 	for _, m := range machines(t) {
 		rng := rand.New(rand.NewSource(43))
-		s, _ := randSeg(m, rng, 500)
-		for _, win := range [][2]uint64{{0, 500}, {17, 100}, {490, 40}, {0, 0}} {
-			got := readWordsBulk(m, s, win[0], win[1])
-			want := ReadWords(m, s, win[0], win[1])
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("arity %d: off=%d n=%d: word %d differs", m.LineWords(), win[0], win[1], i)
+		for si, s := range gatherSegs(t, m, rng) {
+			for _, win := range [][2]uint64{{0, 1100}, {3, 517}, {17, 100}, {255, 2}, {1000, 300}, {0, 0}} {
+				got := readWordsBulk(m, s, win[0], win[1])
+				if want := ReadWords(m, s, win[0], win[1]); !slices.Equal(got, want) {
+					t.Fatalf("arity %d seg %d: off=%d n=%d differs", m.LineWords(), si, win[0], win[1])
 				}
 			}
 		}
@@ -88,6 +97,21 @@ func TestReadBytesBulkMatchesSerial(t *testing.T) {
 	}
 }
 
+// gatherRanges returns GatherRanges' words split per range.
+func gatherRanges(m word.Mem, rs []Range) [][]uint64 {
+	total := uint64(0)
+	for _, r := range rs {
+		total += r.N
+	}
+	flat := make([]uint64, total)
+	GatherRanges(m, rs, flat)
+	out := make([][]uint64, len(rs))
+	for i, r := range rs {
+		out[i], flat = flat[:r.N:r.N], flat[r.N:]
+	}
+	return out
+}
+
 func TestGatherRangesMatchesSerial(t *testing.T) {
 	for _, m := range machines(t) {
 		rng := rand.New(rand.NewSource(45))
@@ -100,10 +124,15 @@ func TestGatherRangesMatchesSerial(t *testing.T) {
 			rs = append(rs, Range{Seg: s, Off: off, N: n})
 			want = append(want, ReadWords(m, s, off, n))
 		}
-		// A zero-root range and an empty range among real ones.
+		// A zero-root range and an empty range among real ones, then
+		// ranges over every edge kind, past capacity and repeated.
 		rs = append(rs, Range{Seg: Seg{}, N: 5}, Range{Seg: rs[0].Seg, Off: 1, N: 0})
 		want = append(want, make([]uint64, 5), []uint64{})
-		got := GatherRanges(m, rs)
+		for _, r := range gatherRangeCases(m, rng, gatherSegs(t, m, rng)) {
+			rs = append(rs, r)
+			want = append(want, ReadWords(m, r.Seg, r.Off, r.N))
+		}
+		got := gatherRanges(m, rs)
 		for i := range rs {
 			if len(got[i]) != len(want[i]) {
 				t.Fatalf("arity %d: range %d: len %d, want %d", m.LineWords(), i, len(got[i]), len(want[i]))

@@ -83,12 +83,12 @@ type scanner struct {
 	wave     [2][]scanNode  // ping-pong next-wave buffers for expand
 	plids    []word.PLID    // current wave's deduplicated fetch set
 	contents []word.Content // fetch results, parallel to plids
-	at       map[word.PLID]int
+	at       pool.Index     // plids' dedup index
 	stats    ScanStats
 }
 
 // resetScanner restores a scanner to pooled-dormant state: slices keep
-// their grown capacity, the dedup map keeps its buckets, and references
+// their grown capacity, the dedup index keeps its table, and references
 // into the caller's world (the Mem) are dropped.
 func resetScanner(sc *scanner) {
 	sc.m = nil
@@ -98,7 +98,7 @@ func resetScanner(sc *scanner) {
 	sc.wave[1] = sc.wave[1][:0]
 	sc.plids = sc.plids[:0]
 	sc.contents = sc.contents[:0]
-	sc.at = pool.ResetMap(sc.at, 0)
+	sc.at.Reset()
 	sc.stats = ScanStats{}
 }
 
@@ -114,9 +114,6 @@ func newScanner(m word.Mem, from uint64, window int) *scanner {
 	sc.arity = arity
 	sc.from = from
 	sc.window = uint64(window)
-	if sc.at == nil {
-		sc.at = make(map[word.PLID]int)
-	}
 	return sc
 }
 
@@ -261,15 +258,13 @@ func (sc *scanner) expand(nodes []scanNode, fn func(idx uint64, w uint64, t word
 
 		// The wave's fetch set: each distinct PLID exactly once.
 		sc.plids = sc.plids[:0]
-		clear(sc.at)
+		sc.at.Reset()
 		for _, nd := range nodes {
 			if nd.done {
 				continue
 			}
-			p := word.PLID(nd.e.W)
-			if _, ok := sc.at[p]; !ok {
-				sc.at[p] = len(sc.plids)
-				sc.plids = append(sc.plids, p)
+			if _, seen := sc.at.Number(nd.e.W); !seen {
+				sc.plids = append(sc.plids, word.PLID(nd.e.W))
 			}
 		}
 		if len(sc.plids) == 0 {
@@ -294,7 +289,8 @@ func (sc *scanner) expand(nodes []scanNode, fn func(idx uint64, w uint64, t word
 				next = append(next, nd)
 				continue
 			}
-			c := contents[sc.at[word.PLID(nd.e.W)]]
+			j, _ := sc.at.Number(nd.e.W)
+			c := contents[j]
 			if nd.lvl == 0 {
 				nd.c, nd.done = c, true
 				next = append(next, nd)

@@ -139,13 +139,12 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 	defer sc.Release()
 
 	// Last-wins collapse to one update per index, then index order.
-	at := poolIdxAt.Get(&sc)
+	at := pool.GetIndex(&sc)
 	uniq := poolUpdates.GetCap(&sc, len(ups))
 	for _, u := range ups {
-		if j, ok := at[u.Idx]; ok {
+		if j, ok := at.Number(u.Idx); ok {
 			uniq[j] = u
 		} else {
-			at[u.Idx] = len(uniq)
 			uniq = append(uniq, u)
 		}
 	}
@@ -208,7 +207,7 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 	// batch read per level), then partition their updates over children.
 	plids := poolPLIDs.GetCap(&sc, maxNodes)
 	contentsBuf := poolContents.Get(&sc, maxNodes)
-	readAt := poolPlidAt.Get(&sc)
+	readAt := pool.GetIndex(&sc)
 	for lvl := height; lvl >= 0; lvl-- {
 		nodes := levels[lvl]
 		if len(nodes) == 0 {
@@ -216,16 +215,14 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 		}
 		// Collect the level's fetch set: each distinct line once.
 		plids = plids[:0]
-		clear(readAt)
+		readAt.Reset()
 		for _, n := range nodes {
 			if n.rewritten(arity) {
 				continue // rebuilt from its updates alone: nothing to fetch
 			}
 			if !n.pre && n.e.T == word.TagPLID && n.e.W != 0 {
-				p := word.PLID(n.e.W)
-				if _, ok := readAt[p]; !ok {
-					readAt[p] = len(plids)
-					plids = append(plids, p)
+				if _, seen := readAt.Number(n.e.W); !seen {
+					plids = append(plids, word.PLID(n.e.W))
 				}
 			}
 		}
@@ -240,7 +237,8 @@ func WriteBatch(m word.Mem, s Seg, ups []Update) (Seg, WriteStats) {
 				switch {
 				case n.e.IsZero():
 				case n.e.T == word.TagPLID:
-					c := contents[readAt[word.PLID(n.e.W)]]
+					j, _ := readAt.Number(n.e.W)
+					c := &contents[j]
 					for i := 0; i < arity; i++ {
 						n.edges[i] = Edge{W: c.W[i], T: c.T[i]}
 					}
