@@ -7,17 +7,18 @@
 // The set-associative Cache is safe for concurrent use with per-set
 // striping: every set carries its own lock (sets are independent by
 // construction — an entry's set is a pure function of its key). Recency is
-// a per-set clock stamped onto each way instead of a move-to-front list;
-// exact LRU is preserved because the eviction victim is the minimum stamp
-// within its set, which orders a set's entries identically to a recency
-// list. Event counters live in a small array of atomic shards merged by
-// StatsSnapshot; callers collect a batch's events in a Tally and publish
+// one word per set holding the set's way numbers most recent first, so
+// replacement is exact LRU and the victim is read off its last rank rather
+// than found by a scan. Event counters live in a small array of atomic
+// shards merged by StatsSnapshot; callers collect a batch's events in a Tally and publish
 // them once. No set lock is ever held across a caller-supplied callback,
 // so eviction handling may re-enter the memory system freely.
 package cachesim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -77,17 +78,17 @@ type cacheStatShard struct {
 	_ [64 - (cacheStatCount*8)%64]byte
 }
 
-// MaxWays is the largest associativity: a set's per-way bitmaps are one
-// word each.
-const MaxWays = 64
+// MaxWays is the largest associativity: a set's recency word holds one
+// 4-bit way number per rank, and its signature bytes fill two words.
+const MaxWays = 16
 
 // Host layout. A set is a header plus a run of ways in flat, pointer-free
 // arrays indexed set*ways+way:
 //
-//	setHead  lock, resident count, recency clock, dirty and content
-//	         bitmaps — one 64-byte host line per set
+//	setHead  lock, resident count, recency word, dirty and content
+//	         bitmaps, a key and a content signature byte per way — one
+//	         64-byte host line per set
 //	keys     the packed key per way: Kind in the top two bits, ID below
-//	stamps   the clock value of each way's last use
 //	lines    n data words then one word of packed tags per way, sized by
 //	         the width n of the first line inserted with content
 //
@@ -99,26 +100,79 @@ const MaxWays = 64
 // entry a content probe finds first — is a function of the op sequence
 // alone.
 //
+// A probe compares the header's signature bytes eight to a word and reads
+// the key or line of matching ways only, in ascending way order: the first
+// match a scan of every way finds. The recency word is the set's exact LRU
+// order, the policy the paper's LLC and the sequence goldens assume.
+//
 // Everything but the content pointer is read and written under the set's
 // lock with plain accesses. The lock is a plain mutex, not a reader/writer
-// lock: a hit updates the stamp (and, for a write, the dirty bit), so
-// shared-lock probes would need atomic clock, stamp and dirty updates, and
-// those cost more than they save — BenchmarkCachesimProbe ran 99 ns/op
-// under a reader/writer lock and 86 ns/op under the mutex (medians of six
-// alternating one-CPU runs on a 2-vCPU Xeon VM), and every critical
-// section is a scan of at most MaxWays keys.
+// lock: a hit updates the recency word (and, for a write, the dirty bit),
+// so shared-lock probes would need atomic updates of both, and those cost
+// more than they save — BenchmarkCachesimProbe ran 99 ns/op under a
+// reader/writer lock and 86 ns/op under the mutex (medians of six
+// alternating one-CPU runs on a 2-vCPU Xeon VM, before the header held
+// signatures), and every critical section touches at most MaxWays ways.
 
 type setState struct {
 	mu    sync.Mutex
-	n     int    // resident ways
-	tick  uint64 // recency clock; larger = more recent
-	dirty uint64 // bit i: way i is dirty
-	held  uint64 // bit i: way i holds content (else it reads as Content{})
+	order uint64         // way numbers, 4 bits each by rank: rank 0 (most recent) lowest
+	ksig  [MaxWays]uint8 // keySig of each way's key
+	csig  [MaxWays]uint8 // contentSig of each way's content, if held
+	dirty uint16         // bit i: way i is dirty
+	held  uint16         // bit i: way i holds content (else it reads as Content{})
+	n     uint8          // resident ways
 }
 
 type setHead struct {
 	setState
 	_ [64 - unsafe.Sizeof(setState{})%64]byte
+}
+
+const (
+	lsb8 = 0x0101010101010101
+	low7 = 0x7f7f7f7f7f7f7f7f
+	nib1 = 0x1111111111111111
+	nib8 = 0x8888888888888888
+	mix  = 0x9E3779B97F4A7C15
+)
+
+// keySig is the signature byte of packed key k.
+func keySig(k uint64) uint8 { return uint8((k * mix) >> 56) }
+
+// contentSig is the signature byte of a line's first width words and
+// packed tags.
+func contentSig(c *word.Content, width int, tags uint64) uint8 {
+	x := tags
+	for _, w := range c.W[:width] {
+		x = (x ^ w) * mix
+	}
+	return uint8(x >> 56)
+}
+
+// sigMatch returns the bitmap of ways among the first n whose signature
+// byte is b.
+func sigMatch(sig *[MaxWays]uint8, b uint8, n int) uint32 {
+	var m uint32
+	for half := 0; half*8 < n; half++ {
+		x := binary.LittleEndian.Uint64(sig[half*8:]) ^ uint64(b)*lsb8
+		z := ^((x&low7 + low7) | x | low7) // the top bit of each zero byte
+		m |= uint32((z>>7)*0x0102040810204080>>56) << (8 * half)
+	}
+	return m & (1<<n - 1)
+}
+
+// rankOf returns the rank of way i in recency word o, whose resident
+// ranks hold distinct ways, i among them: the lowest nibble equal to i.
+func rankOf(o uint64, i int) int {
+	x := o ^ uint64(i)*nib1
+	return bits.TrailingZeros64((x-nib1)&^x&nib8) >> 2
+}
+
+// toFront moves the way at rank r of recency word o to rank 0.
+func toFront(o uint64, r int) uint64 {
+	below := uint64(1)<<(4*r) - 1
+	return o&^(below<<4|0xf) | (o&below)<<4 | o>>(4*r)&0xf
 }
 
 // lineArray is the content storage: width data words plus a tag word per
@@ -141,13 +195,12 @@ func unpack(k uint64) Key {
 	return Key{Kind: Kind(k >> kindShift), ID: k & (1<<kindShift - 1)}
 }
 
-// Cache is a set-associative cache with true-LRU replacement (stamp
-// ordering) and per-set lock striping.
+// Cache is a set-associative cache with true-LRU replacement and per-set
+// lock striping.
 type Cache struct {
-	heads  []setHead
-	keys   []uint64
-	stamps []uint64
-	ways   int
+	heads []setHead
+	keys  []uint64
+	ways  int
 
 	lines   atomic.Pointer[lineArray] // nil until the first line with content
 	linesMu sync.Mutex
@@ -165,10 +218,9 @@ func New(sets, ways int) *Cache {
 		panic(fmt.Sprintf("cachesim: ways %d out of range [1,%d]", ways, MaxWays))
 	}
 	return &Cache{
-		heads:  make([]setHead, sets),
-		keys:   make([]uint64, sets*ways),
-		stamps: make([]uint64, sets*ways),
-		ways:   ways,
+		heads: make([]setHead, sets),
+		keys:  make([]uint64, sets*ways),
+		ways:  ways,
 	}
 }
 
@@ -256,10 +308,10 @@ func packTags(c *word.Content) uint64 {
 	return t
 }
 
-func (la *lineArray) store(slot int, c *word.Content) {
+func (la *lineArray) store(slot int, c *word.Content, tags uint64) {
 	l := la.line(slot)
 	copy(l, c.W[:la.width])
-	l[la.width] = packTags(c)
+	l[la.width] = tags
 }
 
 func (la *lineArray) load(slot int, dst *word.Content) {
@@ -292,18 +344,15 @@ func (c *Cache) loadWay(h *setHead, i, slot int, dst *word.Content) {
 	c.lines.Load().load(slot, dst)
 }
 
-// touch makes the way at slot the most recent of set h; the caller holds
+// touch makes resident way i the most recent of set h; the caller holds
 // the set's lock.
-func (c *Cache) touch(h *setHead, slot int) {
-	h.tick++
-	c.stamps[slot] = h.tick
-}
+func (h *setHead) touch(i int) { h.order = toFront(h.order, rankOf(h.order, i)) }
 
 // find returns the way of set h holding key k, or -1; the caller holds
 // the set's lock.
 func (c *Cache) find(h *setHead, base int, k uint64) int {
-	for i, x := range c.keys[base : base+h.n] {
-		if x == k {
+	for m := sigMatch(&h.ksig, keySig(k), int(h.n)); m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros32(m); c.keys[base+i] == k {
 			return i
 		}
 	}
@@ -323,7 +372,7 @@ func (c *Cache) probe(s int, k uint64, markDirty bool, dst *word.Content, t *Tal
 		t.add(s, cMisses)
 		return false, false
 	}
-	c.touch(h, base+i)
+	h.touch(i)
 	if markDirty {
 		h.dirty |= 1 << i
 	}
@@ -338,18 +387,21 @@ func (c *Cache) probe(s int, k uint64, markDirty bool, dst *word.Content, t *Tal
 
 // lookup searches set s for a data line holding exactly *cont, refreshing
 // its recency on a hit — the lookup-by-content path of the HICAMP cache
-// (Figure 3). It compares the line's width in words plus one tag word.
+// (Figure 3). Only ways holding content with a matching signature are
+// compared, on the line's width in words plus one tag word.
 func (c *Cache) lookup(s int, cont *word.Content, t *Tally) (k uint64, dirty, hit bool) {
 	h := &c.heads[s]
 	base := s * c.ways
 	h.mu.Lock()
 	if la := c.lines.Load(); la != nil && int(cont.N) == la.width {
 		tags := packTags(cont)
-		for i, key := range c.keys[base : base+h.n] {
-			if key>>kindShift != uint64(KindData) || h.held>>i&1 == 0 || !la.equal(base+i, cont, tags) {
+		for m := sigMatch(&h.csig, contentSig(cont, la.width, tags), int(h.n)) & uint32(h.held); m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			key := c.keys[base+i]
+			if key>>kindShift != uint64(KindData) || !la.equal(base+i, cont, tags) {
 				continue
 			}
-			c.touch(h, base+i)
+			h.touch(i)
 			dirty = h.dirty>>i&1 != 0
 			h.mu.Unlock()
 			t.add(s, cHits)
@@ -361,21 +413,19 @@ func (c *Cache) lookup(s int, cont *word.Content, t *Tally) (k uint64, dirty, hi
 	return 0, false, false
 }
 
-// place claims a way of set h for key k, which the set does not hold: a
-// free way, or else the LRU way, whose key and dirty bit it reports as
-// the victim. The way's content, bitmaps and stamp are the caller's to
-// write (setWay); the caller holds the set's lock.
+// place claims a way of set h for key k, which the set does not hold, as
+// its most recent: a free way, or else the LRU way, whose key and dirty
+// bit it reports as the victim. The way's content and bitmaps are the
+// caller's to write (setWay); the caller holds the set's lock.
 func (c *Cache) place(h *setHead, s, base int, k uint64, t *Tally) (i int, victim uint64, victimDirty, evicted bool) {
 	t.add(s, cInserts)
-	if h.n < c.ways {
-		i = h.n
+	if n := int(h.n); n < c.ways {
+		i = n
 		h.n++
+		h.order = h.order<<4 | uint64(i)
 	} else {
-		for j := 1; j < c.ways; j++ {
-			if c.stamps[base+j] < c.stamps[base+i] {
-				i = j
-			}
-		}
+		i = int(h.order >> (4 * (n - 1)) & 0xf)
+		h.order = toFront(h.order, n-1)
 		victim, victimDirty, evicted = c.keys[base+i], h.dirty>>i&1 != 0, true
 		t.add(s, cEvictions)
 		if victimDirty {
@@ -383,16 +433,18 @@ func (c *Cache) place(h *setHead, s, base int, k uint64, t *Tally) (i int, victi
 		}
 	}
 	c.keys[base+i] = k
+	h.ksig[i] = keySig(k)
 	return i, victim, victimDirty, evicted
 }
 
-// setWay writes way i of set h as most recent, with content *cont (none
-// when la is nil) and the given dirty bit; the caller holds the set's
-// lock.
-func (c *Cache) setWay(h *setHead, base, i int, la *lineArray, cont *word.Content, dirty bool) {
-	bit := uint64(1) << i
+// setWay writes way i of set h with content *cont (none when la is nil)
+// and the given dirty bit; the caller holds the set's lock.
+func (h *setHead) setWay(base, i int, la *lineArray, cont *word.Content, dirty bool) {
+	bit := uint16(1) << i
 	if la != nil {
-		la.store(base+i, cont)
+		tags := packTags(cont)
+		la.store(base+i, cont, tags)
+		h.csig[i] = contentSig(cont, la.width, tags)
 		h.held |= bit
 	} else {
 		h.held &^= bit
@@ -402,7 +454,6 @@ func (c *Cache) setWay(h *setHead, base, i int, la *lineArray, cont *word.Conten
 	} else {
 		h.dirty &^= bit
 	}
-	c.touch(h, base+i)
 }
 
 // insert places key k in set s as most recent, with content *cont (none
@@ -419,13 +470,15 @@ func (c *Cache) insert(s int, k uint64, cont *word.Content, dirty bool, t *Tally
 	base := s * c.ways
 	h.mu.Lock()
 	i := c.find(h, base, k)
-	if i < 0 {
+	if i >= 0 {
+		h.touch(i)
+	} else {
 		i, victim, victimDirty, evicted = c.place(h, s, base, k, t)
 		if evicted && vc != nil {
 			c.loadWay(h, i, base+i, vc)
 		}
 	}
-	c.setWay(h, base, i, la, cont, dirty)
+	h.setWay(base, i, la, cont, dirty)
 	h.mu.Unlock()
 	return victim, victimDirty, evicted
 }
@@ -456,7 +509,7 @@ func (c *Cache) TouchRC(set int, id uint64, t *Tally) (hit bool, victim Key, vic
 	base := set * c.ways
 	h.mu.Lock()
 	if i := c.find(h, base, k); i >= 0 {
-		c.touch(h, base+i)
+		h.touch(i)
 		h.dirty |= 1 << i
 		h.mu.Unlock()
 		t.add(set, cHits)
@@ -464,7 +517,7 @@ func (c *Cache) TouchRC(set int, id uint64, t *Tally) (hit bool, victim Key, vic
 	}
 	t.add(set, cMisses)
 	i, v, d, _ := c.place(h, set, base, k, t)
-	c.setWay(h, base, i, nil, nil, true)
+	h.setWay(base, i, nil, nil, true)
 	h.mu.Unlock()
 	return false, unpack(v), d
 }
@@ -539,20 +592,25 @@ func (c *Cache) Invalidate(set int, key Key) bool {
 	if i < 0 {
 		return false
 	}
-	last := h.n - 1
+	// Drop i's rank, then rename way last, which moves into the hole.
+	below := uint64(1)<<(4*rankOf(h.order, i)) - 1
+	h.order = h.order&below | h.order>>4&^below
+	last := int(h.n) - 1
 	if i != last {
+		r := 4 * rankOf(h.order, last)
+		h.order = h.order&^(0xf<<r) | uint64(i)<<r
 		c.keys[base+i] = c.keys[base+last]
-		c.stamps[base+i] = c.stamps[base+last]
+		h.ksig[i], h.csig[i] = h.ksig[last], h.csig[last]
 		if la := c.lines.Load(); la != nil {
 			copy(la.line(base+i), la.line(base+last))
 		}
-		bit := uint64(1) << i
+		bit := uint16(1) << i
 		h.held = h.held&^bit | (h.held>>last&1)<<i
 		h.dirty = h.dirty&^bit | (h.dirty>>last&1)<<i
 	}
 	h.held &^= 1 << last
 	h.dirty &^= 1 << last
-	h.n = last
+	h.n--
 	return true
 }
 
@@ -566,7 +624,7 @@ func (c *Cache) FlushDirty(fn func(Key)) {
 		h := &c.heads[s]
 		base := s * c.ways
 		h.mu.Lock()
-		for i := 0; i < h.n; i++ {
+		for i := 0; i < int(h.n); i++ {
 			if h.dirty>>i&1 != 0 {
 				dirty = append(dirty, c.keys[base+i])
 			}
@@ -586,7 +644,7 @@ func (c *Cache) Len() int {
 	for s := range c.heads {
 		h := &c.heads[s]
 		h.mu.Lock()
-		n += h.n
+		n += int(h.n)
 		h.mu.Unlock()
 	}
 	return n

@@ -96,7 +96,7 @@ func TestFlushDirty(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	for _, g := range [][2]int{{0, 2}, {3, 2}, {4, 0}} {
+	for _, g := range [][2]int{{0, 2}, {3, 2}, {4, 0}, {4, MaxWays + 1}} {
 		func() {
 			defer func() { recover() }()
 			New(g[0], g[1])

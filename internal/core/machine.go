@@ -86,6 +86,7 @@ type Machine struct {
 	lookupOps atomic.Uint64
 	readOps   atomic.Uint64
 	rc        store.RCSink // m.rcTouch, bound once: each event probes the LLC
+	rcFreeing store.RCSink // m.rcTouchFreeing, bound once, for Release
 }
 
 func (c Config) storeConfig() store.Config {
@@ -132,7 +133,7 @@ func NewMachine(cfg Config) *Machine {
 		m.llc = cachesim.New(sets, cfg.CacheWays)
 		m.setMask = uint64(sets - 1)
 	}
-	m.rc = m.rcTouch
+	m.rc, m.rcFreeing = m.rcTouch, m.rcTouchFreeing
 	return m
 }
 
@@ -234,12 +235,14 @@ func (m *Machine) probeContent(set int, c *word.Content, t *cachesim.Tally, rc s
 // LookupLineBatch implements word.BulkMem: batched lookup-by-content
 // through the LLC into a fresh slice. The LLC still observes every line
 // individually — zero contents resolve to Zero without touching the
-// cache, and each remaining content gets its own content probe (per-line
-// hit/miss accounting, exactly as LookupLine charges it). Only the residue that missed the cache is
-// forwarded to the store's batch lookup, which takes each bucket stripe
-// lock once per batch and coalesces the DRAM accounting; the resolved
-// lines are then filled into the LLC one by one (fresh allocations dirty,
-// dedup hits clean), again with per-line eviction handling.
+// cache, and each remaining content gets its own content probe. Only the
+// residue that missed the cache is forwarded to the store's batch lookup,
+// which takes each bucket stripe lock once per batch and coalesces the
+// DRAM accounting; the resolved lines are then filled into the LLC one
+// by one (fresh allocations dirty, dedup hits clean), again with per-line
+// eviction handling. Every probe comes before every fill, so the cache
+// accounting is a serial loop's only for a batch of distinct contents
+// whose fills evict nothing a later probe would hit (word.Mem).
 func (m *Machine) LookupLineBatch(cs []word.Content) []word.PLID {
 	out := make([]word.PLID, len(cs))
 	m.LookupLineBatchInto(cs, out)
@@ -481,7 +484,7 @@ func (m *Machine) RetainDeferred(p word.PLID) func() {
 
 // Release implements word.Mem. Freed lines are invalidated in the cache;
 // a line that never left the cache is dropped without ever touching DRAM.
-func (m *Machine) Release(p word.PLID) { m.release(p, m.rc) }
+func (m *Machine) Release(p word.PLID) { m.release(p, m.rcFreeing) }
 
 // release is Release reporting reference-count events to rc.
 func (m *Machine) release(p word.PLID, rc store.RCSink) {
@@ -538,7 +541,15 @@ func (m *Machine) fill(set int, p word.PLID, c *word.Content, dirty bool, t *cac
 // back into the store.
 func (m *Machine) rcTouch(p word.PLID, init bool) {
 	var t cachesim.Tally
-	m.touchRC(m.rcRow(p), init, &t)
+	m.touchRC(m.rcRow(p), init, false, &t)
+	m.publish(&t)
+}
+
+// rcTouchFreeing is rcTouch for a Release's events, which reach the LLC
+// before the lines that release freed are invalidated.
+func (m *Machine) rcTouchFreeing(p word.PLID, init bool) {
+	var t cachesim.Tally
+	m.touchRC(m.rcRow(p), init, true, &t)
 	m.publish(&t)
 }
 
@@ -552,8 +563,11 @@ func (m *Machine) rcRow(p word.PLID) uint64 {
 }
 
 // touchRC charges one access to RC line id: a cached count update counted
-// in t, or with no LLC one DRAM write (after a read, unless init).
-func (m *Machine) touchRC(id uint64, init bool, t *cachesim.Tally) {
+// in t, or with no LLC one DRAM write (after a read, unless init). While
+// a release is freeing lines, a dirty data line the update evicts may be
+// one of them, gone without reaching DRAM: its write is charged through
+// the store's record, which knows.
+func (m *Machine) touchRC(id uint64, init, freeing bool, t *cachesim.Tally) {
 	if m.llc == nil {
 		if !init {
 			m.store.RCLineRead()
@@ -568,7 +582,10 @@ func (m *Machine) touchRC(id uint64, init bool, t *cachesim.Tally) {
 	if !init {
 		m.store.RCLineRead()
 	}
-	if dirty {
+	switch {
+	case dirty && freeing && victim.Kind == cachesim.KindData:
+		m.store.Writeback(word.PLID(victim.ID))
+	case dirty:
 		m.writeBack(victim)
 	}
 }
@@ -580,11 +597,12 @@ func (m *Machine) publish(t *cachesim.Tally) {
 	}
 }
 
-// writeBack charges the DRAM write of a dirty line leaving the LLC.
+// writeBack charges the DRAM write of a dirty line leaving the LLC: a
+// data line is a fresh one, live and not yet in DRAM.
 func (m *Machine) writeBack(k cachesim.Key) {
 	switch k.Kind {
 	case cachesim.KindData:
-		m.store.Writeback(word.PLID(k.ID))
+		m.store.ChargeWrite(word.PLID(k.ID))
 	case cachesim.KindRC:
 		m.store.RCLineWrite()
 	}

@@ -284,6 +284,8 @@ func TestConfigValidate(t *testing.T) {
 		{"13 data ways", func(c *Config) { c.DataWays = 13 }, true},
 		{"negative cache", func(c *Config) { c.CacheLines = -16 }, true},
 		{"zero cache ways", func(c *Config) { c.CacheWays = 0 }, true},
+		{"16 cache ways", func(c *Config) { c.CacheLines, c.CacheWays = 16*4, 16 }, false},
+		{"17 cache ways", func(c *Config) { c.CacheLines, c.CacheWays = 17*4, 17 }, true},
 		{"65 cache ways", func(c *Config) { c.CacheLines, c.CacheWays = 65*4, 65 }, true},
 		{"400 sets", func(c *Config) { c.CacheLines, c.CacheWays = 6400, 16 }, true},
 		{"fewer lines than ways", func(c *Config) { c.CacheLines = 2 }, true},
@@ -317,5 +319,53 @@ func TestDefaultConfigGeometry(t *testing.T) {
 		if m.LineWords() != ls/8 {
 			t.Fatalf("line words = %d for %d-byte lines", m.LineWords(), ls)
 		}
+	}
+}
+
+// TestReleaseEvictingItsFreedLineChargesNoWrite pins the one case in
+// which a dirty LLC data line is not a live line bound for DRAM. With a
+// single-way LLC every access shares one set: a fresh line sits there
+// dirty, and the unscoped Release that frees it touches its RC line before
+// invalidating it, so that touch evicts the freed line dirty. The line
+// never reached DRAM and must cost no write. Every other fresh line leaves
+// the LLC dirty once — evicted by the next allocation's count
+// initialization, or written by FlushCache — and is charged exactly once.
+func TestReleaseEvictingItsFreedLineChargesNoWrite(t *testing.T) {
+	cfg := TestConfig()
+	cfg.CacheLines, cfg.CacheWays = 1, 1
+	m := NewMachine(cfg)
+	const lines = 20
+	var kept []word.PLID
+	for i := 0; i < lines; i++ {
+		p := m.LookupLine(leaf(m, fmt.Sprintf("fresh %d", i)))
+		if i%2 == 0 {
+			kept = append(kept, p)
+			continue
+		}
+		before := m.Stats()
+		m.Release(p)
+		after := m.Stats()
+		if after.Cache.DirtyEvts != before.Cache.DirtyEvts+1 {
+			t.Fatalf("line %d: the release's RC touch evicted %d dirty lines, want its own freed line",
+				i, after.Cache.DirtyEvts-before.Cache.DirtyEvts)
+		}
+		if after.Store.DataWrites != before.Store.DataWrites {
+			t.Fatalf("line %d: freed while dirty in the LLC, yet charged %d DRAM writes",
+				i, after.Store.DataWrites-before.Store.DataWrites)
+		}
+	}
+	last := m.LookupLine(leaf(m, "flushed"))
+	kept = append(kept, last)
+	m.FlushCache()
+	m.FlushCache()
+	for _, p := range kept {
+		m.Release(p)
+	}
+	m.FlushCache()
+	if got, want := m.Stats().Store.DataWrites, uint64(len(kept)); got != want {
+		t.Fatalf("DataWrites = %d, want %d: one per fresh line that left the LLC dirty", got, want)
+	}
+	if m.LiveLines() != 0 {
+		t.Fatalf("%d lines leaked", m.LiveLines())
 	}
 }

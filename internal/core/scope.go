@@ -93,7 +93,7 @@ func (s *Scope) count(p word.PLID, init bool, dir int) {
 func (s *Scope) Close() {
 	var t cachesim.Tally
 	for _, c := range s.charges() {
-		s.m.touchRC(c.row, c.init, &t)
+		s.m.touchRC(c.row, c.init, false, &t)
 	}
 	s.m.publish(&t)
 	scopePool.Put(s)

@@ -208,13 +208,13 @@ func TestScopeNettingMatchesReference(t *testing.T) {
 			// publishes each row's events on their own.
 			var all cachesim.Tally
 			for _, c := range have {
-				got.touchRC(c.row, c.init, &all)
+				got.touchRC(c.row, c.init, false, &all)
 			}
 			got.publish(&all)
 			scopePool.Put(sc)
 			for _, c := range need {
 				var one cachesim.Tally
-				want.touchRC(c.row, c.init, &one)
+				want.touchRC(c.row, c.init, false, &one)
 				want.publish(&one)
 			}
 			if g, w := got.Stats(), want.Stats(); g != w {

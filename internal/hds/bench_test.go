@@ -59,7 +59,9 @@ func windowMap(tb testing.TB, h *Heap, keys int) (mp *Map, names [][]byte, fill 
 // BenchmarkApplyWindow is a served set_write window at hicampd's machine
 // geometry over a map of 20 000 keys: each Apply overwrites 64 uniformly
 // chosen keys with fresh 256 B values. It reports host time and
-// simulated DRAM accesses per pair.
+// simulated DRAM accesses per pair. The keys come from one seeded stream
+// over an LLC that keeps warming, so dram/pair depends on b.N: compare it
+// only between runs at the same -benchtime Nx.
 func BenchmarkApplyWindow(b *testing.B) {
 	const keys, window = 20000, 64
 	h := NewHeap(hicampdConfig)
@@ -90,7 +92,9 @@ func BenchmarkApplyWindow(b *testing.B) {
 // geometry over a map of 30 000 keys bound to 256 B values: each
 // GetBytesAtInto reads 64 requests of 4 uniformly chosen keys through one
 // pinned snapshot. It reports host time and simulated DRAM accesses per
-// key.
+// key; like BenchmarkApplyWindow's dram/pair, dram/key depends on b.N
+// (16.73 at -benchtime 400x, 16.59 at 1500x) and compares only at equal
+// -benchtime Nx.
 func BenchmarkReadWindow(b *testing.B) {
 	const keys, window = 30000, 64 * 4
 	h := NewHeap(hicampdConfig)

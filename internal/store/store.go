@@ -1191,6 +1191,15 @@ func (s *Store) Writeback(p word.PLID) {
 	s.bump(s.shardOf(p), cDataWrites)
 }
 
+// ChargeWrite counts one DRAM data write of p's line without consulting
+// its record: the cache layer's write of a dirty line it evicts, which by
+// construction is live and not yet in DRAM. Writeback is the checked
+// twin, for a line that may have been freed or written already.
+func (s *Store) ChargeWrite(p word.PLID) {
+	s.rows.touch(s.rowOf(p))
+	s.bump(s.shardOf(p), cDataWrites)
+}
+
 // RCLineRead and RCLineWrite account reference-count line DRAM traffic;
 // the cache layer calls them on RC-line fills and dirty evictions.
 func (s *Store) RCLineRead()  { s.bump(ovShard, cRCReads) }

@@ -180,11 +180,15 @@ type Mem interface {
 	// ReadLine returns the content of the line named by p. Reading Zero
 	// returns all-zero content.
 	ReadLine(p PLID) Content
-	// LookupLineBatchInto behaves exactly like one LookupLine per element,
+	// LookupLineBatchInto returns what one LookupLine per element returns,
 	// writing out[i] for cs[i] (len(out) must equal len(cs)): one reference
 	// acquired per element, all-zero contents resolving to Zero. The
 	// memory system takes its internal locks once per batch instead of
-	// once per line.
+	// once per line, and probes every content before filling any, so its
+	// cache accounting can differ from the serial loop's: a content given
+	// twice misses twice, and a probe may hit a line that an earlier
+	// element's fill would have evicted. Engines pass deduplicated batches
+	// (segment.CanonBatch).
 	LookupLineBatchInto(cs []Content, out []PLID)
 	// ReadLineBatchInto behaves exactly like one ReadLine per element —
 	// the same per-line cache and DRAM accounting — writing out[i] for
