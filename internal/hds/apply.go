@@ -3,6 +3,7 @@ package hds
 import (
 	"errors"
 
+	"repro/internal/core"
 	"repro/internal/merge"
 	"repro/internal/pool"
 	"repro/internal/segmap"
@@ -48,40 +49,78 @@ type ApplyOptions struct {
 // canonicalizes in a single bottom-up wave commit (segment.WriteBatch)
 // published according to opts. The whole update, retries included, runs
 // in one netting scope (core.Scope), as CompareApply, Set and Delete do.
+// Apply is ApplyDeferred with its Reclaim run before it returns.
 func (mp *Map) Apply(pairs []Pair, opts ApplyOptions) error {
+	r, err := mp.ApplyDeferred(pairs, opts)
+	r.Run()
+	return err
+}
+
+// Reclaim is Apply's last three steps, which ApplyDeferred hands back:
+// release the replaced version's root (freeing every line only it held,
+// §3.1's recursive de-allocation), then the build references, then
+// close the netting scope. The zero Reclaim owes nothing.
+type Reclaim struct {
+	sc       *core.Scope
+	replaced segment.Seg
+	strs     []String
+}
+
+// Run pays the Reclaim. It must run on the goroutine that called
+// ApplyDeferred (a Scope belongs to one goroutine), and at most once.
+func (r Reclaim) Run() {
+	if r.sc == nil {
+		return
+	}
+	segment.ReleaseSeg(r.sc, r.replaced)
+	for _, s := range r.strs {
+		segment.ReleaseSeg(r.sc, s.Seg)
+	}
+	r.sc.Close()
+}
+
+// ApplyDeferred publishes exactly as Apply does and returns its Reclaim
+// unrun, error or not. Run it before this goroutine next touches the
+// machine, and the machine sees Apply's order.
+func (mp *Map) ApplyDeferred(pairs []Pair, opts ApplyOptions) (r Reclaim, err error) {
 	if len(pairs) == 0 {
-		return nil
+		return r, nil
 	}
-	sc := mp.h.M.Scope()
-	defer sc.Close()
-	keys, vals, release := mp.buildPairs(sc, pairs)
-	defer release()
+	r.sc = mp.h.M.Scope()
+	keys, vals, strs := mp.buildPairs(r.sc, pairs)
+	r.strs = strs
 	if opts.ErrorOnDup && dupSlot(keys) {
-		return ErrDuplicateKey
+		return r, ErrDuplicateKey
 	}
-	return mp.applyBuilt(sc, pairs, keys, vals, opts)
+	r.replaced, err = mp.applyBuilt(r.sc, pairs, keys, vals, opts)
+	return r, err
 }
 
 // applyBuilt publishes the slot words of pairs, whose strings are built,
 // against the map's current version, re-executing on a same-slot race.
-func (mp *Map) applyBuilt(m word.Mem, pairs []Pair, keys, vals []String, opts ApplyOptions) error {
+// Lost attempts release their snapshot; the final one's is returned.
+func (mp *Map) applyBuilt(m word.Mem, pairs []Pair, keys, vals []String, opts ApplyOptions) (replaced segment.Seg, err error) {
 	var ups []segment.Update
-	return retryCAS(func() (bool, error) {
+	err = retryCAS(func() (bool, error) {
 		e, err := mp.h.SM.Load(mp.vsid)
 		if err != nil {
 			return false, err
 		}
-		defer segment.ReleaseSeg(m, e.Seg)
 		ups = mp.pairUpdates(ups[:0], e.Seg, pairs, keys, vals)
-		if len(ups) == 0 {
-			return true, nil // nothing to publish
+		ok := len(ups) == 0 // nothing to publish
+		if !ok {
+			if ok, err = mp.publish(m, e, ups, opts); err == merge.ErrConflict {
+				ok, err = false, nil // same-slot race: re-execute (paper §3.4 "rare")
+			}
 		}
-		ok, err := mp.publish(m, e, ups, opts)
-		if err == merge.ErrConflict {
-			return false, nil // same-slot race: re-execute (paper §3.4 "rare")
+		if ok && err == nil {
+			replaced = e.Seg
+		} else {
+			segment.ReleaseSeg(m, e.Seg)
 		}
 		return ok, err
 	})
+	return replaced, err
 }
 
 // dupSlot reports whether two of keys bind the same slot.
@@ -99,9 +138,9 @@ func dupSlot(keys []String) bool {
 
 // buildPairs constructs every pair's key and value string over m in
 // build waves (segment.BuildBytesMany; a tombstone's value is the empty
-// string, which costs nothing) and returns the release closure dropping
-// the build references once the committed map DAG holds its own.
-func (mp *Map) buildPairs(m word.Mem, pairs []Pair) (keys, vals []String, release func()) {
+// string, which costs nothing) and returns them with strs, the build
+// references to release once the committed map DAG holds its own.
+func (mp *Map) buildPairs(m word.Mem, pairs []Pair) (keys, vals, strs []String) {
 	n := len(pairs)
 	var sc pool.Scratch
 	defer sc.Release()
@@ -112,16 +151,12 @@ func (mp *Map) buildPairs(m word.Mem, pairs []Pair) (keys, vals []String, releas
 			bss[2*i+1] = p.Value
 		}
 	}
-	strs := newStringsInto(m, bss, make([]String, 0, 2*n))
+	strs = newStringsInto(m, bss, make([]String, 0, 2*n))
 	keys, vals = make([]String, n), make([]String, n)
 	for i := range pairs {
 		keys[i], vals[i] = strs[2*i], strs[2*i+1]
 	}
-	return keys, vals, func() {
-		for _, s := range strs {
-			segment.ReleaseSeg(m, s.Seg)
-		}
-	}
+	return keys, vals, strs
 }
 
 // pairUpdates appends every pair's slot words, in pair order, to ups
@@ -197,9 +232,8 @@ func (mp *Map) CompareApply(orig segment.Seg, size uint64, pairs []Pair, opts Ap
 		return nil
 	}
 	sc := mp.h.M.Scope()
-	defer sc.Close()
-	keys, vals, release := mp.buildPairs(sc, pairs)
-	defer release()
+	keys, vals, strs := mp.buildPairs(sc, pairs)
+	defer Reclaim{sc: sc, strs: strs}.Run()
 	if opts.ErrorOnDup && dupSlot(keys) {
 		return ErrDuplicateKey
 	}

@@ -201,7 +201,9 @@ func (mp *Map) set(m word.Mem, key, value String) error {
 func (mp *Map) Delete(key String) error {
 	sc := mp.h.M.Scope()
 	defer sc.Close()
-	return mp.applyBuilt(sc, []Pair{{Delete: true}}, []String{key}, []String{{}}, ApplyOptions{})
+	replaced, err := mp.applyBuilt(sc, []Pair{{Delete: true}}, []String{key}, []String{{}}, ApplyOptions{})
+	segment.ReleaseSeg(sc, replaced)
+	return err
 }
 
 // Len counts bound keys in the current version (a full scan).

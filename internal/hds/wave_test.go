@@ -38,7 +38,7 @@ func TestBuildWaveMatchesPerStringBuilds(t *testing.T) {
 			cfg := core.TestConfig()
 			cfg.LineBytes = lineBytes
 			wave, each := NewHeap(cfg), NewHeap(cfg)
-			keys, vals, release := NewMap(wave).buildPairs(wave.M, pairs)
+			keys, vals, strs := NewMap(wave).buildPairs(wave.M, pairs)
 			var eachKeys, eachVals []String
 			for _, p := range pairs {
 				eachKeys = append(eachKeys, NewString(each, p.Key))
@@ -96,7 +96,9 @@ func TestBuildWaveMatchesPerStringBuilds(t *testing.T) {
 					t.Fatalf("%s: %v", c.side, err)
 				}
 			}
-			release()
+			for _, s := range strs {
+				s.Release(wave)
+			}
 			for i := range pairs {
 				eachKeys[i].Release(each)
 				eachVals[i].Release(each)

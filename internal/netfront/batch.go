@@ -22,7 +22,13 @@ import (
 //     Apply batch — one bottom-up wave commit publishing one version for
 //     the whole window, with tombstones riding the same commit;
 //   - cas ops run individually through the merge-rebase publish
-//     (execCas), after the window's writes.
+//     (execCas), after the window's writes;
+//   - stats ops answer first, on a machine with nothing left to reclaim.
+//
+// A write window answers before it reclaims (hds.Reclaim): the version
+// it replaced is freed while the next window collects, or after
+// FlushWindow when no op comes, and always before any other machine
+// work, so the machine sees every call in inline-reclaim order.
 //
 // Execution order within a window is reads, then writes, then cas: the
 // window's reads see the pre-window version (they pinned it), its writes
@@ -43,6 +49,8 @@ type dispatcher struct {
 	groups map[*hds.Map]*windowGroup
 	order  []*windowGroup
 	free   []*windowGroup
+	owed   hds.Reclaim // the last write window's; see reclaim
+	owing  bool
 }
 
 func newDispatcher(s *Server) *dispatcher {
@@ -86,35 +94,77 @@ func (g *windowGroup) reset() {
 func (d *dispatcher) run() {
 	defer close(d.done)
 	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	stopTimer(timer)
+	pending := false // the window this loop executed left a reclaim
 	for {
-		o, ok := <-d.ch
+		o, ok := d.first(timer, pending)
 		if !ok {
+			d.reclaim()
 			return
 		}
 		d.batch = append(d.batch[:0], o)
 		timer.Reset(d.s.opts.FlushWindow)
-		fired := false
-	collect:
-		for len(d.batch) < d.s.opts.MaxBatch {
+		d.reclaim() // inside the straggler wait this window pays anyway
+		d.collect(timer)
+		d.execBatch(d.batch)
+		pending = d.owing
+	}
+}
+
+// first waits for a window's first op. While a reclaim is pending it
+// waits at most FlushWindow and then reclaims, so an idle server
+// returns the replaced version's memory.
+func (d *dispatcher) first(timer *time.Timer, pending bool) (*op, bool) {
+	if pending {
+		timer.Reset(d.s.opts.FlushWindow)
+		select {
+		case o, ok := <-d.ch:
+			stopTimer(timer)
+			return o, ok
+		case <-timer.C:
+			d.reclaim()
+		}
+	}
+	o, ok := <-d.ch
+	return o, ok
+}
+
+// collect adds ops to d.batch until it holds MaxBatch, timer fires or
+// the channel closes. Ops already queued join before a fired timer
+// closes the window: a select with both cases ready picks one at random.
+func (d *dispatcher) collect(timer *time.Timer) {
+	for len(d.batch) < d.s.opts.MaxBatch {
+		var o *op
+		var ok bool
+		select {
+		case o, ok = <-d.ch:
+		default:
 			select {
-			case o2, ok2 := <-d.ch:
-				if !ok2 {
-					break collect
-				}
-				d.batch = append(d.batch, o2)
+			case o, ok = <-d.ch:
 			case <-timer.C:
-				fired = true
-				break collect
+				return
 			}
 		}
-		if !fired && !timer.Stop() {
-			<-timer.C
+		if !ok {
+			break
 		}
-		d.execBatch(d.batch)
+		d.batch = append(d.batch, o)
 	}
+	stopTimer(timer)
+}
+
+// stopTimer stops t and drains a value it already sent.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		<-t.C
+	}
+}
+
+// reclaim runs the reclaim a write window deferred, if any. Only the
+// dispatcher goroutine calls it.
+func (d *dispatcher) reclaim() {
+	d.owed.Run()
+	d.owed, d.owing = hds.Reclaim{}, false
 }
 
 // groupFor returns the window group of mp, creating it from the
@@ -148,6 +198,7 @@ func (d *dispatcher) execBatch(batch []*op) {
 	s := d.s
 	s.c.batches.Add(1)
 	s.c.batchedOps.Add(uint64(len(batch)))
+	d.reclaim()
 	d.reads, d.writes, d.cass = d.reads[:0], d.writes[:0], d.cass[:0]
 	for _, o := range batch {
 		switch o.class {
@@ -155,6 +206,11 @@ func (d *dispatcher) execBatch(batch []*op) {
 			d.reads = append(d.reads, o)
 		case classWrite:
 			d.writes = append(d.writes, o)
+		case classStats:
+			// A barrier: the connection's earlier ops have executed
+			// (conn.submit) and no reclaim is pending.
+			o.out = s.appendStats(o.grab(4096))
+			o.finish()
 		default:
 			d.cass = append(d.cass, o)
 		}
@@ -166,6 +222,7 @@ func (d *dispatcher) execBatch(batch []*op) {
 		d.execWriteWindow(d.writes)
 	}
 	for _, o := range d.cass {
+		d.reclaim()
 		s.execCas(o)
 		o.finish()
 	}
@@ -267,6 +324,7 @@ func (d *dispatcher) execWriteWindow(writes []*op) {
 		}
 	}
 	for _, g := range d.order {
+		d.reclaim() // an earlier namespace's, before this one touches the machine
 		if len(g.delKeys) > 0 {
 			seg, _, err := g.mp.SnapshotEntry()
 			if err != nil {
@@ -279,7 +337,8 @@ func (d *dispatcher) execWriteWindow(writes []*op) {
 				segment.ReleaseSeg(s.store.Heap.M, seg)
 			}
 		}
-		g.werr = g.mp.Apply(g.pairs, hds.ApplyOptions{})
+		d.owed, g.werr = g.mp.ApplyDeferred(g.pairs, hds.ApplyOptions{})
+		d.owing = true
 	}
 	// One durability wait covers the whole window: every namespace's
 	// commit is journaled by now, so a single group-commit fsync makes

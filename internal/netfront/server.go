@@ -192,7 +192,8 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Close stops accepting, closes every connection, waits for the handler
-// goroutines, stops the dispatcher, and releases all pinned snapshots.
+// goroutines, stops the dispatcher (which runs its pending reclaim
+// first), and releases all pinned snapshots.
 // A clean Close returns every pooled buffer: the pool leak invariant
 // (hits+misses+oversize == returned) holds afterwards.
 func (s *Server) Close() error {
@@ -235,6 +236,7 @@ const (
 	classRead        // get/gets/mget
 	classWrite       // set/delete
 	classCas         // cas
+	classStats       // stats
 )
 
 // op is one in-flight command: the unit the dispatcher aggregates and
@@ -396,8 +398,8 @@ func (c *conn) readLine() ([]byte, error) {
 	return line, nil
 }
 
-// immediate enqueues a pre-completed response (parse errors, stats,
-// version) in pipeline order without touching the dispatcher.
+// immediate enqueues a pre-completed response (parse errors, version)
+// in pipeline order without touching the dispatcher.
 func (c *conn) immediate(build func(dst []byte) []byte, sizeHint int) {
 	o := getOp()
 	o.out = build(o.grab(sizeHint))
@@ -509,11 +511,10 @@ func (c *conn) readLoop() {
 			c.submit(newOp(classWrite, &cmd), &last)
 
 		case OpStats:
-			// Barrier: this connection's committed writes must be visible
-			// in the counters it reads back.
-			c.inflight.Wait()
-			last = classNone
-			c.immediate(c.s.appendStats, 4096)
+			// The dispatcher answers it (execBatch), so the counters show
+			// this connection's writes on a machine with nothing left to
+			// reclaim.
+			c.submit(newOp(classStats, &cmd), &last)
 
 		case OpVersion:
 			c.immediate(func(dst []byte) []byte {
