@@ -58,7 +58,11 @@ func main() {
 			localHits := 0
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("page:%04d", (g*97+i*31)%220) // some misses
-				if _, ok := srv.GetVia(reader, []byte(key)); ok {
+				_, ok, err := srv.GetVia(reader, []byte(key))
+				if err != nil {
+					log.Fatal(err)
+				}
+				if ok {
 					localHits++
 				}
 			}

@@ -30,6 +30,10 @@ import (
 //     segment.BuildWords/BuildBytes/CanonLeaves/CanonNodes: no file
 //     outside bench/ names segment.Builder, the shim the bench module
 //     still calls, so no producer brings back a second build path.
+//   - Keys route to tenant namespaces in one module: no file outside
+//     internal/kvstore calls NamespaceFor, SplitNamespace or Namespace,
+//     so every window of requests runs kvstore's executor (kvstore.Window)
+//     and no caller groups keys by namespace beside it.
 //
 // The last row, NoCodeOnlyTestsReach, is not a pattern: it walks the
 // call graph from the binaries (reach_test.go).
@@ -63,6 +67,12 @@ var sourceGuards = []struct {
 		re:     regexp.MustCompile(`segment\.(NewBuilder|Builder)\b`),
 		exempt: "bench",
 		fix:    "segment.Builder outside bench/ — build with segment.BuildWords/BuildBytes/CanonLeaves/CanonNodes",
+	},
+	{
+		name:   "NoNamespaceRoutingOutsideKvstore",
+		re:     regexp.MustCompile(`NamespaceFor\(|SplitNamespace\(|\.Namespace\(`),
+		exempt: filepath.Join("internal", "kvstore"),
+		fix:    "namespace routing outside internal/kvstore — run the batch through kvstore.Window",
 	},
 }
 

@@ -2,7 +2,6 @@ package hds
 
 import (
 	"repro/internal/iterreg"
-	"repro/internal/merge"
 	"repro/internal/segmap"
 	"repro/internal/segment"
 	"repro/internal/word"
@@ -157,43 +156,15 @@ func heightForBytes(h *Heap, n uint64) int {
 	return segment.HeightFor(h.M.LineWords(), words)
 }
 
-// Set binds key to value, replacing any previous binding. Merge-update
-// absorbs concurrent updates to other keys; only a same-key race causes
-// an internal retry. The caller keeps ownership of key and value strings
-// (the map DAG takes its own references).
+// Set binds key to value, replacing any previous binding: Apply of one
+// pair, on strings the caller built. Merge-update absorbs concurrent
+// updates to other keys; only a same-key race causes an internal retry.
+// The caller keeps ownership of key and value strings (the map DAG takes
+// its own references).
 func (mp *Map) Set(key, value String) error {
 	sc := mp.h.M.Scope()
 	defer sc.Close()
-	return mp.set(sc, key, value)
-}
-
-// SetBytes builds key and value and binds them in one netting scope with
-// the update, so dropping the request-local string references the map
-// DAG supersedes costs no RC-line traffic.
-func (mp *Map) SetBytes(key, value []byte) error {
-	sc := mp.h.M.Scope()
-	defer sc.Close()
-	k, v := buildString(sc, key), buildString(sc, value)
-	err := mp.set(sc, k, v)
-	segment.ReleaseSeg(sc, k.Seg)
-	segment.ReleaseSeg(sc, v.Seg)
-	return err
-}
-
-func (mp *Map) set(m word.Mem, key, value String) error {
-	ups := bindUpdates(make([]segment.Update, 0, slotWords), key, value)
-	return retryCAS(func() (bool, error) {
-		e, err := mp.h.SM.Load(mp.vsid)
-		if err != nil {
-			return false, err
-		}
-		defer segment.ReleaseSeg(m, e.Seg)
-		ok, err := mp.publish(m, e, ups, ApplyOptions{})
-		if err == merge.ErrConflict {
-			return false, nil // same-slot race: re-execute (paper §3.4 "rare")
-		}
-		return ok, err
-	})
+	return mp.applyOne(sc, Pair{}, key, value)
 }
 
 // Delete removes key's binding: Apply of one tombstone, on a key the
@@ -201,8 +172,14 @@ func (mp *Map) set(m word.Mem, key, value String) error {
 func (mp *Map) Delete(key String) error {
 	sc := mp.h.M.Scope()
 	defer sc.Close()
-	replaced, err := mp.applyBuilt(sc, []Pair{{Delete: true}}, []String{key}, []String{{}}, ApplyOptions{})
-	segment.ReleaseSeg(sc, replaced)
+	return mp.applyOne(sc, Pair{Delete: true}, key, String{})
+}
+
+// applyOne publishes one built pair (p's Delete; its bytes are unused)
+// and releases the version it replaced.
+func (mp *Map) applyOne(m word.Mem, p Pair, key, value String) error {
+	replaced, err := mp.applyBuilt(m, []Pair{p}, []String{key}, []String{value}, ApplyOptions{})
+	segment.ReleaseSeg(m, replaced)
 	return err
 }
 

@@ -99,7 +99,9 @@ func RunHicamp(cfg core.Config, w Workload) (store.Stats, *HicampServer, error) 
 	for _, req := range w.Trace {
 		key := []byte(w.Corpus.Keys[req.Key])
 		if req.Get {
-			srv.GetVia(reader, key)
+			if _, _, err := srv.GetVia(reader, key); err != nil {
+				return store.Stats{}, nil, err
+			}
 		} else {
 			versions[req.Key]++
 			val := mutateItem(w.Corpus.Items[req.Key], versions[req.Key])

@@ -36,8 +36,6 @@ type ServerOptions struct {
 	// group commit; see durable.Options.FlushWindow. 0 means the durable
 	// layer's default.
 	FlushWindow time.Duration
-	// SegmentBytes rolls log segments past this size (0 = default).
-	SegmentBytes int64
 	// CheckpointEvery runs background checkpoints at this interval; 0
 	// disables them (checkpoints then happen only via Checkpoint).
 	CheckpointEvery time.Duration
@@ -57,13 +55,13 @@ func NewHicampServerOpts(cfg core.Config, opts ServerOptions) (*HicampServer, er
 	db, err := durable.Open(durable.Options{
 		Dir:             opts.DataDir,
 		FlushWindow:     opts.FlushWindow,
-		SegmentBytes:    opts.SegmentBytes,
 		CheckpointEvery: opts.CheckpointEvery,
 	}, m, sm)
 	if err != nil {
 		return nil, err
 	}
-	s := &HicampServer{Heap: &hds.Heap{M: m, SM: sm}, db: db}
+	h := &hds.Heap{M: m, SM: sm}
+	s := &HicampServer{Heap: h, db: db, toks: newTokenRegistry(h, maxTokens)}
 	s.kvp = s.openOrBind(labelRoot)
 	return s, nil
 }
@@ -88,9 +86,8 @@ func (s *HicampServer) openOrBind(label string) *hds.Map {
 // AckDurable blocks until every mutation issued before the call is
 // stable — the write-acknowledgement gate. Memory-only servers return
 // nil immediately (the simulation semantics: a commit is durable the
-// moment it publishes). Batch callers that commit through the maps
-// directly (the network front end's write windows) call this once per
-// window instead of once per key. After Close the log is detached and
+// moment it publishes). A write batch (Write, Window.WriteDeferred)
+// waits once for all its keys. After Close the log is detached and
 // Sync returns at once.
 func (s *HicampServer) AckDurable() error {
 	if s.db == nil {

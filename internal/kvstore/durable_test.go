@@ -45,7 +45,7 @@ func TestDurableServerRestart(t *testing.T) {
 	}
 	blob := bytes.Repeat([]byte("blob payload, chunked and deduplicated. "), 600)
 	stale := hds.NewMap(s.Heap)
-	if err := stale.SetBytes([]byte("img"), blob); err != nil {
+	if err := stale.Apply([]hds.Pair{{Key: []byte("img"), Value: blob}}, hds.ApplyOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, label := range []string{"blob:", "blob:acme"} {

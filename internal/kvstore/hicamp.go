@@ -26,6 +26,7 @@ type HicampServer struct {
 	Heap *hds.Heap
 	kvp  *hds.Map
 	ns   namespaces
+	toks *tokenRegistry // the versions gets tokens name (see Cas)
 
 	// db is the write-ahead persistence layer, nil on memory-only
 	// servers; write acknowledgements wait on it (see durable.go).
@@ -36,19 +37,15 @@ type HicampServer struct {
 // NewHicampServerOpts adds persistence.
 func NewHicampServer(cfg core.Config) *HicampServer {
 	h := hds.NewHeap(cfg)
-	return &HicampServer{Heap: h, kvp: hds.NewMap(h)}
+	return &HicampServer{Heap: h, kvp: hds.NewMap(h), toks: newTokenRegistry(h, maxTokens)}
 }
 
-// Set stores a key-value pair. Building the value into content-unique
-// lines is the set path's dominant memory cost, exactly as the paper's
-// §5.1.1 analysis assumes; the map update itself touches log(N) lines.
-// The strings are built, bound and released in one netting scope
-// (hds.Map.SetBytes).
+// Set stores a key-value pair: a one-pair Write. Building the value
+// into content-unique lines is the set path's dominant memory cost,
+// exactly as the paper's §5.1.1 analysis assumes; the map update itself
+// touches log(N) lines.
 func (s *HicampServer) Set(key, value []byte) error {
-	if err := s.NamespaceFor(key).SetBytes(key, value); err != nil {
-		return err
-	}
-	return s.AckDurable()
+	return s.Write(Batch{}.Set(key, value))
 }
 
 // GetVia returns the value for key through a caller-owned read-only
@@ -57,16 +54,18 @@ func (s *HicampServer) Set(key, value []byte) error {
 // interference from concurrent sets — and the map is accessed directly,
 // with zero IPC. The register is bound to the root map, so a
 // tenant-prefixed key reads as a one-key Read on its namespace instead.
-func (s *HicampServer) GetVia(it *iterreg.Iterator, key []byte) ([]byte, bool) {
+// A snapshot that cannot be opened is an error, never a miss.
+func (s *HicampServer) GetVia(it *iterreg.Iterator, key []byte) ([]byte, bool, error) {
 	if SplitNamespace(key) != "" {
 		b := Batch{{Key: key}}
 		s.Read(b)
-		return b[0].Value, b[0].Found
+		return b[0].Value, b[0].Found, b[0].Err
 	}
 	if err := it.Reload(); err != nil {
-		return nil, false
+		return nil, false, err
 	}
-	return hds.GetBytesFrom(s.Heap, it, key)
+	v, ok := hds.GetBytesFrom(s.Heap, it, key)
+	return v, ok, nil
 }
 
 // OpenReader returns a read-only iterator register bound to the map, for

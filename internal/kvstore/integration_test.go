@@ -43,7 +43,10 @@ func TestServerModelEquivalence(t *testing.T) {
 				if op%2 == 0 {
 					got, ok = get(srv, []byte(k))
 				} else {
-					got, ok = srv.GetVia(reader, []byte(k))
+					var err error
+					if got, ok, err = srv.GetVia(reader, []byte(k)); err != nil {
+						t.Fatalf("seed %d op %d: %v", seed, op, err)
+					}
 				}
 				want, wantOK := model[k]
 				if ok != wantOK {

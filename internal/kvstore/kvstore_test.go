@@ -87,7 +87,12 @@ func TestHicampConcurrentClients(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				if g%2 == 0 {
 					key := fmt.Sprintf("seed-%d", i%20)
-					if v, ok := s.GetVia(reader, []byte(key)); ok {
+					v, ok, err := s.GetVia(reader, []byte(key))
+					if err != nil {
+						t.Errorf("get %s: %v", key, err)
+						return
+					}
+					if ok {
 						if want := fmt.Sprintf("seed value %d", i%20); string(v) != want {
 							t.Errorf("get %s = %q", key, v)
 							return

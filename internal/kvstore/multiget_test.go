@@ -34,7 +34,10 @@ func TestHicampReadMatchesGet(t *testing.T) {
 	}
 	defer reader.Close()
 	for i := range rb {
-		want, wantOK := srv.GetVia(reader, rb[i].Key)
+		want, wantOK, err := srv.GetVia(reader, rb[i].Key)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if rb[i].Found != wantOK {
 			t.Fatalf("key %q: found=%v, want %v", rb[i].Key, rb[i].Found, wantOK)
 		}

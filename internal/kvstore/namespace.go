@@ -109,5 +109,5 @@ func (s *HicampServer) NamespaceStats() []NamespaceInfo {
 	return out
 }
 
-// Batch operations route through groupBatch (batch.go), which
-// partitions a positional Batch by tenant against either map registry.
+// A Window (batch.go) routes a positional Batch by tenant through
+// NamespaceFor; no other package routes keys.

@@ -36,6 +36,39 @@ func TestBatchDeleteWavePath(t *testing.T) {
 	}
 }
 
+// A tombstone's Found is whether its key was bound before it: in the
+// published version, or by an earlier entry of the same batch, in any
+// namespace.
+func TestWriteTombstoneFound(t *testing.T) {
+	s := NewHicampServer(testCfg())
+	if err := s.Write(Batch{}.Set([]byte("a"), []byte("1")).Set([]byte("t/a"), []byte("1"))); err != nil {
+		t.Fatal(err)
+	}
+	b := Batch{}.
+		Del([]byte("a")). // bound
+		Del([]byte("a")). // unbound by the tombstone before it
+		Set([]byte("b"), []byte("2")).
+		Del([]byte("b")).   // bound by the set before it
+		Del([]byte("c")).   // never bound
+		Del([]byte("t/a")). // bound, in a tenant
+		Set([]byte("t/a"), []byte("3")).
+		Del([]byte("t/a")) // bound again by the set before it
+	if err := s.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	want := []bool{true, false, false, true, false, true, false, true}
+	for i := range b {
+		if b[i].Found != want[i] || b[i].Err != nil {
+			t.Errorf("entry %d (%q, delete %v): found=%v err=%v, want found=%v", i, b[i].Key, b[i].Delete, b[i].Found, b[i].Err, want[i])
+		}
+	}
+	for _, k := range []string{"a", "b", "t/a"} {
+		if _, ok := get(s, []byte(k)); ok {
+			t.Errorf("%s survived its tombstone", k)
+		}
+	}
+}
+
 func TestNamespaceRoutingAndIsolation(t *testing.T) {
 	s := NewHicampServer(testCfg())
 
@@ -204,9 +237,44 @@ func TestGetViaReadsTenantKeys(t *testing.T) {
 		key, want string
 		found     bool
 	}{{"t/k", "hello", true}, {"k", "bare", true}, {"t/absent", "", false}, {"u/k", "", false}} {
-		got, ok := s.GetVia(reader, []byte(tc.key))
+		got, ok, err := s.GetVia(reader, []byte(tc.key))
+		if err != nil {
+			t.Fatalf("GetVia(%q): %v", tc.key, err)
+		}
 		if ok != tc.found || string(got) != tc.want {
 			t.Fatalf("GetVia(%q) = %q,%v, want %q,%v", tc.key, got, ok, tc.want, tc.found)
 		}
+	}
+}
+
+// A namespace whose snapshot cannot be pinned is an error, never a miss:
+// after a tenant's map is released, Read sets Err on that tenant's keys
+// (and still answers the root map's), and GetVia's tenant branch, a
+// one-key Read, returns the error.
+func TestFailedPinIsAnError(t *testing.T) {
+	s := NewHicampServer(testCfg())
+	for _, k := range []string{"gone/k", "k"} {
+		if err := s.Set([]byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Namespace("gone").Release(); err != nil {
+		t.Fatal(err)
+	}
+	b := Batch{}.Get([]byte("gone/k")).Get([]byte("k"))
+	s.Read(b)
+	if b[0].Err == nil {
+		t.Fatalf("Read of a released tenant: found=%v with no error", b[0].Found)
+	}
+	if b[1].Err != nil || !b[1].Found {
+		t.Fatalf("root key beside it: found=%v err=%v", b[1].Found, b[1].Err)
+	}
+	reader, err := s.OpenReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	if _, ok, err := s.GetVia(reader, []byte("gone/k")); err == nil {
+		t.Fatalf("GetVia of a released tenant: found=%v with no error", ok)
 	}
 }

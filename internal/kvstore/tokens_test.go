@@ -1,9 +1,8 @@
-package netfront
+package kvstore
 
 import (
 	"testing"
 
-	"repro/internal/kvstore"
 	"repro/internal/segment"
 )
 
@@ -13,13 +12,13 @@ import (
 // unrelated reads and the cas answered EXISTS spuriously. Eviction is
 // LRU, so a refreshed pin outlives a colder one.
 func TestTokenRegistryDedupAndLRU(t *testing.T) {
-	store := kvstore.NewHicampServer(testCfg())
+	store := NewHicampServer(testCfg())
 	mp := store.NamespaceFor([]byte("k"))
 	if err := store.Set([]byte("k"), []byte("v0")); err != nil {
 		t.Fatal(err)
 	}
 	reg := newTokenRegistry(store.Heap, 2)
-	defer reg.Close()
+	defer reg.close()
 
 	snap := func() (segment.Seg, uint64) {
 		t.Helper()

@@ -48,11 +48,12 @@ func TestAppendValueZeroAlloc(t *testing.T) {
 // The aggregated serve loop's steady state is allocation-pinned: one
 // flush window of pipelined gets and sets (the hot mix) may allocate
 // only the store-side result slices, bounded per op. Regressions that
-// add per-op or per-key garbage in the dispatcher trip this.
+// add per-op or per-key garbage in the dispatcher trip this. The test
+// drives the executor itself; no dispatcher goroutine runs.
 func TestBatchExecSteadyStateAllocs(t *testing.T) {
-	s := NewServer(kvstore.NewHicampServer(testCfg()), DefaultOptions())
-	defer s.Close()
+	s := newServer(kvstore.NewHicampServer(testCfg()), DefaultOptions())
 	d := s.disp
+	defer d.reclaim()
 
 	const ops, keysPerOp = 16, 4
 	keys := make([][]byte, ops*keysPerOp)

@@ -1,28 +1,30 @@
 package netfront
 
 import (
+	"errors"
 	"time"
 
 	"repro/internal/hds"
-	"repro/internal/segment"
+	"repro/internal/kvstore"
 )
 
 // The aggregation loop. Every connection reader feeds parsed ops into
 // one shared channel; the dispatcher collects them into bounded flush
 // windows (up to MaxBatch ops, waiting at most FlushWindow for
-// stragglers) and executes each window as a handful of wave operations
-// instead of one store operation per request:
+// stragglers), builds one kvstore.Batch from each class of the window's
+// ops and runs it through the store's window executor (kvstore.Window),
+// which costs one wave operation per namespace instead of one store
+// operation per request:
 //
-//   - all reads in the window, across every connection, resolve per
-//     namespace through ONE pinned snapshot + ONE Map.GetBytesAtInto
-//     (one level-order gather, one bulk materialization, one netting
-//     scope) — the map's root path and interior lines shared between the
-//     window's keys are fetched once per wave, not once per request;
-//   - all sets and deletes in the window coalesce per namespace into ONE
-//     Apply batch — one bottom-up wave commit publishing one version for
-//     the whole window, with tombstones riding the same commit;
-//   - cas ops run individually through the merge-rebase publish
-//     (execCas), after the window's writes;
+//   - all reads in the window, across every connection, are one
+//     Window.Read: per namespace ONE pinned snapshot + ONE gather and
+//     bulk materialization; if any op is a gets/mget the pins become cas
+//     tokens;
+//   - all sets and deletes in the window are one Window.WriteDeferred:
+//     per namespace ONE wave commit publishing one version, tombstones
+//     riding the same commit, and one durability wait for the window;
+//   - cas ops run one at a time through kvstore's merge-rebase Cas, after
+//     the window's writes;
 //   - stats ops answer first, on a machine with nothing left to reclaim.
 //
 // A write window answers before it reclaims (hds.Reclaim): the version
@@ -40,55 +42,25 @@ type dispatcher struct {
 	s    *Server
 	ch   chan *op
 	done chan struct{}
+	w    *kvstore.Window
 
 	// Reused window scratch (the dispatcher is a single goroutine).
 	batch  []*op
 	reads  []*op
 	writes []*op
 	cass   []*op
-	groups map[*hds.Map]*windowGroup
-	order  []*windowGroup
-	free   []*windowGroup
+	kvs    kvstore.Batch
 	owed   hds.Reclaim // the last write window's; see reclaim
 	owing  bool
 }
 
 func newDispatcher(s *Server) *dispatcher {
 	return &dispatcher{
-		s:      s,
-		ch:     make(chan *op, 4*s.opts.MaxBatch),
-		done:   make(chan struct{}),
-		groups: make(map[*hds.Map]*windowGroup),
+		s:    s,
+		ch:   make(chan *op, 4*s.opts.MaxBatch),
+		done: make(chan struct{}),
+		w:    s.store.NewWindow(),
 	}
-}
-
-// windowGroup is one namespace's share of a flush window: the read keys
-// and write pairs routed to one hds.Map, with cursors for scattering
-// results back to ops in arrival order.
-type windowGroup struct {
-	mp *hds.Map
-
-	// Read side. rb is retained across windows so steady-state reads
-	// reuse its storage; the delete pre-check borrows it too.
-	rkeys [][]byte
-	rb    hds.ReadBuf
-	tok   uint64
-	rerr  error // snapshot open failed; the group's reads answer SERVER_ERROR
-	rcur  int
-
-	// Write side.
-	pairs   []hds.Pair
-	delKeys [][]byte
-	werr    error
-	dcur    int
-}
-
-func (g *windowGroup) reset() {
-	g.mp = nil
-	g.rkeys = g.rkeys[:0]
-	g.tok, g.rerr, g.rcur = 0, nil, 0
-	g.pairs, g.delKeys = g.pairs[:0], g.delKeys[:0]
-	g.werr, g.dcur = nil, 0
 }
 
 func (d *dispatcher) run() {
@@ -167,33 +139,6 @@ func (d *dispatcher) reclaim() {
 	d.owed, d.owing = hds.Reclaim{}, false
 }
 
-// groupFor returns the window group of mp, creating it from the
-// dispatcher's freelist.
-func (d *dispatcher) groupFor(mp *hds.Map) *windowGroup {
-	if g, ok := d.groups[mp]; ok {
-		return g
-	}
-	var g *windowGroup
-	if n := len(d.free); n > 0 {
-		g, d.free = d.free[n-1], d.free[:n-1]
-	} else {
-		g = &windowGroup{}
-	}
-	g.mp = mp
-	d.groups[mp] = g
-	d.order = append(d.order, g)
-	return g
-}
-
-func (d *dispatcher) releaseGroups() {
-	for _, g := range d.order {
-		delete(d.groups, g.mp)
-		g.reset()
-		d.free = append(d.free, g)
-	}
-	d.order = d.order[:0]
-}
-
 func (d *dispatcher) execBatch(batch []*op) {
 	s := d.s
 	s.c.batches.Add(1)
@@ -223,48 +168,42 @@ func (d *dispatcher) execBatch(batch []*op) {
 	}
 	for _, o := range d.cass {
 		d.reclaim()
-		s.execCas(o)
+		s.c.cmdCas.Add(1)
+		switch err := s.store.Cas(o.keys[0], o.val.S, o.casTok); {
+		case err == nil:
+			s.c.casStored.Add(1)
+			o.out = respStored
+		case errors.Is(err, kvstore.ErrNotFound):
+			s.c.casNotFound.Add(1)
+			o.out = respNotFound
+		case errors.Is(err, kvstore.ErrExists):
+			s.c.casExists.Add(1)
+			o.out = respExists
+		default:
+			o.out = appendErrorResponse(o.grab(64), err)
+		}
 		o.finish()
 	}
 }
 
-// execReadWindow serves every read op of the window: one snapshot pin
-// and one Map.GetBytesAtInto per namespace, then a positional
-// scatter back to each op's response in arrival order. If any op in the
-// window is a gets/mget, the namespace's pinned snapshot is registered
-// as a cas token shared by the whole window (one pin names the version
-// every one of those reads saw).
+// execReadWindow serves every read op of the window as one
+// Window.Read, then formats each op's reply from its keys' results in
+// arrival order. If any op in the window is a gets/mget, the read pins
+// its snapshots as cas tokens (one pin names the version every one of
+// those reads saw).
 func (d *dispatcher) execReadWindow(reads []*op) {
 	s := d.s
 	withCas := false
+	d.kvs = d.kvs[:0]
 	for _, o := range reads {
 		s.c.cmdGet.Add(uint64(len(o.keys)))
 		withCas = withCas || o.withCas
 		for _, key := range o.keys {
-			g := d.groupFor(s.store.NamespaceFor(key))
-			g.rkeys = append(g.rkeys, key)
+			d.kvs = d.kvs.Get(key)
 		}
 	}
-	for _, g := range d.order {
-		seg, size, err := g.mp.SnapshotEntry()
-		if err != nil {
-			// Keep the positional cursors aligned, but remember the fault:
-			// the scatter pass answers SERVER_ERROR, not a silent all-miss.
-			s.c.snapshotErrors.Add(1)
-			g.rerr = err
-			g.rb.Vals = append(g.rb.Vals[:0], make([][]byte, len(g.rkeys))...)
-			g.rb.Found = append(g.rb.Found[:0], make([]bool, len(g.rkeys))...)
-			continue
-		}
-		g.mp.GetBytesAtInto(seg, g.rkeys, &g.rb)
-		if withCas {
-			g.tok = s.toks.Register(g.mp, seg, size) // owns seg now
-		} else {
-			segment.ReleaseSeg(s.store.Heap.M, seg)
-		}
-	}
-	// Scatter: same iteration order as the grouping pass, so each group's
-	// cursor walks its results positionally.
+	d.w.Read(d.kvs, withCas)
+	kvs := d.kvs
 	for _, o := range reads {
 		hint := 32
 		for _, key := range o.keys {
@@ -272,115 +211,55 @@ func (d *dispatcher) execReadWindow(reads []*op) {
 		}
 		dst := o.grab(hint)
 		var rerr error
-		for _, key := range o.keys {
-			g := d.groups[s.store.NamespaceFor(key)]
-			v, ok := g.rb.Vals[g.rcur], g.rb.Found[g.rcur]
-			g.rcur++
-			if g.rerr != nil {
-				rerr = g.rerr
-				continue
-			}
-			if !ok {
+		for _, kv := range kvs[:len(o.keys)] {
+			switch {
+			case kv.Err != nil:
+				rerr = kv.Err
+			case !kv.Found:
 				s.c.getMisses.Add(1)
-				continue
+			default:
+				s.c.getHits.Add(1)
+				flags, payload := unframe(kv.Value)
+				dst = AppendValue(dst, kv.Key, flags, payload, kv.Cas, o.withCas)
 			}
-			s.c.getHits.Add(1)
-			flags, payload := unframe(v)
-			dst = AppendValue(dst, key, flags, payload, g.tok, o.withCas)
 		}
+		kvs = kvs[len(o.keys):]
 		if rerr != nil {
 			// Any erroring namespace fails the whole op: partial VALUE lines
 			// with a silent gap would read as misses.
+			s.c.snapshotErrors.Add(1)
 			o.out = appendErrorResponse(dst[:0], rerr)
 		} else {
 			o.out = append(dst, respEnd...)
 		}
 		o.finish()
 	}
-	d.releaseGroups()
 }
 
-// execWriteWindow coalesces the window's sets and deletes into one Apply
-// wave commit per namespace — sets bind, tombstones unbind, the whole
-// window publishes as a single version. DELETED/NOT_FOUND answers come
-// from a pre-commit presence probe of the deleted keys
-// (Map.HasBytesAtInto, which reads each slot's length word and no value
-// line), corrected by in-window bindings so a delete following a
-// same-window set still answers DELETED.
+// execWriteWindow coalesces the window's sets and deletes into one
+// Window.WriteDeferred, answers each op once the window is stable, and
+// keeps the last namespace's reclaim for later (see reclaim).
 func (d *dispatcher) execWriteWindow(writes []*op) {
 	s := d.s
-	anyDelete := false
+	d.kvs = d.kvs[:0]
 	for _, o := range writes {
-		key := o.keys[0]
-		g := d.groupFor(s.store.NamespaceFor(key))
 		if o.verb == OpDelete {
 			s.c.cmdDelete.Add(1)
-			anyDelete = true
-			g.pairs = append(g.pairs, hds.Pair{Key: key, Delete: true})
-			g.delKeys = append(g.delKeys, key)
+			d.kvs = append(d.kvs, kvstore.KV{Key: o.keys[0], Delete: true})
 		} else {
 			s.c.cmdSet.Add(1)
-			g.pairs = append(g.pairs, hds.Pair{Key: key, Value: o.val.S})
+			d.kvs = d.kvs.Set(o.keys[0], o.val.S)
 		}
 	}
-	for _, g := range d.order {
-		d.reclaim() // an earlier namespace's, before this one touches the machine
-		if len(g.delKeys) > 0 {
-			seg, _, err := g.mp.SnapshotEntry()
-			if err != nil {
-				// The Apply below still commits the tombstones; only the
-				// DELETED/NOT_FOUND answer degrades. Count the fault.
-				s.c.snapshotErrors.Add(1)
-				g.rb.Found = append(g.rb.Found[:0], make([]bool, len(g.delKeys))...)
-			} else {
-				g.mp.HasBytesAtInto(seg, g.delKeys, &g.rb)
-				segment.ReleaseSeg(s.store.Heap.M, seg)
-			}
-		}
-		d.owed, g.werr = g.mp.ApplyDeferred(g.pairs, hds.ApplyOptions{})
-		d.owing = true
-	}
-	// One durability wait covers the whole window: every namespace's
-	// commit is journaled by now, so a single group-commit fsync makes
-	// all of them stable before any STORED/DELETED goes out. A no-op on
-	// memory-only stores.
-	if serr := s.store.AckDurable(); serr != nil {
-		for _, g := range d.order {
-			if g.werr == nil {
-				g.werr = serr
-			}
-		}
-	}
-	// In-window binding state, for delete answers after same-window sets.
-	var bound map[string]bool
-	if anyDelete {
-		bound = make(map[string]bool)
-	}
-	for _, o := range writes {
-		key := o.keys[0]
-		g := d.groups[s.store.NamespaceFor(key)]
-		if o.verb != OpDelete {
-			if g.werr != nil {
-				o.out = appendErrorResponse(o.grab(64), g.werr)
-			} else {
-				o.out = respStored
-			}
-			if bound != nil {
-				bound[string(key)] = true
-			}
-			o.finish()
-			continue
-		}
-		existed := g.rb.Found[g.dcur]
-		g.dcur++
-		if b, ok := bound[string(key)]; ok {
-			existed = b
-		}
-		bound[string(key)] = false
-		switch {
-		case g.werr != nil:
-			o.out = appendErrorResponse(o.grab(64), g.werr)
-		case existed:
+	d.owed, _ = d.w.WriteDeferred(d.kvs)
+	d.owing = true
+	for i, o := range writes {
+		switch kv := &d.kvs[i]; {
+		case kv.Err != nil:
+			o.out = appendErrorResponse(o.grab(64), kv.Err)
+		case !kv.Delete:
+			o.out = respStored
+		case kv.Found:
 			s.c.deleteHits.Add(1)
 			o.out = respDeleted
 		default:
@@ -389,5 +268,4 @@ func (d *dispatcher) execWriteWindow(writes []*op) {
 		}
 		o.finish()
 	}
-	d.releaseGroups()
 }

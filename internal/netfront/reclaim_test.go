@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/hds"
 	"repro/internal/kvstore"
 	"repro/internal/word"
 )
@@ -18,7 +17,7 @@ import (
 // ops still queued.
 func TestCollectTakesQueuedOpsBeforeFiredTimer(t *testing.T) {
 	opts := DefaultOptions()
-	d := &dispatcher{s: &Server{opts: opts}, ch: make(chan *op, opts.MaxBatch)}
+	d := newServer(kvstore.NewHicampServer(testCfg()), opts).disp
 	for i := 0; i < opts.MaxBatch-1; i++ {
 		d.ch <- &op{}
 	}
@@ -50,7 +49,7 @@ func reclaimVals(n int) [][]byte {
 // most sets replace a bound value.
 func reclaimKey(i int) string { return fmt.Sprintf("reclaim-%d", i%4) }
 
-// replay applies the same sets, the i-th value to key(i), one Apply
+// replay applies the same sets, the i-th value to key(i), one Write
 // each, on a fresh in-process server: the machine an inline reclaim
 // leaves.
 func replay(t *testing.T, vals [][]byte, key func(int) string) *Server {
@@ -58,8 +57,7 @@ func replay(t *testing.T, vals [][]byte, key func(int) string) *Server {
 	s := NewServer(kvstore.NewHicampServer(testCfg()), DefaultOptions())
 	t.Cleanup(func() { s.Close() })
 	for i, v := range vals {
-		key := []byte(key(i))
-		if err := s.Store().NamespaceFor(key).Apply([]hds.Pair{{Key: key, Value: framed(v)}}, hds.ApplyOptions{}); err != nil {
+		if err := s.Store().Write(kvstore.Batch{}.Set([]byte(key(i)), framed(v))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,11 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/hds"
 	"repro/internal/kvstore"
-	"repro/internal/merge"
 	"repro/internal/pool"
-	"repro/internal/segment"
 )
 
 // Options configure one Server. A zero field takes its DefaultOptions
@@ -29,8 +26,6 @@ type Options struct {
 	// PendingPerConn bounds one connection's pipelined in-flight
 	// commands; the reader stalls past it (TCP backpressure).
 	PendingPerConn int
-	// MaxTokens bounds the cas token registry (pinned gets snapshots).
-	MaxTokens int
 	// ReadBuf/WriteBuf size each connection's bufio buffers.
 	ReadBuf, WriteBuf int
 }
@@ -41,7 +36,6 @@ func DefaultOptions() Options {
 		MaxBatch:       128,
 		FlushWindow:    150 * time.Microsecond,
 		PendingPerConn: 256,
-		MaxTokens:      4096,
 		ReadBuf:        16 << 10,
 		WriteBuf:       16 << 10,
 	}
@@ -53,9 +47,8 @@ type Counters struct {
 	Conns, CmdGet, CmdSet, CmdDelete, CmdCas       uint64
 	GetHits, GetMisses, DeleteHits, DeleteMisses   uint64
 	CasStored, CasExists, CasNotFound, BadCommands uint64
-	// SnapshotErrors counts store snapshot opens that failed while serving
-	// a read window; the affected ops answer SERVER_ERROR, never a silent
-	// all-miss END.
+	// SnapshotErrors counts read ops whose namespace's snapshot could not
+	// be pinned; they answer SERVER_ERROR, never a silent all-miss END.
 	SnapshotErrors uint64
 	// Batches and BatchedOps describe the aggregation loop: BatchedOps /
 	// Batches is the achieved ops-per-wave coalescing factor.
@@ -90,7 +83,6 @@ var ErrServerClosed = errors.New("netfront: server closed")
 type Server struct {
 	store *kvstore.HicampServer
 	opts  Options
-	toks  *tokenRegistry
 	disp  *dispatcher
 	c     counters
 
@@ -104,6 +96,13 @@ type Server struct {
 // NewServer wraps store. The dispatcher goroutine starts immediately;
 // Close stops it.
 func NewServer(store *kvstore.HicampServer, opts Options) *Server {
+	s := newServer(store, opts)
+	go s.disp.run()
+	return s
+}
+
+// newServer is NewServer without the dispatcher goroutine.
+func newServer(store *kvstore.HicampServer, opts Options) *Server {
 	def := DefaultOptions()
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = def.MaxBatch
@@ -123,11 +122,9 @@ func NewServer(store *kvstore.HicampServer, opts Options) *Server {
 	s := &Server{
 		store: store,
 		opts:  opts,
-		toks:  newTokenRegistry(store.Heap, opts.MaxTokens),
 		conns: make(map[net.Conn]struct{}),
 	}
 	s.disp = newDispatcher(s)
-	go s.disp.run()
 	return s
 }
 
@@ -218,7 +215,7 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	close(s.disp.ch)
 	<-s.disp.done
-	s.toks.Close()
+	s.store.ReleaseTokens()
 	return nil
 }
 
@@ -526,73 +523,6 @@ func (c *conn) readLoop() {
 			return
 		}
 	}
-}
-
-// execCas runs one compare-and-swap through the merge-rebase publish:
-// the pinned snapshot the token names becomes CompareApply's base, so a
-// stale token whose staleness is only *disjoint* concurrent writes
-// rebases and stores, and only a concurrent write to the same key
-// answers EXISTS. That same-key check is made here, on the key's bound
-// value, before the merge: the merge absorbs a concurrent write of the
-// identical payload, so two clients cas-ing the same bytes on one
-// version would otherwise both store. Content-unique versions cannot
-// tell A→B→A from no write at all, so a key written away and back
-// between gets and cas still stores.
-func (s *Server) execCas(o *op) {
-	s.c.cmdCas.Add(1)
-	key := o.keys[0]
-	mp := s.store.NamespaceFor(key)
-	pin, found, ok := s.casPin(mp, key, o.casTok)
-	if !found {
-		s.c.casNotFound.Add(1)
-		o.out = respNotFound
-		return
-	}
-	if !ok {
-		// Evicted or foreign token — the version it named is gone, so the
-		// conservative memcached answer is "the item changed" — or the
-		// key's binding moved since the token's snapshot.
-		s.c.casExists.Add(1)
-		o.out = respExists
-		return
-	}
-	pairs := [1]hds.Pair{{Key: key, Value: o.val.S}}
-	err := pin.mp.CompareApply(pin.seg, pin.size, pairs[:], hds.ApplyOptions{})
-	segment.ReleaseSeg(s.store.Heap.M, pin.seg)
-	if err == nil {
-		// STORED is a durability acknowledgement like any other write's.
-		err = s.store.AckDurable()
-	}
-	switch {
-	case err == nil:
-		s.c.casStored.Add(1)
-		o.out = respStored
-	case errors.Is(err, merge.ErrConflict):
-		s.c.casExists.Add(1)
-		o.out = respExists
-	default:
-		o.out = appendErrorResponse(o.grab(64), err)
-	}
-}
-
-// casPin reports whether key is bound in mp and, if so, acquires the
-// token's snapshot when it is mp's and key's binding has not moved since
-// it. The request-local key string is built, probed and released in one
-// netting scope; the token pin stays on the Machine, outside it.
-func (s *Server) casPin(mp *hds.Map, key []byte, tok uint64) (pin tokenPin, found, ok bool) {
-	sc := s.store.Heap.M.Scope()
-	defer sc.Close()
-	k := hds.String{Seg: segment.BuildBytes(sc, key), Len: uint64(len(key))}
-	defer segment.ReleaseSeg(sc, k.Seg)
-	if !mp.Has(k) { // non-retaining probe: Get would hand us a value reference to release
-		return pin, false, false
-	}
-	pin, ok = s.toks.Acquire(tok)
-	if ok && (pin.mp != mp || mp.ChangedSince(pin.seg, k)) {
-		segment.ReleaseSeg(s.store.Heap.M, pin.seg)
-		ok = false
-	}
-	return pin, true, ok
 }
 
 // goHeapBytes returns the bytes of live and not-yet-swept heap objects.
